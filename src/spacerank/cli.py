@@ -72,12 +72,16 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, args: argparse.Namespace, inputs: list, skip=("out", "func", "command")) -> RunManifest:
+def _digests(*paths) -> dict[str, str]:
+    return {str(p): _digest(p) for p in paths}
+
+
+def _manifest(command: str, args: argparse.Namespace, inputs: dict, skip=("out", "func", "command")) -> RunManifest:
     params = {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
     return RunManifest(
         command=command,
         parameters=params,
-        inputs={str(p): _digest(p) for p in inputs},
+        inputs=inputs,
         seed=getattr(args, "seed", None),
     )
 
@@ -108,7 +112,7 @@ def cmd_split(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "split.tsv"
     save_split(split, out_path)
-    _manifest("split", args, [args.ratings]).write(out_path)
+    _manifest("split", args, _digests(args.ratings)).write(out_path)
     print(
         f"{len(events)} events -> {len(split.train)} train, "
         f"{len(split.validation)} validation, {len(split.test)} test -> {out_path}"
@@ -158,7 +162,7 @@ def cmd_train_space(args) -> int:
         args.iters = iterations
 
     save_space(space, args.out)
-    _manifest("train-space", args, inputs).write(args.out)
+    _manifest("train-space", args, _digests(*inputs)).write(args.out)
     print(f"{args.mode} space: {len(space)} items x {space.dimensions} dims -> {args.out}")
     return 0
 
@@ -175,9 +179,10 @@ def _user_ranker_topk(space, user_events, rated_items, args, user_id, k):
 
 
 def cmd_recommend(args) -> int:
-    space = load_space(args.space)
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, "test")
+    _check_space_provenance(args, "test", _digests(args.ratings, args.split))
+    space = load_space(args.space)
     user_events = [e for e in training if e.user_id == args.user]
     if not user_events:
         raise CannotRankError(f"user {args.user} has no training ratings")
@@ -187,22 +192,6 @@ def cmd_recommend(args) -> int:
     for item_id in top:
         print(f"{item_id}\t{scores[item_id]!r}")
     return 0
-
-
-# Shared state for forked evaluation workers; set before the pool starts.
-_DS_WORKER_STATE: dict = {}
-
-
-def _ds_topk_worker(user_id):
-    state = _DS_WORKER_STATE
-    try:
-        _, top = _user_ranker_topk(
-            state["space"], state["events_by_user"][user_id],
-            state["rated_by_user"][user_id], state["args"], user_id, state["k"],
-        )
-        return user_id, top
-    except CannotRankError:
-        return user_id, None
 
 
 def cmd_evaluate(args) -> int:
@@ -217,7 +206,7 @@ def cmd_evaluate(args) -> int:
         rated_by_user.setdefault(e.user_id, set()).add(e.item_id)
         events_by_user.setdefault(e.user_id, []).append(e)
 
-    inputs = [args.ratings, args.split]
+    inputs = _digests(args.ratings, args.split)
     if args.system == "pop":
         model = build_popularity(training)
 
@@ -233,34 +222,22 @@ def cmd_evaluate(args) -> int:
     else:  # ds
         if not args.space:
             raise SpaceRankError("--system ds requires --space")
-        _check_space_provenance(args.space, args.holdout)
+        _check_space_provenance(args, args.holdout, inputs)
         space = load_space(args.space)
-        inputs.append(args.space)
+        inputs.update(_digests(args.space))
 
-        if args.workers > 1:
-            cache = _parallel_ds_topk(space, events_by_user, rated_by_user, args, targets)
-
-            def provider(user_id):
-                top = cache[user_id]
-                if top is None:
-                    raise CannotRankError(f"user {user_id} has no usable pairs")
-                return top
-
-        else:
-
-            def provider(user_id):
-                _, top = _user_ranker_topk(
-                    space, events_by_user[user_id], rated_by_user[user_id],
-                    args, user_id, args.k,
-                )
-                return top
+        def provider(user_id):
+            _, top = _user_ranker_topk(
+                space, events_by_user[user_id], rated_by_user[user_id], args, user_id, args.k,
+            )
+            return top
 
     def guarded(user_id):
         if user_id not in rated_by_user:
             raise CannotRankError(f"user {user_id} has no training ratings")
         return provider(user_id)
 
-    result = evaluate_system(guarded, targets, k=args.k)
+    result = evaluate_system(guarded, targets, k=args.k, workers=args.workers)
     save_results(result.records, args.out, k=args.k)
     _manifest("evaluate", args, inputs).write(args.out)
     print(
@@ -270,36 +247,29 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parallel_ds_topk(space, events_by_user, rated_by_user, args, targets):
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+def _check_space_provenance(args, holdout, inputs) -> None:
+    """Refuse a space trained with another holdout, ratings file or split.
 
-    users = sorted({u for u, _ in targets if u in rated_by_user})
-    _DS_WORKER_STATE.update(
-        space=space, events_by_user=events_by_user,
-        rated_by_user=rated_by_user, args=args, k=args.k,
-    )
-    try:
-        context = get_context("fork")
-    except ValueError:
-        _warn("fork start method unavailable; evaluating on a single worker")
-        return {u: _ds_topk_worker(u)[1] for u in users}
-    with ProcessPoolExecutor(max_workers=args.workers, mp_context=context) as pool:
-        return dict(pool.map(_ds_topk_worker, users, chunksize=16))
-
-
-def _check_space_provenance(space_path, holdout) -> None:
-    manifest_path = Path(f"{space_path}.manifest.json")
+    Compares the holdout and input sha256 digests recorded in the space's
+    manifest with this run's; `inputs` maps this run's paths to digests.
+    A missing manifest only warns.
+    """
+    manifest_path = Path(f"{args.space}.manifest.json")
     if not manifest_path.exists():
-        _warn(f"no manifest next to {space_path}; cannot verify its holdout provenance")
+        _warn(f"no manifest next to {args.space}; cannot verify what it was trained on")
         return
     recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
-    trained_holdout = recorded.get("parameters", {}).get("holdout")
-    if trained_holdout != holdout:
-        raise SpaceRankError(
-            f"space {space_path} was trained with holdout={trained_holdout!r} but this "
-            f"evaluation uses holdout={holdout!r}; retrain the space or change --holdout"
-        )
+    params, digests = recorded.get("parameters", {}), recorded.get("inputs", {})
+    checks = [("holdout", params.get("holdout"), holdout)] + [
+        (f"{name} sha256", digests.get(params.get(name)), inputs[str(getattr(args, name))])
+        for name in ("ratings", "split")
+    ]
+    for what, trained, ours in checks:
+        if trained != ours:
+            raise SpaceRankError(
+                f"space {args.space} was trained with {what} {trained!r} but this run has "
+                f"{ours!r}; retrain the space on this run's inputs and --holdout"
+            )
 
 
 def cmd_mcnemar(args) -> int:

@@ -13,6 +13,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import CannotRankError, FormatError, NoSuchUserError, UndefinedTestError
+from .parallel import fork_map
 
 Target = tuple[int, int]
 
@@ -55,24 +56,30 @@ def evaluate_system(
     topk_for_user: Callable[[int], Sequence[int]],
     targets: Sequence[Target],
     k: int = 10,
+    workers: int = 1,
 ) -> EvalResult:
     """Run one system over the evaluation targets.
 
-    `topk_for_user` returns the user's top-k item list (it sees each user
-    once; results are reused across that user's targets). Users it cannot
-    rank (no training ratings, nothing usable in the space) have their
-    targets skipped and reported rather than counted as misses.
+    `topk_for_user` returns the user's top-k item list. It is called once
+    per user, in ascending user order, split across `workers` forked
+    processes (see `fork_map`); results are reused across that user's
+    targets and do not depend on the worker count. Users it cannot rank
+    (no training ratings, nothing usable in the space) have their targets
+    skipped and reported rather than counted as misses.
     """
+
+    def ranked(user_id):
+        try:
+            return list(topk_for_user(user_id))[:k]
+        except (CannotRankError, NoSuchUserError):
+            return None
+
+    users = sorted({user_id for user_id, _ in targets})
+    tops = dict(zip(users, fork_map(ranked, users, workers)))
     records: list[HitRecord] = []
     skipped: list[Target] = []
-    cache: dict[int, list[int] | None] = {}
     for user_id, item_id in targets:
-        if user_id not in cache:
-            try:
-                cache[user_id] = list(topk_for_user(user_id))[:k]
-            except (CannotRankError, NoSuchUserError):
-                cache[user_id] = None
-        top = cache[user_id]
+        top = tops[user_id]
         if top is None:
             skipped.append((user_id, item_id))
         else:

@@ -10,17 +10,15 @@ tree-node weights by SGD with a linearly decaying learning rate.
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Observation, RatingEvent, UserProfile, binarize
-from .errors import FormatError
+from .errors import FormatError, SpaceRankError
 from .hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
+from .parallel import fork_map, shared_copy
 
 PROVENANCES = ("cf", "cb", "vsm")
 
@@ -113,10 +111,12 @@ def train_space(
     observation; the learning rate decays linearly from alpha0 towards zero
     over all iterations x len(observations) steps, floored at alpha0 * 1e-4.
 
-    With workers > 1 the permuted stream is sharded across forked worker
-    processes that update the matrices in shared memory without locking;
-    races are tolerated and the result is no longer bit-reproducible.
-    workers=1 does everything in-process and is deterministic.
+    Each pass is cut into `config.workers` contiguous shards of the
+    permutation, trained by forked workers that update the item and node
+    matrices in shared memory without locking (Hogwild): races are
+    tolerated and the result is not reproducible. workers=1 trains the
+    single shard in-process and is deterministic. Raises SpaceRankError if
+    training ends with non-finite item vectors (alpha0 too large).
     """
     observations = list(observations)
     if not observations:
@@ -131,8 +131,8 @@ def train_space(
 
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / d
-    matrix = rng.uniform(-bound, bound, size=(len(item_ids), d)).astype(np.float32)
-    nodes = new_node_matrix(tree, d)
+    matrix = shared_copy(rng.uniform(-bound, bound, size=(len(item_ids), d)).astype(np.float32))
+    nodes = shared_copy(new_node_matrix(tree, d))
 
     obs_rows = np.array([row_of[obs.item_id] for obs in observations], dtype=np.int64)
     obs_tokens = [obs.token for obs in observations]
@@ -141,65 +141,27 @@ def train_space(
     total_steps = config.iterations * n
     alpha0 = config.alpha0
     alpha_min = alpha0 * ALPHA_FLOOR
+    edges = np.linspace(0, n, config.workers + 1, dtype=int).tolist()
+    shards = list(zip(edges[:-1], edges[1:]))
 
-    def train_slice(matrix, nodes, perm, pass_base, start, stop):
-        for k in range(start, stop):
-            i = perm[k]
-            alpha = alpha0 * (1.0 - (pass_base + k) / total_steps)
-            if alpha < alpha_min:
-                alpha = alpha_min
-            hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
+    for iteration in range(config.iterations):
+        perm = rng.permutation(n)
+        pass_base = iteration * n
 
-    workers = config.workers
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        print("warning: fork is unavailable; training on a single worker", file=sys.stderr)
-        workers = 1
+        def train_shard(shard):
+            for k in range(*shard):
+                i = perm[k]
+                alpha = alpha0 * (1.0 - (pass_base + k) / total_steps)
+                if alpha < alpha_min:
+                    alpha = alpha_min
+                hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
 
-    if workers == 1:
-        for iteration in range(config.iterations):
-            perm = rng.permutation(n)
-            train_slice(matrix, nodes, perm, iteration * n, 0, n)
-        space = EmbeddingSpace(d, item_ids, matrix, provenance)
-        space.hs_nodes = nodes
-        return space
+        fork_map(train_shard, shards, config.workers)
 
-    # Hogwild across processes: matrices live in shared memory, each pass
-    # forks workers over disjoint shards of the permutation. Forking means
-    # the read-only structures (observations, tree) are inherited for free.
-    context = multiprocessing.get_context("fork")
-    shm_matrix = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
-    shm_nodes = shared_memory.SharedMemory(create=True, size=max(nodes.nbytes, 1))
-    try:
-        shared_matrix = np.ndarray(matrix.shape, matrix.dtype, buffer=shm_matrix.buf)
-        shared_nodes = np.ndarray(nodes.shape, nodes.dtype, buffer=shm_nodes.buf)
-        shared_matrix[:] = matrix
-        shared_nodes[:] = nodes
-        for iteration in range(config.iterations):
-            perm = rng.permutation(n)
-            bounds = np.linspace(0, n, workers + 1, dtype=int)
-            procs = [
-                context.Process(
-                    target=train_slice,
-                    args=(shared_matrix, shared_nodes, perm, iteration * n, lo, hi),
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for p in procs:
-                p.start()
-            for p in procs:
-                p.join()
-            if any(p.exitcode != 0 for p in procs):
-                raise RuntimeError("a training worker exited abnormally")
-        result = shared_matrix.copy()
-        result_nodes = shared_nodes.copy()
-    finally:
-        shm_matrix.close()
-        shm_matrix.unlink()
-        shm_nodes.close()
-        shm_nodes.unlink()
-    space = EmbeddingSpace(d, item_ids, result, provenance)
-    space.hs_nodes = result_nodes
+    if not np.isfinite(matrix).all():
+        raise SpaceRankError(f"training diverged to non-finite item vectors at alpha0={alpha0}")
+    space = EmbeddingSpace(d, item_ids, matrix, provenance)
+    space.hs_nodes = nodes
     return space
 
 
@@ -240,7 +202,12 @@ def _format_float(x: float) -> str:
 
 
 def save_space(space: EmbeddingSpace, path) -> None:
-    """Write ``item_count d provenance`` header plus one line per item."""
+    """Write ``item_count d [provenance]`` header plus one line per item.
+
+    Raises FormatError, writing nothing, if any value is non-finite.
+    """
+    if not np.isfinite(space.matrix).all():
+        raise FormatError(f"{path}: refusing to write a space with non-finite values")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = f"{len(space)} {space.dimensions}"
         if space.provenance is not None:
@@ -251,7 +218,10 @@ def save_space(space: EmbeddingSpace, path) -> None:
 
 
 def load_space(path) -> EmbeddingSpace:
-    """Read a space file back; inverse of save_space, bit-exact."""
+    """Read a space file back; inverse of save_space, bit-exact.
+
+    Raises FormatError on a malformed file or any non-finite value.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split()
         if len(header) not in (2, 3):
@@ -284,12 +254,11 @@ def load_space(path) -> EmbeddingSpace:
             matrix[row] = np.array([float(p) for p in parts[1:]], dtype=dtype)
         if fh.readline().strip():
             raise FormatError(f"{path}: trailing data after {count} items")
+    if not np.isfinite(matrix).all():
+        raise FormatError(f"{path}: space holds non-finite values")
     return EmbeddingSpace(d, item_ids, matrix, provenance)
 
 
 def export_vectors(space: EmbeddingSpace, path) -> None:
     """Write the space without its provenance tag for external projection tools."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(space)} {space.dimensions}\n")
-        for item_id, vec in zip(space.item_ids, space.matrix):
-            fh.write(f"{item_id} " + " ".join(_format_float(x) for x in vec) + "\n")
+    save_space(EmbeddingSpace(space.dimensions, space.item_ids, space.matrix), path)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spacerank.cli import main
@@ -102,6 +103,17 @@ class TestTrainSpaceCommand:
         ])
         assert code == 2
 
+    def test_diverged_training_writes_no_space(self, pipeline, tmp_path):
+        out = tmp_path / "nan.space"
+        with np.errstate(all="ignore"):
+            code = main([
+                "train-space", "--mode", "cf", "--ratings", str(pipeline["ratings"]),
+                "--split", str(pipeline["split"]), "--dims", "8", "--iters", "2",
+                "--alpha", "1e4", "--out", str(out),
+            ])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestRecommendCommand:
     def test_prints_k_scored_lines(self, pipeline, capsys):
@@ -174,13 +186,26 @@ class TestEvaluateCommand:
         ])
         assert code == 0
 
-    def test_ds_worker_count_does_not_change_results(self, pipeline, tmp_path):
+    def test_space_from_another_split_refused(self, pipeline, tmp_path):
+        # Under another split some of the space's training pairs are test pairs.
+        main(["split", "--ratings", str(pipeline["ratings"]), "--every", "7", "--out", str(tmp_path)])
+        common = [
+            "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
+            "--split", str(tmp_path / "split.tsv"),
+        ]
+        out = tmp_path / "x.results"
+        assert main(["evaluate", "--system", "ds", *common, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(["recommend", *common, "--user", "1"]) == 2
+
+    @pytest.mark.parametrize("system", ["pop", "knn", "ds"])
+    def test_worker_count_does_not_change_results(self, pipeline, tmp_path, system):
         # per-user seeds make the parallel path order-independent
         outs = []
         for workers in ("1", "2"):
-            out = tmp_path / f"ds{workers}.results"
+            out = tmp_path / f"{system}{workers}.results"
             code = main([
-                "evaluate", "--system", "ds", "--space", str(pipeline["space"]),
+                "evaluate", "--system", system, "--space", str(pipeline["space"]),
                 "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
                 "--workers", workers, "--out", str(out),
             ])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spacerank.corpus import Observation, RatingEvent, build_profiles
-from spacerank.errors import FormatError
+from spacerank.errors import FormatError, SpaceRankError
 from spacerank.hsoftmax import build_huffman, build_vocabulary, hs_probability, new_node_matrix
 from spacerank.spaces import (
     EmbeddingSpace,
@@ -81,9 +81,23 @@ class TestTrainSpace:
         assert mean_loss(trained, trained.hs_nodes) < initial
 
     def test_multiworker_runs(self):
+        # Fails if the workers' updates stay in private copy-on-write pages.
         obs = shared_token_corpus()
-        space = train_space(obs, SpaceTrainConfig(4, iterations=3, seed=1, workers=2))
+        space = train_space(obs, SpaceTrainConfig(8, iterations=20, seed=3, workers=2))
         assert len(space) == 3 and np.isfinite(space.matrix).all()
+        v1, v2, v3 = (space.vector(i) for i in (1, 2, 3))
+        assert cosine(v1, v2) > cosine(v1, v3)
+
+    def test_one_token_vocabulary_multiworker(self):
+        obs = [Observation(1, "t"), Observation(2, "t")]
+        space = train_space(obs, SpaceTrainConfig(4, iterations=2, seed=1, workers=2))
+        assert space.hs_nodes.shape == (0, 4)
+        init = np.random.default_rng(1).uniform(-0.5 / 4, 0.5 / 4, size=(2, 4)).astype(np.float32)
+        np.testing.assert_array_equal(space.matrix, init)
+
+    def test_diverged_training_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(SpaceRankError):
+            train_space(shared_token_corpus(), SpaceTrainConfig(8, iterations=2, alpha0=1e4))
 
 
 class TestVsmSpace:
@@ -157,6 +171,17 @@ class TestSpaceFiles:
         path.write_text("2 3\n1 0.0 1.0 2.0\n2 3.0 4.0 5.0\n")
         space = load_space(path)
         assert space.provenance is None and len(space) == 2
+
+    def test_non_finite_value_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        path.write_text("2 2 cf\n1 0.5 nan\n2 1.0 2.0\n")
+        with pytest.raises(FormatError):
+            load_space(path)
+        space = self.make_space()
+        space.matrix[1, 1] = np.inf
+        with pytest.raises(FormatError):
+            save_space(space, tmp_path / "inf.space")
+        assert not (tmp_path / "inf.space").exists()
 
     def test_wrong_value_count(self, tmp_path):
         path = tmp_path / "s.space"
