@@ -39,6 +39,7 @@ from .evaluate import (
     EvalResult,
     HitRecord,
     contingency,
+    each_user,
     evaluate_system,
     load_results,
     mcnemar_one_tailed,
@@ -66,6 +67,7 @@ from .ranker import (
     score_items,
     top_k,
     train_hyperplane,
+    train_hyperplanes,
 )
 from .spaces import (
     EmbeddingSpace,

@@ -27,7 +27,14 @@ from .corpus import (
     reviews_to_observations,
 )
 from .errors import CannotRankError, SpaceRankError
-from .evaluate import contingency, evaluate_system, load_results, mcnemar_one_tailed, save_results
+from .evaluate import (
+    contingency,
+    each_user,
+    evaluate_system,
+    load_results,
+    mcnemar_one_tailed,
+    save_results,
+)
 from .ranker import (
     RankerConfig,
     build_preferences,
@@ -36,6 +43,7 @@ from .ranker import (
     recommend_topk,
     score_items,
     train_hyperplane,
+    train_hyperplanes,
 )
 from .spaces import SpaceTrainConfig, build_vsm_space, load_space, save_space, train_space
 from .splits import build_split, load_split, mark_counts, save_split, test_targets
@@ -167,15 +175,31 @@ def cmd_train_space(args) -> int:
     return 0
 
 
-def _user_ranker_topk(space, user_events, rated_items, args, user_id, k):
-    config = RankerConfig(
+def _ranker_config(args, user_id) -> RankerConfig:
+    return RankerConfig(
         phi_i=args.phi_i, phi_t=args.phi_t, phi_d=args.phi_d,
         alpha0=args.alpha, seed=derive_seed(args.seed, user_id),
     )
-    triples = build_preferences(user_events, space, config.phi_t)
-    pairs = pair_stream(triples, config.phi_i, config.phi_d, config.seed)
-    model = train_hyperplane(pairs, space, config, user_id=user_id)
-    return model, recommend_topk(model, space, rated_items, k)
+
+
+def _user_ranker_topk(space, users, events_by_user, rated_by_user, args):
+    """Top-k lists for a block of users whose hyperplanes train together.
+
+    A user that cannot be ranked (no usable ratings, no pairs) gets None.
+    """
+    streams, configs, ranked = [], [], []
+    for user_id in users:
+        config = _ranker_config(args, user_id)
+        try:
+            triples = build_preferences(events_by_user.get(user_id, ()), space, config.phi_t)
+            streams.append(pair_stream(triples, config.phi_i, config.phi_d, config.seed))
+        except CannotRankError:
+            continue
+        configs.append(config)
+        ranked.append(user_id)
+    models = train_hyperplanes(streams, space, configs, ranked)
+    tops = {m.user_id: recommend_topk(m, space, rated_by_user[m.user_id], args.k) for m in models}
+    return [tops.get(user_id) for user_id in users]
 
 
 def cmd_recommend(args) -> int:
@@ -186,8 +210,11 @@ def cmd_recommend(args) -> int:
     user_events = [e for e in training if e.user_id == args.user]
     if not user_events:
         raise CannotRankError(f"user {args.user} has no training ratings")
-    rated = {e.item_id for e in user_events}
-    model, top = _user_ranker_topk(space, user_events, rated, args, args.user, args.k)
+    config = _ranker_config(args, args.user)
+    triples = build_preferences(user_events, space, config.phi_t)
+    pairs = pair_stream(triples, config.phi_i, config.phi_d, config.seed)
+    model = train_hyperplane(pairs, space, config, user_id=args.user)
+    top = recommend_topk(model, space, {e.item_id for e in user_events}, args.k)
     scores = score_items(model, space)
     for item_id in top:
         print(f"{item_id}\t{scores[item_id]!r}")
@@ -207,37 +234,36 @@ def cmd_evaluate(args) -> int:
         events_by_user.setdefault(e.user_id, []).append(e)
 
     inputs = _digests(args.ratings, args.split)
-    if args.system == "pop":
-        model = build_popularity(training)
-
-        def provider(user_id):
-            return popularity_topk(model, rated_by_user[user_id], args.k)
-
-    elif args.system == "knn":
-        model = KnnModel(training, build_profiles(training), args.k_neighbors)
-
-        def provider(user_id):
-            return knn_topk(model, user_id, rated_by_user.get(user_id, ()), args.k)
-
-    else:  # ds
+    if args.system == "ds":
         if not args.space:
             raise SpaceRankError("--system ds requires --space")
         _check_space_provenance(args, args.holdout, inputs)
         space = load_space(args.space)
         inputs.update(_digests(args.space))
 
+        def provider(users):
+            return _user_ranker_topk(space, users, events_by_user, rated_by_user, args)
+
+    else:
+        if args.system == "pop":
+            model = build_popularity(training)
+
+            def topk(user_id):
+                return popularity_topk(model, rated_by_user[user_id], args.k)
+
+        else:  # knn
+            model = KnnModel(training, build_profiles(training), args.k_neighbors)
+
+            def topk(user_id):
+                return knn_topk(model, user_id, rated_by_user.get(user_id, ()), args.k)
+
+        @each_user
         def provider(user_id):
-            _, top = _user_ranker_topk(
-                space, events_by_user[user_id], rated_by_user[user_id], args, user_id, args.k,
-            )
-            return top
+            if user_id not in rated_by_user:
+                raise CannotRankError(f"user {user_id} has no training ratings")
+            return topk(user_id)
 
-    def guarded(user_id):
-        if user_id not in rated_by_user:
-            raise CannotRankError(f"user {user_id} has no training ratings")
-        return provider(user_id)
-
-    result = evaluate_system(guarded, targets, k=args.k, workers=args.workers)
+    result = evaluate_system(provider, targets, k=args.k, workers=args.workers)
     save_results(result.records, args.out, k=args.k)
     _manifest("evaluate", args, inputs).write(args.out)
     print(

@@ -16,6 +16,12 @@ from .errors import CannotRankError, FormatError, NoSuchUserError, UndefinedTest
 from .parallel import fork_map
 
 Target = tuple[int, int]
+# Users, ascending, to their top-k lists (None: cannot rank), one block at a time.
+BlockProvider = Callable[[Sequence[int]], Sequence["Sequence[int] | None"]]
+
+# Users per block handed to a provider: enough for one batched ranker step
+# to advance many users, few enough to keep a block's pair streams small.
+BLOCK_USERS = 16
 
 
 @dataclass(frozen=True)
@@ -52,30 +58,51 @@ def recall_at_k(hits: Sequence[HitRecord]) -> float:
     return sum(1 for h in hits if h.hit) / len(hits)
 
 
+def user_blocks(users: Sequence[int]) -> list[Sequence[int]]:
+    """`users`, in order, cut into the fewest blocks of at most BLOCK_USERS, sized evenly."""
+    n, count = len(users), -(-len(users) // BLOCK_USERS)
+    return [users[n * i // count : n * (i + 1) // count] for i in range(count)]
+
+
+def each_user(topk_for_user: Callable[[int], Sequence[int]]) -> BlockProvider:
+    """A block provider calling `topk_for_user` on each user of the block.
+
+    A user it cannot rank (CannotRankError, NoSuchUserError) gets None.
+    """
+
+    def topk_for_users(users):
+        tops = []
+        for user_id in users:
+            try:
+                tops.append(topk_for_user(user_id))
+            except (CannotRankError, NoSuchUserError):
+                tops.append(None)
+        return tops
+
+    return topk_for_users
+
+
 def evaluate_system(
-    topk_for_user: Callable[[int], Sequence[int]],
+    topk_for_users: BlockProvider,
     targets: Sequence[Target],
     k: int = 10,
     workers: int = 1,
 ) -> EvalResult:
     """Run one system over the evaluation targets.
 
-    `topk_for_user` returns the user's top-k item list. It is called once
-    per user, in ascending user order, split across `workers` forked
-    processes (see `fork_map`); results are reused across that user's
-    targets and do not depend on the worker count. Users it cannot rank
-    (no training ratings, nothing usable in the space) have their targets
-    skipped and reported rather than counted as misses.
+    `topk_for_users` takes a block of users and returns, per user, the
+    top-k item list, or None for a user it cannot rank (no training
+    ratings, nothing usable in the space). The users, ascending, are cut
+    into `user_blocks`, and each block is ranked once, split across
+    `workers` forked processes (see `fork_map`). Blocks do not depend on
+    the worker count, and neither do the results. A user's top-k list is
+    reused across their targets; an unranked user's targets are skipped
+    and reported rather than counted as misses.
     """
-
-    def ranked(user_id):
-        try:
-            return list(topk_for_user(user_id))[:k]
-        except (CannotRankError, NoSuchUserError):
-            return None
-
     users = sorted({user_id for user_id, _ in targets})
-    tops = dict(zip(users, fork_map(ranked, users, workers)))
+    blocks = fork_map(topk_for_users, user_blocks(users), workers)
+    ranked = (None if top is None else list(top)[:k] for block in blocks for top in block)
+    tops = dict(zip(users, ranked, strict=True))
     records: list[HitRecord] = []
     skipped: list[Target] = []
     for user_id, item_id in targets:

@@ -18,8 +18,12 @@ import numpy as np
 
 from .corpus import RatingEvent, binarize
 from .errors import CannotRankError, FormatError
-from .hsoftmax import sigmoid
 from .spaces import EmbeddingSpace, _format_float
+
+
+# Steps of a block whose item ids become matrix rows at once in
+# train_hyperplanes: bounds the scratch a block needs beyond its streams.
+SEGMENT_STEPS = 1024
 
 
 def derive_seed(seed: int, user_id: int) -> int:
@@ -110,69 +114,101 @@ def pair_stream(
     phi_i: int,
     phi_d: float,
     seed: int,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Training pairs (a, b) with level(a) < level(b), across phi_i passes.
 
     Each pass emits every differently-leveled pair once, shuffled: pairs of
     two rated items always, pairs of a rated and an unrated item with
-    probability 1/phi_d. The concatenation over passes is the SGD stream.
+    probability 1/phi_d. The concatenation over passes is the SGD stream,
+    a ``(T, 2)`` array of item ids in the narrowest integer dtype that holds
+    them. Candidates are ordered level-1 x level-2 pairs first, then
+    level-0 x (level-1 then level-2) pairs, each in triple order; a pass
+    draws its keep mask, then its permutation.
     """
-    by_level: dict[int, list[int]] = {0: [], 1: [], 2: []}
-    for t in triples:
-        by_level[t.level].append(t.item_id)
-
-    rated_pairs = [(a, b) for a in by_level[1] for b in by_level[2]]
-    downsampled_pairs = [(a, b) for a in by_level[0] for b in by_level[1] + by_level[2]]
-    if not rated_pairs and not downsampled_pairs:
+    levels = np.fromiter((t.level for t in triples), dtype=np.int8, count=len(triples))
+    ids = np.fromiter((t.item_id for t in triples), dtype=np.int64, count=len(triples))
+    lo, hi = ids.min(initial=0), ids.max(initial=0)
+    ids = ids.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
+    unrated, disliked, liked = (ids[levels == v] for v in (0, 1, 2))
+    rated = np.concatenate([disliked, liked])
+    n_rated_pairs = len(disliked) * len(liked)
+    candidates = np.empty((n_rated_pairs + len(unrated) * len(rated), 2), dtype=ids.dtype)
+    candidates[:n_rated_pairs, 0] = np.repeat(disliked, len(liked))
+    candidates[:n_rated_pairs, 1] = np.tile(liked, len(disliked))
+    candidates[n_rated_pairs:, 0] = np.repeat(unrated, len(rated))
+    candidates[n_rated_pairs:, 1] = np.tile(rated, len(unrated))
+    if not len(candidates):
         raise CannotRankError("no differently-leveled item pairs to learn from")
 
     rng = np.random.default_rng(seed)
-    include_p = 1.0 / phi_d
-    stream: list[tuple[int, int]] = []
+    n_downsampled = len(candidates) - n_rated_pairs
+    passes = []
     for _ in range(phi_i):
-        batch = list(rated_pairs)
-        if downsampled_pairs:
-            if phi_d == 1.0:
-                batch.extend(downsampled_pairs)
-            else:
-                mask = rng.random(len(downsampled_pairs)) < include_p
-                batch.extend(p for p, keep in zip(downsampled_pairs, mask) if keep)
-        order = rng.permutation(len(batch))
-        stream.extend(batch[i] for i in order)
-    return stream
+        batch = candidates
+        if n_downsampled and phi_d != 1.0:
+            keep = rng.random(n_downsampled) < 1.0 / phi_d
+            batch = np.concatenate([candidates[:n_rated_pairs], candidates[n_rated_pairs:][keep]])
+        passes.append(batch[rng.permutation(len(batch))])
+    return np.concatenate(passes)
+
+
+def train_hyperplanes(
+    streams: Sequence[np.ndarray],
+    space: EmbeddingSpace,
+    configs: Sequence[RankerConfig],
+    user_ids: Sequence[int | None],
+) -> list[HyperplaneModel]:
+    """Fit each user's direction vector over their pair stream, all users at once.
+
+    User u starts from a small random w drawn from their `config.seed` and,
+    for their k-th pair (a, b), applies w += g * alpha * (v_b - v_a) with
+    g = sigmoid(w.v_a - w.v_b); the learning rate decays linearly from
+    alpha0 to 0 over the user's own stream of T_u pairs. One loop over k
+    advances every user whose stream is that long: users are ordered by
+    stream length, longest first, so those still training are a prefix.
+    A user's w depends only on their own stream and config, never on the
+    others, and matches the one-pair-at-a-time loop to rounding.
+    """
+    if any(len(stream) == 0 for stream in streams):
+        raise CannotRankError("empty pair stream")
+    order = sorted(range(len(streams)), key=lambda u: -len(streams[u]))
+    lengths = [len(streams[u]) for u in order] + [0]
+    d = space.dimensions
+    w = np.array(
+        [np.random.default_rng(configs[u].seed).uniform(-0.5 / d, 0.5 / d, size=d) for u in order]
+    ).reshape(len(order), d)
+    alpha0 = np.array([configs[u].alpha0 for u in order])
+    total = np.array(lengths[:-1], dtype=np.float64)
+    matrix = space.matrix
+    # Steps lengths[m] <= k < lengths[m - 1] advance the first m users. Their
+    # ids become rows one segment of at most SEGMENT_STEPS steps at a time,
+    # so no row stream is held beyond the segment being trained.
+    for m in range(len(order), 0, -1):
+        w_m = w[:m]
+        for first in range(lengths[m], lengths[m - 1], SEGMENT_STEPS):
+            stop = min(first + SEGMENT_STEPS, lengths[m - 1])
+            segment = np.stack([space.rows(streams[u][first:stop]) for u in order[:m]], axis=1)
+            rates = alpha0[:m] * (1.0 - np.arange(first, stop)[:, None] / total[:m])
+            for pair_rows, rate in zip(segment, rates):
+                pair = matrix[pair_rows]
+                diff = np.subtract(pair[:, 1], pair[:, 0], dtype=np.float64)
+                # g * rate, with g = sigmoid(w.v_a - w.v_b) clamped as hsoftmax.sigmoid clamps
+                step = rate / (1.0 + np.exp(np.minimum(np.einsum("ij,ij->i", w_m, diff), 500.0)))
+                w_m += step[:, None] * diff
+    models = [None] * len(order)
+    for column, u in enumerate(order):
+        models[u] = HyperplaneModel(user_ids[u], w[column].copy())
+    return models
 
 
 def train_hyperplane(
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray | Sequence[tuple[int, int]],
     space: EmbeddingSpace,
     config: RankerConfig,
     user_id: int | None = None,
 ) -> HyperplaneModel:
-    """Fit the user's direction vector over a pair stream.
-
-    Starts from a small random w and, for each pair (a, b), applies
-    w += g * alpha * (v_b - v_a) with g = sigmoid(w.v_a - w.v_b). The
-    learning rate decays linearly from alpha0 to 0 over the whole stream.
-    """
-    if not pairs:
-        raise CannotRankError("empty pair stream")
-    d = space.dimensions
-    rows_a = np.fromiter((space.row(a) for a, _ in pairs), dtype=np.int64, count=len(pairs))
-    rows_b = np.fromiter((space.row(b) for _, b in pairs), dtype=np.int64, count=len(pairs))
-
-    rng = np.random.default_rng(config.seed)
-    w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
-
-    matrix = space.matrix
-    alpha0 = config.alpha0
-    total = len(pairs)
-    for k in range(total):
-        va = matrix[rows_a[k]]
-        vb = matrix[rows_b[k]]
-        g = sigmoid(float(w @ va - w @ vb))
-        step = g * alpha0 * (1.0 - k / total)
-        w += step * (vb.astype(np.float64) - va)
-    return HyperplaneModel(user_id, w)
+    """Fit one user's direction vector: `train_hyperplanes` on a block of one."""
+    return train_hyperplanes([np.asarray(pairs)], space, [config], [user_id])[0]
 
 
 def score_items(model: HyperplaneModel, space: EmbeddingSpace) -> dict[int, float]:
@@ -198,10 +234,10 @@ def top_k(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     item_ids = np.asarray(item_ids)
-    exclude = set(exclude)
-    if exclude:
-        keep = np.fromiter((int(i) not in exclude for i in item_ids), dtype=bool, count=len(item_ids))
-        item_ids, scores = item_ids[keep], scores[keep]
+    exclude = np.fromiter(exclude, dtype=np.int64)
+    if len(exclude):
+        keep = ~np.isin(item_ids, exclude)
+        item_ids, scores = item_ids[keep], np.asarray(scores)[keep]
     order = np.lexsort((item_ids, -np.asarray(scores, dtype=np.float64)))
     return [int(i) for i in item_ids[order[:k]]]
 

@@ -54,6 +54,10 @@ class EmbeddingSpace:
         self.matrix = matrix
         self.provenance = provenance
         self._row = {int(item): row for row, item in enumerate(item_ids)}
+        if len(self._row) != len(item_ids):
+            raise ValueError(f"{len(item_ids) - len(self._row)} repeated item ids")
+        self._sorted_rows = np.argsort(item_ids)
+        self._sorted_ids = item_ids[self._sorted_rows]
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -63,6 +67,18 @@ class EmbeddingSpace:
 
     def row(self, item_id: int) -> int:
         return self._row[item_id]
+
+    def rows(self, item_ids) -> np.ndarray:
+        """Rows of an array of item ids, same shape; KeyError if one is missing."""
+        item_ids = np.asarray(item_ids)
+        if item_ids.size and not len(self):
+            raise KeyError(int(item_ids.flat[0]))
+        at = np.searchsorted(self._sorted_ids, item_ids)
+        rows = self._sorted_rows[np.minimum(at, len(self) - 1)]
+        missing = self.item_ids[rows] != item_ids
+        if missing.any():
+            raise KeyError(int(item_ids[missing][0]))
+        return rows
 
     def vector(self, item_id: int) -> np.ndarray:
         """The item's vector (a view into the matrix)."""
@@ -220,7 +236,8 @@ def save_space(space: EmbeddingSpace, path) -> None:
 def load_space(path) -> EmbeddingSpace:
     """Read a space file back; inverse of save_space, bit-exact.
 
-    Raises FormatError on a malformed file or any non-finite value.
+    Raises FormatError on a malformed file, a repeated item id or any
+    non-finite value.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split()
@@ -256,7 +273,10 @@ def load_space(path) -> EmbeddingSpace:
             raise FormatError(f"{path}: trailing data after {count} items")
     if not np.isfinite(matrix).all():
         raise FormatError(f"{path}: space holds non-finite values")
-    return EmbeddingSpace(d, item_ids, matrix, provenance)
+    try:
+        return EmbeddingSpace(d, item_ids, matrix, provenance)
+    except ValueError as exc:  # repeated item ids
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def export_vectors(space: EmbeddingSpace, path) -> None:

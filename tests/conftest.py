@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from spacerank.cli import main
 from spacerank.minicorpus import generate_minicorpus
 
 # Full-protocol tests need the MovieLens 1M ratings file, which is not
@@ -30,3 +31,20 @@ def mini_corpus(tmp_path_factory):
     """Paths of the deterministic bundled mini corpus (ratings, reviews)."""
     out = tmp_path_factory.mktemp("minicorpus")
     return generate_minicorpus(out)
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """One shared split + small cf space over the mini corpus."""
+    work = tmp_path_factory.mktemp("cli")
+    ratings, reviews = generate_minicorpus(work / "data")
+    out = work / "out"
+    assert main(["split", "--ratings", str(ratings), "--out", str(out)]) == 0
+    split = out / "split.tsv"
+    space = out / "cf.space"
+    code = main([
+        "train-space", "--mode", "cf", "--ratings", str(ratings), "--split", str(split),
+        "--dims", "16", "--iters", "4", "--seed", "5", "--out", str(space),
+    ])
+    assert code == 0
+    return {"ratings": ratings, "reviews": reviews, "out": out, "split": split, "space": space}

@@ -7,6 +7,8 @@ benchmark self-check. Both files are imported, never modified.
 """
 
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,3 +36,28 @@ def test_every_traced_layer_exists(monkeypatch):
 
 def test_probes_import(monkeypatch):
     assert callable(_import("probes", monkeypatch).run_probes)
+
+
+def test_probe_ranker_values_finite(monkeypatch):
+    probes = _import("probes", monkeypatch)
+    monkeypatch.setattr(probes, "RANKER_USERS", 2)
+    monkeypatch.setattr(probes, "PAIR_STREAM_ALL_USERS", 2)
+    values = probes.probe_ranker(seed=1)
+    assert values and all(name.startswith("ranker.") for name in values)
+    assert all(math.isfinite(v) for v in values.values())
+
+
+def test_traced_evaluate_ds_has_ranker_spans(pipeline, tmp_path, monkeypatch):
+    traced_cli = _import("traced_cli", monkeypatch)
+    for module, attr, _, _ in traced_cli.LAYERS:  # undo the tracer's wrappers afterwards
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    spans_path = tmp_path / "spans.json"
+    code = traced_cli.main([
+        str(spans_path), "evaluate", "--system", "ds", "--space", str(pipeline["space"]),
+        "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
+        "--phi-t", "all", "--phi-d", "5", "--out", str(tmp_path / "ds.results"),
+    ])
+    assert code == 0
+    names = {span["name"] for span in json.loads(spans_path.read_text())}
+    # the benchmark takes quantiles of the last two whenever pair streams are traced
+    assert {"ranker.pair_stream", "ranker.user", "ranker.topk"} <= names

@@ -3,26 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from spacerank import cli
 from spacerank.cli import main
-
-
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """One shared split + small cf space over the mini corpus."""
-    from spacerank.minicorpus import generate_minicorpus
-
-    work = tmp_path_factory.mktemp("cli")
-    ratings, reviews = generate_minicorpus(work / "data")
-    out = work / "out"
-    assert main(["split", "--ratings", str(ratings), "--out", str(out)]) == 0
-    split = out / "split.tsv"
-    space = out / "cf.space"
-    code = main([
-        "train-space", "--mode", "cf", "--ratings", str(ratings), "--split", str(split),
-        "--dims", "16", "--iters", "4", "--seed", "5", "--out", str(space),
-    ])
-    assert code == 0
-    return {"ratings": ratings, "reviews": reviews, "out": out, "split": split, "space": space}
 
 
 class TestSplitCommand:
@@ -134,6 +116,25 @@ class TestRecommendCommand:
         ])
         assert code == 3
 
+    def test_same_top_k_as_a_user_ranked_in_an_evaluate_block(self, pipeline, capsys):
+        common = [
+            "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
+            "--split", str(pipeline["split"]), "--phi-t", "all", "--phi-d", "5", "--seed", "3",
+        ]
+        assert main(["recommend", *common, "--user", "2"]) == 0
+        recommended = [int(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()]
+
+        args = cli.build_parser().parse_args(["evaluate", "--system", "ds", *common, "--out", "unused"])
+        _, training = cli._training_events(cli.load_ratings(args.ratings), args.split, args.holdout)
+        events_by_user, rated_by_user = {}, {}
+        for e in training:
+            events_by_user.setdefault(e.user_id, []).append(e)
+            rated_by_user.setdefault(e.user_id, set()).add(e.item_id)
+        block = [1, 2, 3, 5, 8]
+        tops = cli._user_ranker_topk(cli.load_space(args.space), block, events_by_user, rated_by_user, args)
+        assert len(recommended) == 10
+        assert tops[1] == recommended
+
     def test_phi_t_all_accepted(self, pipeline, capsys):
         code = main([
             "recommend", "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
@@ -212,6 +213,17 @@ class TestEvaluateCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_space_with_repeated_item_is_data_error(self, pipeline, tmp_path):
+        lines = pipeline["space"].read_text().splitlines()
+        count, rest = lines[0].split(" ", 1)
+        space = tmp_path / "dup.space"
+        space.write_text("\n".join([f"{int(count) + 1} {rest}", *lines[1:], lines[1]]) + "\n")
+        manifest = pipeline["out"] / "cf.space.manifest.json"
+        (tmp_path / "dup.space.manifest.json").write_bytes(manifest.read_bytes())
+        common = ["--space", str(space), "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+        assert main(["evaluate", "--system", "ds", *common, "--out", str(tmp_path / "x.results")]) == 2
+        assert main(["recommend", *common, "--user", "1"]) == 2
 
     def test_ds_missing_space_is_usage_independent_error(self, pipeline, tmp_path):
         code = main([

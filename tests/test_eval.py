@@ -4,14 +4,17 @@ import pytest
 
 from spacerank.errors import CannotRankError, FormatError, UndefinedTestError
 from spacerank.evaluate import (
+    BLOCK_USERS,
     ContingencyTable,
     HitRecord,
     contingency,
+    each_user,
     evaluate_system,
     load_results,
     mcnemar_one_tailed,
     recall_at_k,
     save_results,
+    user_blocks,
 )
 
 
@@ -99,11 +102,11 @@ class TestContingency:
 
 class TestEvaluateSystem:
     def test_single_target_hit(self):
-        result = evaluate_system(lambda u: [7, 8, 9], [(1, 7)], k=10)
+        result = evaluate_system(lambda users: [[7, 8, 9]] * len(users), [(1, 7)], k=10)
         assert result.recall == 1.0
 
     def test_topk_truncated_to_k(self):
-        result = evaluate_system(lambda u: list(range(30)), [(1, 15)], k=10)
+        result = evaluate_system(lambda users: [list(range(30))] * len(users), [(1, 15)], k=10)
         assert result.recall == 0.0
 
     def test_cannot_rank_users_skipped(self):
@@ -112,7 +115,13 @@ class TestEvaluateSystem:
                 raise CannotRankError("nope")
             return [5]
 
-        result = evaluate_system(provider, [(1, 5), (2, 5), (1, 6)], k=10)
+        result = evaluate_system(each_user(provider), [(1, 5), (2, 5), (1, 6)], k=10)
+        assert result.skipped == ((2, 5),)
+        assert result.recall == pytest.approx(0.5)
+
+    def test_block_provider_none_skips_that_user_only(self):
+        result = evaluate_system(lambda users: [None if u == 2 else [5] for u in users],
+                                 [(1, 5), (2, 5), (3, 6)], k=10)
         assert result.skipped == ((2, 5),)
         assert result.recall == pytest.approx(0.5)
 
@@ -123,15 +132,50 @@ class TestEvaluateSystem:
             calls.append(user_id)
             return [1]
 
-        evaluate_system(provider, [(1, 1), (1, 2), (1, 3), (2, 1)], k=10)
+        evaluate_system(each_user(provider), [(1, 1), (1, 2), (1, 3), (2, 1)], k=10)
         assert calls == [1, 2]
+
+    def test_blocks_cover_sorted_users_once(self):
+        blocks = []
+
+        def provider(users):
+            blocks.append(list(users))
+            return [[1]] * len(users)
+
+        targets = [(u, 1) for u in range(40, 0, -1)]
+        evaluate_system(provider, targets, k=10)
+        assert [u for block in blocks for u in block] == list(range(1, 41))
+        assert [len(b) for b in blocks] == [13, 13, 14]
+
+    def test_blocks_do_not_depend_on_workers(self):
+        # each user's list holds their block's size and first user
+        def provider(users):
+            return [[len(users), users[0]]] * len(users)
+
+        targets = [(u, item) for u in range(1, 36) for item in range(1, 36)]
+        runs = [evaluate_system(provider, targets, k=10, workers=w).records for w in (1, 2)]
+        assert runs[0] == runs[1]
+
+    def test_provider_block_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_system(lambda users: [[1]], [(1, 1), (2, 1)], k=10)
 
     def test_all_skipped_rejected(self):
         def provider(user_id):
             raise CannotRankError("nobody")
 
         with pytest.raises(ValueError):
-            evaluate_system(provider, [(1, 1)], k=10)
+            evaluate_system(each_user(provider), [(1, 1)], k=10)
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33, 100])
+def test_user_blocks_even_and_bounded(count):
+    users = list(range(count))
+    blocks = user_blocks(users)
+    assert [u for block in blocks for u in block] == users
+    assert all(1 <= len(b) <= BLOCK_USERS for b in blocks)
+    assert len(blocks) == -(-count // BLOCK_USERS)
+    assert max(map(len, blocks), default=0) - min(map(len, blocks), default=0) <= 1
 
 
 class TestResultsFile:

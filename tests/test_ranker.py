@@ -1,9 +1,18 @@
+import hashlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spacerank import ranker
 from spacerank.corpus import RatingEvent
 from spacerank.errors import CannotRankError
+from spacerank.hsoftmax import sigmoid
 from spacerank.ranker import (
+    SEGMENT_STEPS,
     HyperplaneModel,
     RankerConfig,
     build_preferences,
@@ -15,6 +24,7 @@ from spacerank.ranker import (
     score_items,
     top_k,
     train_hyperplane,
+    train_hyperplanes,
 )
 from spacerank.spaces import EmbeddingSpace
 
@@ -32,6 +42,22 @@ def separable_space(n_items=100, d=20, n_liked=10, seed=0):
     matrix[:n_liked, 0] = 1.0 + rng.random(n_liked)
     matrix[n_liked:, 0] = -1.0 - rng.random(n_items - n_liked)
     return EmbeddingSpace(d, list(range(1, n_items + 1)), matrix)
+
+
+def reference_hyperplane(pairs, space, config):
+    """The per-pair SGD loop, one interpreted step per pair: the oracle."""
+    d = space.dimensions
+    rows_a = [space.row(int(a)) for a, _ in pairs]
+    rows_b = [space.row(int(b)) for _, b in pairs]
+    w = np.random.default_rng(config.seed).uniform(-0.5 / d, 0.5 / d, size=d)
+    total = len(pairs)
+    for k in range(total):
+        va = space.matrix[rows_a[k]]
+        vb = space.matrix[rows_b[k]]
+        g = sigmoid(float(w @ va - w @ vb))
+        step = g * config.alpha0 * (1.0 - k / total)
+        w += step * (vb.astype(np.float64) - va)
+    return w
 
 
 class TestBuildPreferences:
@@ -94,7 +120,7 @@ class TestPairStream:
     def test_rated_pair_in_every_iteration(self):
         triples = self.triples()
         stream = pair_stream(triples, phi_i=10, phi_d=1e9, seed=0)
-        assert stream.count((1, 2)) == 10
+        assert np.all(stream == (1, 2), axis=1).sum() == 10
 
     def test_downsampling_expectation(self):
         triples = self.triples(n_unrated=100)
@@ -115,11 +141,44 @@ class TestPairStream:
         with pytest.raises(CannotRankError):
             pair_stream(triples, phi_i=2, phi_d=1.0, seed=0)
 
+    def test_stream_is_golden(self):
+        # sha256 of the int64 pairs, recorded when the stream was a list of tuples
+        rng = np.random.default_rng(0)
+        space = EmbeddingSpace(2, list(range(1, 41)), rng.normal(size=(40, 2)).astype(np.float32))
+        events = [RatingEvent(1, i, 1 + (i * 7) % 5, 100 - i) for i in range(1, 13)]
+        triples = build_preferences(events, space, phi_t="all")
+        golden = {
+            3.0: (573, "1d04be81f7ea14badd1433859e26d403f43acca75922a2834c5bde7eb79204f2"),
+            1.0: (1484, "56df49ad35e0202d59af4e1ad5b303bbe30ad07edbebcec6f3795370bd1f3a37"),
+        }
+        for phi_d, (count, digest) in golden.items():
+            stream = pair_stream(triples, phi_i=4, phi_d=phi_d, seed=2024)
+            assert stream.shape == (count, 2)
+            assert hashlib.sha256(stream.astype(np.int64).tobytes()).hexdigest() == digest
+
+    def test_heavy_user_stream_is_one_compact_array(self):
+        # 1000 ratings at phi_t=all on 1500 items: 1.5M pairs at phi_i=2
+        rng = np.random.default_rng(4)
+        space = EmbeddingSpace(1, np.arange(1, 1501), np.zeros((1500, 1), dtype=np.float32))
+        events = [RatingEvent(1, int(i), int(r), t) for t, (i, r) in
+                  enumerate(zip(rng.permutation(np.arange(1, 1501))[:1000], rng.integers(1, 6, 1000)))]
+        triples = build_preferences(events, space, phi_t="all")
+        l0, l1, l2 = (sum(1 for t in triples if t.level == v) for v in (0, 1, 2))
+        tracemalloc.start()
+        try:
+            stream = pair_stream(triples, phi_i=2, phi_d=1.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(stream) is np.ndarray and np.issubdtype(stream.dtype, np.integer)
+        assert stream.shape == (2 * (l1 * l2 + l0 * (l1 + l2)), 2)
+        assert peak < 3 * stream.nbytes
+
     def test_seeded_determinism(self):
         triples = self.triples(n_unrated=30)
         a = pair_stream(triples, phi_i=4, phi_d=3.0, seed=9)
         b = pair_stream(triples, phi_i=4, phi_d=3.0, seed=9)
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 class TestTrainHyperplane:
@@ -164,6 +223,59 @@ class TestTrainHyperplane:
     def test_empty_stream(self):
         with pytest.raises(CannotRankError):
             train_hyperplane([], grid_space(), RankerConfig())
+        with pytest.raises(CannotRankError):
+            train_hyperplanes([np.array([[1, 2]]), np.empty((0, 2))], grid_space(), [RankerConfig()] * 2, [1, 2])
+
+    def test_matches_reference_loop(self):
+        space = separable_space()
+        events = [RatingEvent(7, i, 5, i) for i in range(1, 11)] + [RatingEvent(7, 50, 1, 11)]
+        config = RankerConfig(phi_i=3, phi_d=4.0, seed=11)
+        pairs = pair_stream(build_preferences(events, space, "all"), config.phi_i, config.phi_d, config.seed)
+        w = train_hyperplane(pairs, space, config, user_id=7).w
+        reference = reference_hyperplane(pairs, space, config)
+        assert np.linalg.norm(w - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@st.composite
+def ranker_blocks(draw):
+    """A random small space and a few users' random pair streams and configs."""
+    n_items = draw(st.integers(2, 25))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
+    space = EmbeddingSpace(d, item_ids, rng.uniform(-2, 2, size=(n_items, d)).astype(np.float32))
+    users = draw(st.integers(1, 7))
+    streams = [rng.choice(item_ids, size=(int(rng.integers(1, 150)), 2)) for _ in range(users)]
+    configs = [
+        RankerConfig(alpha0=draw(st.sampled_from([0.001, 0.025, 0.3, 1.0])), seed=draw(st.integers(0, 2**63)))
+        for _ in range(users)
+    ]
+    cuts = sorted(draw(st.lists(st.integers(1, users), max_size=3)))
+    return space, streams, configs, cuts, draw(st.sampled_from([1, 7, 64, SEGMENT_STEPS]))
+
+
+class TestTrainHyperplanes:
+    @settings(max_examples=60, deadline=None)
+    @given(ranker_blocks())
+    def test_batched_matches_reference_and_any_block_partition(self, block):
+        space, streams, configs, cuts, segment_steps = block
+        user_ids = list(range(len(streams)))
+        with mock.patch.object(ranker, "SEGMENT_STEPS", segment_steps):
+            models = train_hyperplanes(streams, space, configs, user_ids)
+        assert [m.user_id for m in models] == user_ids
+        for stream, config, model in zip(streams, configs, models):
+            reference = reference_hyperplane(stream, space, config)
+            assert np.linalg.norm(model.w - reference) <= 1e-12 * np.linalg.norm(reference)
+        bounds = [0, *cuts, len(streams)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = train_hyperplanes(streams[lo:hi], space, configs[lo:hi], user_ids[lo:hi])
+            for model, whole in zip(part, models[lo:hi]):
+                assert np.array_equal(model.w, whole.w)
+
+    def test_unknown_item_refused(self):
+        space = grid_space(4)
+        with pytest.raises(KeyError):
+            train_hyperplanes([np.array([[1, 99]])], space, [RankerConfig()], [1])
 
 
 class TestScoring:
@@ -202,6 +314,17 @@ class TestTopK:
     def test_k_exceeds_candidates(self):
         ids = np.array([5, 6])
         assert top_k(ids, np.array([1.0, 2.0]), set(), 10) == [6, 5]
+
+    def test_matches_sorted_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            ids = rng.permutation(np.arange(100, 160))[: rng.integers(1, 60)]
+            scores = rng.integers(0, 5, len(ids)).astype(np.float64)
+            exclude = set(rng.integers(90, 170, rng.integers(0, 40)).tolist())
+            k = int(rng.integers(1, 20))
+            expected = sorted((i for i in ids.tolist() if i not in exclude),
+                              key=lambda i: (-scores[ids.tolist().index(i)], i))[:k]
+            assert top_k(ids, scores, exclude, k) == expected
 
 
 class TestHyperplaneFile:

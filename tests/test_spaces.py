@@ -30,6 +30,28 @@ def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
+class TestEmbeddingSpace:
+    def test_rows_match_row_lookup(self):
+        item_ids = [40, 3, 17, 8, 25]
+        space = EmbeddingSpace(1, item_ids, np.zeros((5, 1)))
+        queries = np.array([[17, 40], [8, 8], [25, 3]])
+        rows = space.rows(queries)
+        assert rows.shape == queries.shape
+        assert rows.tolist() == [[space.row(int(i)) for i in pair] for pair in queries]
+
+    def test_rows_missing_item(self):
+        space = EmbeddingSpace(1, [40, 3], np.zeros((2, 1)))
+        for missing in (1, 20, 41):
+            with pytest.raises(KeyError):
+                space.rows([3, missing])
+        with pytest.raises(KeyError):
+            EmbeddingSpace(1, [], np.zeros((0, 1))).rows([1])
+
+    def test_repeated_item_ids_refused(self):
+        with pytest.raises(ValueError, match="repeated"):
+            EmbeddingSpace(2, [1, 2, 1], np.zeros((3, 2)))
+
+
 class TestTrainSpace:
     def test_vanishing_alpha_keeps_initialization(self):
         obs = shared_token_corpus()
@@ -182,6 +204,12 @@ class TestSpaceFiles:
         with pytest.raises(FormatError):
             save_space(space, tmp_path / "inf.space")
         assert not (tmp_path / "inf.space").exists()
+
+    def test_repeated_item_line_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        path.write_text("3 2 cf\n1 0.5 1.0\n3 1.0 2.0\n1 0.5 1.0\n")
+        with pytest.raises(FormatError, match="repeated"):
+            load_space(path)
 
     def test_wrong_value_count(self, tmp_path):
         path = tmp_path / "s.space"
