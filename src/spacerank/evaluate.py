@@ -99,10 +99,13 @@ def evaluate_system(
     reused across their targets; an unranked user's targets are skipped
     and reported rather than counted as misses.
     """
-    users = sorted({user_id for user_id, _ in targets})
-    blocks = fork_map(topk_for_users, user_blocks(users), workers)
-    ranked = (None if top is None else list(top)[:k] for block in blocks for top in block)
-    tops = dict(zip(users, ranked, strict=True))
+    blocks = user_blocks(sorted({user_id for user_id, _ in targets}))
+    tops: dict[int, list[int] | None] = {}
+    for block, block_tops in zip(blocks, fork_map(topk_for_users, blocks, workers), strict=True):
+        if len(block_tops) != len(block):
+            raise ValueError(f"provider returned {len(block_tops)} lists for {len(block)} users")
+        for user_id, top in zip(block, block_tops):
+            tops[user_id] = None if top is None else list(top)[:k]
     records: list[HitRecord] = []
     skipped: list[Target] = []
     for user_id, item_id in targets:

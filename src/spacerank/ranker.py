@@ -123,7 +123,10 @@ def pair_stream(
     a ``(T, 2)`` array of item ids in the narrowest integer dtype that holds
     them. Candidates are ordered level-1 x level-2 pairs first, then
     level-0 x (level-1 then level-2) pairs, each in triple order; a pass
-    draws its keep mask, then its permutation.
+    draws its keep mask, then its permutation. Raises CannotRankError if
+    the stream is empty: no pair is differently leveled, or downsampling
+    dropped every rated-versus-unrated pair of a user whose rated items all
+    share one level.
     """
     levels = np.fromiter((t.level for t in triples), dtype=np.int8, count=len(triples))
     ids = np.fromiter((t.item_id for t in triples), dtype=np.int64, count=len(triples))
@@ -137,8 +140,6 @@ def pair_stream(
     candidates[:n_rated_pairs, 1] = np.tile(liked, len(disliked))
     candidates[n_rated_pairs:, 0] = np.repeat(unrated, len(rated))
     candidates[n_rated_pairs:, 1] = np.tile(rated, len(unrated))
-    if not len(candidates):
-        raise CannotRankError("no differently-leveled item pairs to learn from")
 
     rng = np.random.default_rng(seed)
     n_downsampled = len(candidates) - n_rated_pairs
@@ -149,7 +150,10 @@ def pair_stream(
             keep = rng.random(n_downsampled) < 1.0 / phi_d
             batch = np.concatenate([candidates[:n_rated_pairs], candidates[n_rated_pairs:][keep]])
         passes.append(batch[rng.permutation(len(batch))])
-    return np.concatenate(passes)
+    stream = np.concatenate(passes)
+    if not len(stream):
+        raise CannotRankError("no differently-leveled item pairs left to learn from")
+    return stream
 
 
 def train_hyperplanes(

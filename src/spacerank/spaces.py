@@ -53,23 +53,24 @@ class EmbeddingSpace:
         self.item_ids = item_ids
         self.matrix = matrix
         self.provenance = provenance
-        self._row = {int(item): row for row, item in enumerate(item_ids)}
-        if len(self._row) != len(item_ids):
-            raise ValueError(f"{len(item_ids) - len(self._row)} repeated item ids")
         self._sorted_rows = np.argsort(item_ids)
         self._sorted_ids = item_ids[self._sorted_rows]
+        repeated = np.count_nonzero(self._sorted_ids[1:] == self._sorted_ids[:-1])
+        if repeated:
+            raise ValueError(f"{repeated} repeated item ids")
 
     def __len__(self) -> int:
         return len(self.item_ids)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self._row
+        at = np.searchsorted(self._sorted_ids, item_id)
+        return bool(at < len(self) and self._sorted_ids[at] == item_id)
 
     def row(self, item_id: int) -> int:
-        return self._row[item_id]
+        return int(self.rows(item_id))
 
     def rows(self, item_ids) -> np.ndarray:
-        """Rows of an array of item ids, same shape; KeyError if one is missing."""
+        """Rows of item ids (an id or an array of them, same shape); KeyError if one is missing."""
         item_ids = np.asarray(item_ids)
         if item_ids.size and not len(self):
             raise KeyError(int(item_ids.flat[0]))
@@ -82,7 +83,7 @@ class EmbeddingSpace:
 
     def vector(self, item_id: int) -> np.ndarray:
         """The item's vector (a view into the matrix)."""
-        return self.matrix[self._row[item_id]]
+        return self.matrix[self.row(item_id)]
 
     def __eq__(self, other) -> bool:
         return (

@@ -214,6 +214,35 @@ class TestEvaluateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_ds_skips_users_whose_pairs_are_all_downsampled_away(self, pipeline, tmp_path, capsys):
+        # --phi-t 2 keeps two rated items per user. When both share a level, only
+        # rated-unrated pairs remain, and --phi-d 1e9 drops every one of them.
+        common = ["--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
+                  "--split", str(pipeline["split"]), "--phi-t", "2", "--phi-d", "1e9"]
+        out = tmp_path / "ds.results"
+        assert main(["evaluate", "--system", "ds", *common, "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+
+        events = cli.load_ratings(pipeline["ratings"])
+        split, training = cli._training_events(events, pipeline["split"], "test")
+        space = cli.load_space(pipeline["space"])
+        events_by_user = {}
+        for e in training:
+            events_by_user.setdefault(e.user_id, []).append(e)
+
+        def rated_levels(user_id):
+            try:
+                triples = cli.build_preferences(events_by_user.get(user_id, ()), space, 2)
+            except cli.CannotRankError:
+                return set()
+            return {t.level for t in triples if t.level}
+
+        targets = cli.test_targets(split, events, which="test")
+        skipped = [t for t in targets if len(rated_levels(t[0])) < 2]
+        assert 0 < len(skipped) < len(targets)
+        assert f"over {len(targets) - len(skipped)} targets ({len(skipped)} skipped)" in summary
+        assert len(out.read_text().splitlines()) == len(targets) - len(skipped) + 1
+
     def test_space_with_repeated_item_is_data_error(self, pipeline, tmp_path):
         lines = pipeline["space"].read_text().splitlines()
         count, rest = lines[0].split(" ", 1)

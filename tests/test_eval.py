@@ -159,6 +159,13 @@ class TestEvaluateSystem:
     def test_provider_block_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_system(lambda users: [[1]], [(1, 1), (2, 1)], k=10)
+        # one list too many for the first block, one too few for the second
+        targets = [(user_id, 1) for user_id in range(1, 18)]
+        assert len(user_blocks([u for u, _ in targets])) == 2
+        with pytest.raises(ValueError):
+            evaluate_system(
+                lambda users: [[1]] * (len(users) + (1 if users[0] == 1 else -1)), targets, k=10
+            )
 
     def test_all_skipped_rejected(self):
         def provider(user_id):

@@ -140,6 +140,12 @@ class TestPairStream:
         # both rated items binarize to 2 and no unrated items remain
         with pytest.raises(CannotRankError):
             pair_stream(triples, phi_i=2, phi_d=1.0, seed=0)
+        triples = build_preferences(
+            [RatingEvent(1, 1, 5, 0), RatingEvent(1, 2, 5, 1)], grid_space(6), phi_t="all"
+        )
+        # one rated level: only rated-unrated candidates, and phi_d=1e9 drops them all
+        with pytest.raises(CannotRankError):
+            pair_stream(triples, phi_i=3, phi_d=1e9, seed=0)
 
     def test_stream_is_golden(self):
         # sha256 of the int64 pairs, recorded when the stream was a list of tuples

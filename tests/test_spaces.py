@@ -31,19 +31,24 @@ def cosine(a, b):
 
 
 class TestEmbeddingSpace:
-    def test_rows_match_row_lookup(self):
+    def test_rows_match_item_positions(self):
         item_ids = [40, 3, 17, 8, 25]
         space = EmbeddingSpace(1, item_ids, np.zeros((5, 1)))
         queries = np.array([[17, 40], [8, 8], [25, 3]])
         rows = space.rows(queries)
         assert rows.shape == queries.shape
-        assert rows.tolist() == [[space.row(int(i)) for i in pair] for pair in queries]
+        assert rows.tolist() == [[item_ids.index(i) for i in pair] for pair in queries]
+        assert [space.row(i) for i in item_ids] == list(range(5))
+        assert all(i in space for i in item_ids)
 
     def test_rows_missing_item(self):
         space = EmbeddingSpace(1, [40, 3], np.zeros((2, 1)))
         for missing in (1, 20, 41):
             with pytest.raises(KeyError):
                 space.rows([3, missing])
+            with pytest.raises(KeyError):
+                space.row(missing)
+            assert missing not in space
         with pytest.raises(KeyError):
             EmbeddingSpace(1, [], np.zeros((0, 1))).rows([1])
 
