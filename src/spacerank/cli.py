@@ -167,7 +167,7 @@ def cmd_train_space(args) -> int:
             workers=args.workers,
         )
         space = train_space(observations, config, provenance=args.mode)
-        args.iters = iterations
+        args.iters, args.hs_kernel = iterations, space.hs_kernel
 
     save_space(space, args.out)
     _manifest("train-space", args, _digests(*inputs)).write(args.out)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import RatingEvent, binarize
 from .errors import CannotRankError, FormatError
-from .spaces import EmbeddingSpace, _format_float
+from .spaces import EmbeddingSpace
 
 
 # Steps of a block whose item ids become matrix rows at once in
@@ -264,7 +264,7 @@ def save_hyperplane(model: HyperplaneModel, path) -> None:
     """Diagnostic export: user id header, then the weight vector on one line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{model.user_id if model.user_id is not None else '-'}\n")
-        fh.write(" ".join(_format_float(x) for x in model.w) + "\n")
+        fh.write(" ".join(map(repr, model.w.tolist())) + "\n")
 
 
 def load_hyperplane(path) -> HyperplaneModel:

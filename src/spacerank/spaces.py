@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import native
 from .corpus import Observation, RatingEvent, UserProfile, binarize
 from .errors import FormatError, SpaceRankError
 from .hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
@@ -31,11 +32,13 @@ class EmbeddingSpace:
     """Dense real vector per item, all of one dimensionality.
 
     Spaces produced by train_space additionally carry the trained
-    hierarchical-softmax node matrix as `hs_nodes` (diagnostics only; it is
-    not serialized and not part of equality).
+    hierarchical-softmax node matrix as `hs_nodes` and the HS path that
+    trained them as `hs_kernel` (see `native.hs_pass`); both are diagnostics,
+    not serialized and not part of equality.
     """
 
     hs_nodes: np.ndarray | None = None
+    hs_kernel: dict | str | None = None
 
     def __init__(self, dimensions, item_ids, matrix, provenance=None):
         matrix = np.asarray(matrix)
@@ -127,6 +130,9 @@ def train_space(
     permutation and applies one hierarchical-softmax SGD step per
     observation; the learning rate decays linearly from alpha0 towards zero
     over all iterations x len(observations) steps, floored at alpha0 * 1e-4.
+    The steps run in the compiled kernel of `native.hs_pass` (float32, equal
+    to `hs_train_step` up to summation order), or through `hs_train_step`
+    itself where no kernel can be built.
 
     Each pass is cut into `config.workers` contiguous shards of the
     permutation, trained by forked workers that update the item and node
@@ -153,6 +159,10 @@ def train_space(
 
     obs_rows = np.array([row_of[obs.item_id] for obs in observations], dtype=np.int64)
     obs_tokens = [obs.token for obs in observations]
+    kernel, hs_kernel = native.hs_pass()
+    if kernel is not None:
+        token_ids = np.array([vocab.index[t] for t in obs_tokens], dtype=np.int32)
+        paths = native.flat_paths(tree)
 
     n = len(observations)
     total_steps = config.iterations * n
@@ -166,6 +176,10 @@ def train_space(
         pass_base = iteration * n
 
         def train_shard(shard):
+            if kernel is not None:
+                grad = np.empty(d, dtype=np.float32)
+                return kernel(matrix, nodes, d, perm, *shard, obs_rows, token_ids, *paths,
+                              pass_base, total_steps, alpha0, alpha_min, grad)
             for k in range(*shard):
                 i = perm[k]
                 alpha = alpha0 * (1.0 - (pass_base + k) / total_steps)
@@ -178,7 +192,7 @@ def train_space(
     if not np.isfinite(matrix).all():
         raise SpaceRankError(f"training diverged to non-finite item vectors at alpha0={alpha0}")
     space = EmbeddingSpace(d, item_ids, matrix, provenance)
-    space.hs_nodes = nodes
+    space.hs_nodes, space.hs_kernel = nodes, hs_kernel
     return space
 
 
@@ -213,11 +227,6 @@ def build_vsm_space(
     return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
 
 
-def _format_float(x: float) -> str:
-    # repr of the exact float64 value round-trips; float32 -> float64 is exact.
-    return repr(float(x))
-
-
 def save_space(space: EmbeddingSpace, path) -> None:
     """Write ``item_count d [provenance]`` header plus one line per item.
 
@@ -230,8 +239,10 @@ def save_space(space: EmbeddingSpace, path) -> None:
         if space.provenance is not None:
             header += f" {space.provenance}"
         fh.write(header + "\n")
-        for item_id, vec in zip(space.item_ids, space.matrix):
-            fh.write(f"{item_id} " + " ".join(_format_float(x) for x in vec) + "\n")
+        # tolist() gives the exact float64 value of each entry (float32 -> float64
+        # is exact), and its repr round-trips.
+        for item_id, vec in zip(space.item_ids.tolist(), space.matrix):
+            fh.write(f"{item_id} " + " ".join(map(repr, vec.tolist())) + "\n")
 
 
 def load_space(path) -> EmbeddingSpace:
@@ -269,7 +280,7 @@ def load_space(path) -> EmbeddingSpace:
                     f"{path}: item line has {len(parts) - 1} values, expected {d}"
                 )
             item_ids[row] = int(parts[0])
-            matrix[row] = np.array([float(p) for p in parts[1:]], dtype=dtype)
+            matrix[row] = np.array(parts[1:], dtype=np.float64)
         if fh.readline().strip():
             raise FormatError(f"{path}: trailing data after {count} items")
     if not np.isfinite(matrix).all():

@@ -26,6 +26,14 @@ requires_full_run = pytest.mark.skipif(
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the HS kernel into a temporary cache, not the user's ~/.cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def mini_corpus(tmp_path_factory):
     """Paths of the deterministic bundled mini corpus (ratings, reviews)."""

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import ML1M_RATINGS, requires_full_run, requires_ml1m
+from spacerank import native
 from spacerank.baselines import build_popularity, popularity_topk
 from spacerank.cli import main
 from spacerank.corpus import Observation, RatingEvent, load_ratings
@@ -33,24 +34,36 @@ from spacerank.spaces import EmbeddingSpace
 from spacerank.splits import build_split, mark_counts
 from spacerank.splits import test_targets as targets_of
 from test_hsoftmax import min_prefix_code_cost, random_instance
+from test_native import kernel_step
+
+
+def native_step():
+    if native.hs_pass()[0] is None:
+        pytest.skip("no C compiler: the kernel path cannot be built")
+    return kernel_step
 
 
 def report(number, name, detail=""):
     print(f"ACCEPTANCE {number:02d} {name}: PASS {detail}".rstrip())
 
 
-def test_criterion_01_hs_normalization():
+def check_hs_normalization(step=None):
+    """Criterion 1; with `step`, after five SGD steps of that path on each instance."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(200):
         vocab, tree, nodes, v = random_instance(rng, max_vocab=64, max_dim=16)
+        if step is not None:
+            for token in rng.choice(vocab.tokens, size=5):
+                step(v, token, vocab, tree, nodes, 0.5)
         total = sum(hs_probability(v, t, vocab, tree, nodes) for t in vocab.tokens)
         worst = max(worst, abs(total - 1.0))
         assert abs(total - 1.0) <= 1e-9
-    report(1, "hierarchical-softmax normalization", f"(worst |sum-1| = {worst:.2e})")
+    return worst
 
 
-def test_criterion_02_gradient_oracle():
+def check_gradient_oracle(step, dtype):
+    """Criterion 2 for one SGD step implementation, on copies of type `dtype`."""
     rng = np.random.default_rng(55)
     h = 1e-5
     checked = 0
@@ -62,8 +75,8 @@ def test_criterion_02_gradient_oracle():
             continue
         checked += 1
         v64, n64 = v.astype(np.float64), nodes.astype(np.float64)
-        v_new, n_new = v64.copy(), n64.copy()
-        hs_train_step(v_new, token, vocab, tree, n_new, alpha=1.0)
+        v_new, n_new = v.astype(dtype), nodes.astype(dtype)
+        step(v_new, token, vocab, tree, n_new, 1.0)
         analytic = np.concatenate([(v64 - v_new), (n64 - n_new)[path].ravel()])
 
         def loss(vec, node_matrix):
@@ -84,7 +97,28 @@ def test_criterion_02_gradient_oracle():
         fd = np.array(fd)
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         assert err <= 1e-4
+    return checked
+
+
+def test_criterion_01_hs_normalization():
+    worst = check_hs_normalization()
+    report(1, "hierarchical-softmax normalization", f"(worst |sum-1| = {worst:.2e})")
+
+
+@pytest.mark.parametrize("path", ["numpy", "native"])
+def test_criterion_01_hs_normalization_after_training(path):
+    worst = check_hs_normalization(hs_train_step if path == "numpy" else native_step())
+    report(1, f"normalization after {path} steps", f"(worst |sum-1| = {worst:.2e})")
+
+
+def test_criterion_02_gradient_oracle():
+    checked = check_gradient_oracle(hs_train_step, np.float64)
     report(2, "gradient matches finite differences", f"({checked} instances)")
+
+
+def test_criterion_02_gradient_oracle_native():
+    checked = check_gradient_oracle(native_step(), np.float32)
+    report(2, "native step gradient matches finite differences", f"({checked} instances)")
 
 
 def test_criterion_03_huffman_oracle():

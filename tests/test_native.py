@@ -1,0 +1,290 @@
+"""The compiled HS pass against the numpy reference, and how it is built and loaded.
+
+The reference is the Python pass loop over `hs_train_step` that
+`train_space` runs without a compiler. The kernel sums dot products in
+another order, so it is held to a float32 tolerance: every matrix and node
+entry within 1e-5 of the reference, relative to the largest magnitude in
+that reference array. The fallback must equal the reference bit for bit.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spacerank
+from spacerank import native
+from spacerank.cli import main
+from spacerank.corpus import Observation, build_profiles, load_ratings, ratings_to_observations
+from spacerank.hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
+from spacerank.spaces import ALPHA_FLOOR, SpaceTrainConfig, train_space
+from test_spaces import shared_token_corpus
+
+TOLERANCE = 1e-5
+
+requires_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """An empty kernel cache directory and no kernel loaded yet in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    native.hs_pass.cache_clear()
+    yield tmp_path / "cache" / "spacerank"
+    native.hs_pass.cache_clear()
+
+
+def no_compiler(monkeypatch, tmp_path):
+    empty = tmp_path / "empty-path"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+
+
+def kernel_step(v, token, vocab, tree, nodes, alpha):
+    """`hs_train_step`'s signature, through the kernel: one observation at rate alpha."""
+    kernel = native.hs_pass()[0]
+    zero, token_id = np.zeros(1, np.int64), np.array([vocab.token_id(token)], np.int32)
+    grad = np.empty(len(v), np.float32)
+    kernel(v[None, :], nodes, len(v), zero, 0, 1, zero, token_id, *native.flat_paths(tree),
+           0, 1, alpha, alpha, grad)
+
+
+def reference_shard(matrix, nodes, perm, shard, rows, tokens, vocab, tree, pass_base, total_steps, alpha0):
+    """The pass loop `train_space` runs without a compiler."""
+    for k in range(*shard):
+        i = perm[k]
+        alpha = max(alpha0 * (1.0 - (pass_base + k) / total_steps), alpha0 * ALPHA_FLOOR)
+        hs_train_step(matrix[rows[i]], tokens[i], vocab, tree, nodes, alpha)
+
+
+def reference_train_space(observations, config):
+    """`train_space` at workers=1 written out with `reference_shard`."""
+    vocab = build_vocabulary(observations)
+    tree = build_huffman(vocab)
+    item_ids = sorted({o.item_id for o in observations})
+    rows = [item_ids.index(o.item_id) for o in observations]
+    tokens = [o.token for o in observations]
+    d, n = config.dimensions, len(observations)
+    rng = np.random.default_rng(config.seed)
+    matrix = rng.uniform(-0.5 / d, 0.5 / d, size=(len(item_ids), d)).astype(np.float32)
+    nodes = new_node_matrix(tree, d)
+    for iteration in range(config.iterations):
+        perm = rng.permutation(n)
+        reference_shard(matrix, nodes, perm, (0, n), rows, tokens, vocab, tree,
+                        iteration * n, config.iterations * n, config.alpha0)
+    return matrix, nodes
+
+
+def assert_close(actual, reference):
+    scale = max(float(np.abs(reference).max(initial=0.0)), np.finfo(np.float32).tiny)
+    np.testing.assert_allclose(actual, reference, rtol=TOLERANCE, atol=TOLERANCE * scale)
+
+
+# -- the kernel against the reference ------------------------------------------
+
+
+@requires_cc
+@given(
+    vocab_size=st.one_of(st.just(1), st.just(2), st.integers(3, 40)),
+    d=st.integers(1, 64),
+    n_items=st.integers(1, 6),
+    extra=st.integers(0, 40),
+    passes=st.integers(1, 3),
+    shards=st.integers(1, 4),
+    alpha0=st.floats(0.001, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_reference_pass_for_pass(vocab_size, d, n_items, extra, passes, shards, alpha0, seed):
+    rng = np.random.default_rng(seed)
+    token_ids = np.concatenate([np.arange(vocab_size), rng.integers(vocab_size, size=extra)])
+    observations = [Observation(int(rng.integers(n_items)), f"t{t}") for t in token_ids]
+    vocab = build_vocabulary(observations)
+    tree = build_huffman(vocab)
+    assert len(vocab) == vocab_size
+    rows = np.array([o.item_id for o in observations], dtype=np.int64)
+    tokens = [o.token for o in observations]
+    ids = np.array([vocab.token_id(t) for t in tokens], dtype=np.int32)
+    paths = native.flat_paths(tree)
+    kernel = native.hs_pass()[0]
+
+    matrix = rng.uniform(-0.5 / d, 0.5 / d, size=(n_items, d)).astype(np.float32)
+    nodes = new_node_matrix(tree, d)
+    ref_matrix, ref_nodes = matrix.copy(), nodes.copy()
+    n = len(observations)
+    edges = np.linspace(0, n, shards + 1, dtype=int).tolist()
+    for iteration in range(passes):
+        perm = rng.permutation(n)
+        for shard in zip(edges[:-1], edges[1:]):
+            kernel(matrix, nodes, d, perm, *shard, rows, ids, *paths, iteration * n, passes * n,
+                   alpha0, alpha0 * ALPHA_FLOOR, np.empty(d, np.float32))
+            reference_shard(ref_matrix, ref_nodes, perm, shard, rows, tokens, vocab, tree,
+                            iteration * n, passes * n, alpha0)
+        assert_close(matrix, ref_matrix)
+        assert_close(nodes, ref_nodes)
+
+
+@requires_cc
+def test_kernel_floors_the_rate_like_the_reference():
+    # The last steps of a long schedule fall below the floor alpha0 * ALPHA_FLOOR.
+    rng = np.random.default_rng(4)
+    observations = [Observation(i % 3, f"t{i % 10}") for i in range(30)]
+    vocab = build_vocabulary(observations)
+    tree = build_huffman(vocab)
+    rows = np.array([o.item_id for o in observations], dtype=np.int64)
+    tokens = [o.token for o in observations]
+    ids = np.array([vocab.token_id(t) for t in tokens], dtype=np.int32)
+    matrix = rng.normal(0, 0.5, size=(3, 4)).astype(np.float32)
+    nodes = rng.normal(0, 0.5, size=(tree.internal_count, 4)).astype(np.float32)
+    ref_matrix, ref_nodes = matrix.copy(), nodes.copy()
+    perm, total, alpha0 = rng.permutation(30), 10**7, 50.0
+    native.hs_pass()[0](matrix, nodes, 4, perm, 0, 30, rows, ids, *native.flat_paths(tree), total - 30,
+                        total, alpha0, alpha0 * ALPHA_FLOOR, np.empty(4, np.float32))
+    reference_shard(ref_matrix, ref_nodes, perm, (0, 30), rows, tokens, vocab, tree, total - 30, total, alpha0)
+    assert_close(matrix, ref_matrix)
+    assert_close(nodes, ref_nodes)
+
+
+@requires_cc
+def test_native_path_used_when_cc_exists(pipeline):
+    kernel, description = native.hs_pass()
+    assert kernel is not None
+    assert description["compiler"] == shutil.which("cc")
+    assert description["flags"] == list(native.FLAGS)
+    events = load_ratings(pipeline["ratings"])
+    observations = ratings_to_observations(events, build_profiles(events))
+    config = SpaceTrainConfig(16, iterations=2, seed=3)
+    space = train_space(observations, config)
+    assert space.hs_kernel == description
+    matrix, nodes = reference_train_space(observations, config)
+    assert_close(space.matrix, matrix)
+    assert_close(space.hs_nodes, nodes)
+
+
+# -- fallback, cache and packaging ---------------------------------------------
+
+
+def test_no_compiler_warns_once_and_matches_reference(fresh_loader, monkeypatch, tmp_path):
+    no_compiler(monkeypatch, tmp_path)
+    config = SpaceTrainConfig(8, iterations=5, seed=11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = train_space(shared_token_corpus(), config)
+        second = train_space(shared_token_corpus(), config)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert first.hs_kernel == "numpy" and first == second
+    matrix, nodes = reference_train_space(shared_token_corpus(), config)
+    assert np.array_equal(first.matrix, matrix) and np.array_equal(first.hs_nodes, nodes)
+    assert not fresh_loader.exists()
+
+
+def test_failing_compiler_falls_back(fresh_loader, monkeypatch, tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n")
+    (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    with pytest.warns(RuntimeWarning, match="CalledProcessError"):
+        assert native.hs_pass() == (None, "numpy")
+    assert list(fresh_loader.iterdir()) == []
+
+
+def built_library(cache_root: Path, monkeypatch) -> Path:
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_root))
+    native.hs_pass.cache_clear()
+    assert native.hs_pass()[0] is not None
+    (library,) = (cache_root / "spacerank").iterdir()
+    return library
+
+
+@requires_cc
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "no checksum"])
+def test_damaged_cached_library_is_rebuilt(fresh_loader, monkeypatch, tmp_path, damage):
+    good = built_library(tmp_path / "first", monkeypatch)
+    fresh_loader.mkdir(parents=True)
+    damaged = fresh_loader / good.name
+    if damage == "truncated":  # loading it would crash the process
+        damaged.write_bytes(good.read_bytes()[: good.stat().st_size // 2])
+    elif damage == "garbage":
+        damaged.write_bytes(b"\x7fELF" + bytes(range(256)) * 8)
+    else:  # a loadable library, but not one the loader wrote
+        damaged.write_bytes(good.read_bytes()[:-32])
+    monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_loader.parent))
+    native.hs_pass.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = SpaceTrainConfig(8, iterations=5, seed=11)
+        space = train_space(shared_token_corpus(), config)
+    assert space.hs_kernel != "numpy"
+    assert_close(space.matrix, reference_train_space(shared_token_corpus(), config)[0])
+    assert damaged.read_bytes() == good.read_bytes()
+
+
+@requires_cc
+def test_unwritable_cache_builds_privately(fresh_loader, monkeypatch, tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert native.hs_pass()[0] is not None
+
+
+def test_kernel_source_ships_with_the_package():
+    source = resources.files("spacerank").joinpath("_hs_pass.c")
+    assert source.is_file()
+    assert "void hs_pass(" in source.read_text(encoding="utf-8")
+
+
+def test_other_commands_never_build_or_load_the_kernel(pipeline, tmp_path):
+    out, common = tmp_path, ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+    commands = [
+        ["train-space", "--mode", "vsm", *common, "--out", str(out / "vsm.space")],
+        ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), *common,
+         "--out", str(out / "ds.results")],
+        ["evaluate", "--system", "pop", *common, "--out", str(out / "pop.results")],
+        ["mcnemar", str(out / "ds.results"), str(out / "pop.results")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from spacerank import native\n"
+        "from spacerank.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(json.dumps([codes, 'subprocess' in sys.modules, native.hs_pass.cache_info().currsize]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(spacerank.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    codes, imported, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert not imported and loaded == 0
+
+
+def test_manifest_pins_the_hs_path(fresh_loader, pipeline, monkeypatch, tmp_path):
+    def train(name):
+        path = tmp_path / name
+        code = main([
+            "train-space", "--mode", "cf", "--ratings", str(pipeline["ratings"]),
+            "--split", str(pipeline["split"]), "--dims", "8", "--iters", "2", "--out", str(path),
+        ])
+        assert code == 0
+        return path.read_bytes(), Path(f"{path}.manifest.json").read_bytes()
+
+    first = train("a.space")
+    assert train("b.space") == first
+    native_path = json.loads(first[1])["parameters"]["hs_kernel"]
+    assert native_path == native.hs_pass()[1]
+    no_compiler(monkeypatch, tmp_path)
+    native.hs_pass.cache_clear()
+    with pytest.warns(RuntimeWarning):
+        fallback = train("c.space")
+    assert json.loads(fallback[1])["parameters"]["hs_kernel"] == "numpy"

@@ -185,6 +185,31 @@ class TestSpaceFiles:
         loaded = load_space(path)
         assert np.array_equal(loaded.matrix, space.matrix)
 
+    @pytest.mark.parametrize("dtype, provenance", [(np.float32, "cf"), (np.float64, "vsm")])
+    def test_file_of_the_per_value_writer_loads_bit_identically(self, tmp_path, dtype, provenance):
+        # The writer before the joined-row form: one repr(float(x)) call per value.
+        rng = np.random.default_rng(8)
+        matrix = (rng.normal(size=(30, 7)) * 10.0 ** rng.integers(-30, 30, size=(30, 7))).astype(dtype)
+        matrix[0, :3] = [-0.0, np.finfo(dtype).max, np.finfo(dtype).smallest_subnormal]
+        space = EmbeddingSpace(7, np.arange(30) * 3, matrix, provenance)
+        old = tmp_path / "old.space"
+        with open(old, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"{len(space)} {space.dimensions} {provenance}\n")
+            for item_id, vec in zip(space.item_ids, space.matrix):
+                fh.write(f"{item_id} " + " ".join(repr(float(x)) for x in vec) + "\n")
+        save_space(space, tmp_path / "new.space")
+        assert (tmp_path / "new.space").read_bytes() == old.read_bytes()
+        loaded = load_space(old)
+        assert loaded.matrix.dtype == dtype and loaded.matrix.tobytes() == matrix.tobytes()
+
+    def test_decimal_values_parse_as_float_then_round(self, tmp_path):
+        # Not float32 values: each is read as the nearest float64, then rounded once.
+        values = ["0.1", "-2.5e-40", "3.402823e+38", "0.30000000000000004", "-0"]
+        path = tmp_path / "s.space"
+        path.write_text(f"1 {len(values)} cf\n7 " + " ".join(values) + "\n")
+        expected = np.array([float(v) for v in values], dtype=np.float32)
+        assert load_space(path).matrix[0].tobytes() == expected.tobytes()
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "s.space"
         save_space(self.make_space(), path)
