@@ -20,6 +20,7 @@ from .corpus import (
     build_profiles,
     load_ratings,
     load_reviews,
+    rating_levels,
     ratings_to_observations,
     reviews_to_observations,
     user_mean,
@@ -39,7 +40,6 @@ from .evaluate import (
     EvalResult,
     HitRecord,
     contingency,
-    each_user,
     evaluate_system,
     load_results,
     mcnemar_one_tailed,

@@ -11,30 +11,27 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import RatingEvent, UserProfile, binarize
+from .corpus import RatingEvent, UserProfile, rating_levels
 from .errors import NoSuchUserError
 from .ranker import top_k
 
 
 @dataclass(frozen=True)
 class PopularityModel:
-    """Training rating count per item."""
+    """Training rating count per item, items ascending."""
 
-    counts: dict[int, int]
+    item_ids: np.ndarray
+    counts: np.ndarray
 
 
 def build_popularity(events: Iterable[RatingEvent]) -> PopularityModel:
-    counts: dict[int, int] = {}
-    for e in events:
-        counts[e.item_id] = counts.get(e.item_id, 0) + 1
-    return PopularityModel(counts)
+    items = np.fromiter((e.item_id for e in events), np.int64)
+    return PopularityModel(*np.unique(items, return_counts=True))
 
 
 def popularity_topk(model: PopularityModel, exclude: Iterable[int], k: int) -> list[int]:
     """Most-rated items first, ties by ascending item id."""
-    item_ids = np.fromiter(model.counts.keys(), dtype=np.int64, count=len(model.counts))
-    scores = np.fromiter(model.counts.values(), dtype=np.float64, count=len(model.counts))
-    return top_k(item_ids, scores, exclude, k)
+    return top_k(model.item_ids, model.counts, exclude, k)
 
 
 class KnnModel:
@@ -49,38 +46,32 @@ class KnnModel:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self.user_ids = np.array(sorted({e.user_id for e in events}), dtype=np.int64)
-        self.item_ids = np.array(sorted({e.item_id for e in events}), dtype=np.int64)
-        self._user_row = {int(u): r for r, u in enumerate(self.user_ids)}
-        item_col = {int(i): c for c, i in enumerate(self.item_ids)}
+        users, items, levels = rating_levels(events, profiles)
+        self.user_ids, rows = np.unique(users, return_inverse=True)
+        self.item_ids, cols = np.unique(items, return_inverse=True)
         self.matrix = np.zeros((len(self.user_ids), len(self.item_ids)), dtype=np.float32)
-        for e in events:
-            level = binarize(e.rating, profiles[e.user_id].mean_rating)
-            self.matrix[self._user_row[e.user_id], item_col[e.item_id]] = level
+        self.matrix[rows, cols] = levels
         norms = np.linalg.norm(self.matrix, axis=1)
         norms[norms == 0] = 1.0
         self._unit = self.matrix / norms[:, None]
 
 
-def knn_scores(model: KnnModel, user_id: int) -> dict[int, float]:
-    """Similarity-weighted vote of the k nearest users over every item.
+def knn_scores(model: KnnModel, user_id: int) -> np.ndarray:
+    """Similarity-weighted vote of the k nearest users, one score per `model.item_ids`.
 
     score(i) sums the cosine similarity of each selected neighbour that
-    rated item i; items nobody in the neighbourhood rated score 0.
+    rated item i; items nobody in the neighbourhood rated score 0. Raises
+    NoSuchUserError for a user without training ratings.
     """
-    row = model._user_row.get(user_id)
-    if row is None:
+    row = np.searchsorted(model.user_ids, user_id)
+    if row == len(model.user_ids) or model.user_ids[row] != user_id:
         raise NoSuchUserError(f"user {user_id} has no training ratings")
     sims = model._unit @ model._unit[row]
     order = np.lexsort((model.user_ids, -sims))
     neighbours = order[order != row][: model.k]
     rated = (model.matrix[neighbours] > 0).astype(np.float64)
-    scores = sims[neighbours] @ rated
-    return {int(item): float(s) for item, s in zip(model.item_ids, scores)}
+    return sims[neighbours] @ rated
 
 
 def knn_topk(model: KnnModel, user_id: int, exclude: Iterable[int], k: int) -> list[int]:
-    scores = knn_scores(model, user_id)
-    item_ids = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
-    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-    return top_k(item_ids, values, exclude, k)
+    return top_k(model.item_ids, knn_scores(model, user_id), exclude, k)

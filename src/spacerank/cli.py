@@ -29,7 +29,6 @@ from .corpus import (
 from .errors import CannotRankError, SpaceRankError
 from .evaluate import (
     contingency,
-    each_user,
     evaluate_system,
     load_results,
     mcnemar_one_tailed,
@@ -255,13 +254,10 @@ def cmd_evaluate(args) -> int:
             model = KnnModel(training, build_profiles(training), args.k_neighbors)
 
             def topk(user_id):
-                return knn_topk(model, user_id, rated_by_user.get(user_id, ()), args.k)
+                return knn_topk(model, user_id, rated_by_user[user_id], args.k)
 
-        @each_user
-        def provider(user_id):
-            if user_id not in rated_by_user:
-                raise CannotRankError(f"user {user_id} has no training ratings")
-            return topk(user_id)
+        def provider(users):
+            return [topk(u) if u in rated_by_user else None for u in users]
 
     result = evaluate_system(provider, targets, k=args.k, workers=args.workers)
     save_results(result.records, args.out, k=args.k)
@@ -321,6 +317,16 @@ def cmd_mcnemar(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _add_ranker_options(p: argparse.ArgumentParser) -> None:
+    """The top-k size and the hyperplane ranker's options (see RankerConfig)."""
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--phi-t", default=5, type=lambda s: s if s == "all" else int(s))
+    p.add_argument("--phi-d", type=float, default=20.0)
+    p.add_argument("--phi-i", type=int, default=10)
+    p.add_argument("--alpha", type=float, default=0.025)
+    p.add_argument("--seed", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spacerank", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"spacerank {__version__}")
@@ -351,12 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratings", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--user", type=int, required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--phi-t", default=5, type=lambda s: s if s == "all" else int(s))
-    p.add_argument("--phi-d", type=float, default=20.0)
-    p.add_argument("--phi-i", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--seed", type=int, default=1)
+    _add_ranker_options(p)
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="recall@k of one system over held-out targets")
@@ -365,13 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratings", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--holdout", choices=("test", "validation"), default="test")
-    p.add_argument("--k", type=int, default=10)
     p.add_argument("--k-neighbors", type=int, default=60, help="knn neighbourhood size")
-    p.add_argument("--phi-t", default=5, type=lambda s: s if s == "all" else int(s))
-    p.add_argument("--phi-d", type=float, default=20.0)
-    p.add_argument("--phi-i", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--seed", type=int, default=1)
+    _add_ranker_options(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="per-target results file to write")
     p.set_defaults(func=cmd_evaluate)

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import NoSuchUserError, ParseError, ValidationError
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -141,18 +143,33 @@ def binarize(rating: int, mean: float) -> int:
     return 2 if rating >= mean else 1
 
 
+def _level(event: RatingEvent, profiles: dict[int, UserProfile]) -> int:
+    if event.user_id not in profiles:
+        raise NoSuchUserError(f"no profile for user {event.user_id}")
+    return binarize(event.rating, profiles[event.user_id].mean_rating)
+
+
+def rating_levels(
+    events: Iterable[RatingEvent], profiles: dict[int, UserProfile]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """User ids, item ids and binarize levels of the events, as aligned arrays.
+
+    Raises NoSuchUserError for an event whose user has no profile.
+    """
+    events = list(events)
+    n = len(events)
+    return (
+        np.fromiter((e.user_id for e in events), np.int64, n),
+        np.fromiter((e.item_id for e in events), np.int64, n),
+        np.fromiter((_level(e, profiles) for e in events), np.int8, n),
+    )
+
+
 def ratings_to_observations(
     events: Iterable[RatingEvent], profiles: dict[int, UserProfile]
 ) -> list[Observation]:
     """One ``user{uid}_rating{1|2}`` observation per rating event."""
-    out = []
-    for e in events:
-        profile = profiles.get(e.user_id)
-        if profile is None:
-            raise NoSuchUserError(f"no profile for user {e.user_id}")
-        b = binarize(e.rating, profile.mean_rating)
-        out.append(Observation(e.item_id, f"user{e.user_id}_rating{b}"))
-    return out
+    return [Observation(e.item_id, f"user{e.user_id}_rating{_level(e, profiles)}") for e in events]
 
 
 def reviews_to_observations(docs: Iterable[ReviewDocument]) -> list[Observation]:

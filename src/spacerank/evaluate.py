@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import CannotRankError, FormatError, NoSuchUserError, UndefinedTestError
+from .errors import FormatError, UndefinedTestError
 from .parallel import fork_map
 
 Target = tuple[int, int]
@@ -62,24 +62,6 @@ def user_blocks(users: Sequence[int]) -> list[Sequence[int]]:
     """`users`, in order, cut into the fewest blocks of at most BLOCK_USERS, sized evenly."""
     n, count = len(users), -(-len(users) // BLOCK_USERS)
     return [users[n * i // count : n * (i + 1) // count] for i in range(count)]
-
-
-def each_user(topk_for_user: Callable[[int], Sequence[int]]) -> BlockProvider:
-    """A block provider calling `topk_for_user` on each user of the block.
-
-    A user it cannot rank (CannotRankError, NoSuchUserError) gets None.
-    """
-
-    def topk_for_users(users):
-        tops = []
-        for user_id in users:
-            try:
-                tops.append(topk_for_user(user_id))
-            except (CannotRankError, NoSuchUserError):
-                tops.append(None)
-        return tops
-
-    return topk_for_users
 
 
 def evaluate_system(

@@ -10,13 +10,14 @@ tree-node weights by SGD with a linearly decaying learning rate.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import native
-from .corpus import Observation, RatingEvent, UserProfile, binarize
+from .corpus import Observation, RatingEvent, UserProfile, rating_levels
 from .errors import FormatError, SpaceRankError
 from .hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
 from .parallel import fork_map, shared_copy
@@ -135,11 +136,12 @@ def train_space(
     itself where no kernel can be built.
 
     Each pass is cut into `config.workers` contiguous shards of the
-    permutation, trained by forked workers that update the item and node
-    matrices in shared memory without locking (Hogwild): races are
-    tolerated and the result is not reproducible. workers=1 trains the
-    single shard in-process and is deterministic. Raises SpaceRankError if
-    training ends with non-finite item vectors (alpha0 too large).
+    permutation. One forked worker per shard runs every pass over its shard,
+    with no barrier between passes, updating the item and node matrices in
+    shared memory without locking (Hogwild): races are tolerated and the
+    result is not reproducible. workers=1 trains the single shard
+    in-process and is deterministic. Raises SpaceRankError if training ends
+    with non-finite item vectors (alpha0 too large).
     """
     observations = list(observations)
     if not observations:
@@ -148,8 +150,7 @@ def train_space(
     vocab = build_vocabulary(observations)
     tree = build_huffman(vocab)
 
-    item_ids = sorted({obs.item_id for obs in observations})
-    row_of = {item: row for row, item in enumerate(item_ids)}
+    item_ids, obs_rows = np.unique([obs.item_id for obs in observations], return_inverse=True)
     d = config.dimensions
 
     rng = np.random.default_rng(config.seed)
@@ -157,7 +158,6 @@ def train_space(
     matrix = shared_copy(rng.uniform(-bound, bound, size=(len(item_ids), d)).astype(np.float32))
     nodes = shared_copy(new_node_matrix(tree, d))
 
-    obs_rows = np.array([row_of[obs.item_id] for obs in observations], dtype=np.int64)
     obs_tokens = [obs.token for obs in observations]
     kernel, hs_kernel = native.hs_pass()
     if kernel is not None:
@@ -171,23 +171,21 @@ def train_space(
     edges = np.linspace(0, n, config.workers + 1, dtype=int).tolist()
     shards = list(zip(edges[:-1], edges[1:]))
 
-    for iteration in range(config.iterations):
-        perm = rng.permutation(n)
-        pass_base = iteration * n
-
-        def train_shard(shard):
+    def train_shard(shard):
+        shard_rng = copy.deepcopy(rng)  # so shards cut the same permutations on any worker
+        grad = np.empty(d, dtype=np.float32)
+        for pass_base in range(0, total_steps, n):
+            perm = shard_rng.permutation(n)
             if kernel is not None:
-                grad = np.empty(d, dtype=np.float32)
-                return kernel(matrix, nodes, d, perm, *shard, obs_rows, token_ids, *paths,
-                              pass_base, total_steps, alpha0, alpha_min, grad)
-            for k in range(*shard):
-                i = perm[k]
-                alpha = alpha0 * (1.0 - (pass_base + k) / total_steps)
-                if alpha < alpha_min:
-                    alpha = alpha_min
-                hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
+                kernel(matrix, nodes, d, perm, *shard, obs_rows, token_ids, *paths,
+                       pass_base, total_steps, alpha0, alpha_min, grad)
+            else:
+                for k in range(*shard):
+                    i = perm[k]
+                    alpha = max(alpha0 * (1.0 - (pass_base + k) / total_steps), alpha_min)
+                    hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
 
-        fork_map(train_shard, shards, config.workers)
+    fork_map(train_shard, shards, config.workers)
 
     if not np.isfinite(matrix).all():
         raise SpaceRankError(f"training diverged to non-finite item vectors at alpha0={alpha0}")
@@ -210,17 +208,11 @@ def build_vsm_space(
     spaces, the matrix is double precision so the unit norms are exact to
     working precision.
     """
-    events = list(events)
-    user_axis = {uid: axis for axis, uid in enumerate(sorted(profiles))}
-    if item_ids is None:
-        item_ids = sorted({e.item_id for e in events})
-    else:
-        item_ids = sorted(set(item_ids) | {e.item_id for e in events})
-    row_of = {item: row for row, item in enumerate(item_ids)}
+    users, items, levels = rating_levels(events, profiles)
+    user_axis = np.sort(np.fromiter(profiles, np.int64, len(profiles)))
+    item_ids = np.union1d(items, np.fromiter(() if item_ids is None else item_ids, np.int64))
     matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.float64)
-    for e in events:
-        level = binarize(e.rating, profiles[e.user_id].mean_rating)
-        matrix[row_of[e.item_id], user_axis[e.user_id]] = level
+    matrix[np.searchsorted(item_ids, items), np.searchsorted(user_axis, users)] = levels
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     nonzero = norms[:, 0] > 0
     matrix[nonzero] /= norms[nonzero]

@@ -1,6 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spacerank.baselines import (
     KnnModel,
@@ -22,11 +25,16 @@ def events_of(spec):
     return out
 
 
+def by_item(item_ids, values):
+    """{item id: value} view of an array aligned with `item_ids`."""
+    return dict(zip(item_ids.tolist(), values.tolist(), strict=True))
+
+
 class TestPopularity:
     def test_count_order(self):
         events = events_of({1: [(10, 5), (11, 4)], 2: [(10, 3)], 3: [(10, 1)]})
         model = build_popularity(events)
-        assert model.counts == {10: 3, 11: 1}
+        assert by_item(model.item_ids, model.counts) == {10: 3, 11: 1}
         assert popularity_topk(model, set(), 1) == [10]
 
     def test_all_counts_equal_ascending_ids(self):
@@ -42,19 +50,26 @@ class TestPopularity:
         model = build_popularity(events)
         assert popularity_topk(model, set(), 5) == popularity_topk(model, set(), 5)
 
+    @given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 30)), unique=True))
+    def test_counts_match_counter(self, pairs):
+        events = [RatingEvent(u, i, 3, 0) for u, i in pairs]
+        model = build_popularity(events)
+        assert model.item_ids.tolist() == sorted(model.item_ids.tolist())
+        assert by_item(model.item_ids, model.counts) == Counter(e.item_id for e in events)
+
 
 class TestKnn:
     def test_identical_users_similarity_one(self):
         events = events_of({1: [(10, 4), (11, 4)], 2: [(10, 4), (11, 4)]})
         model = KnnModel(events, build_profiles(events), k=1)
-        scores = knn_scores(model, 1)
+        scores = by_item(model.item_ids, knn_scores(model, 1))
         assert scores[10] == pytest.approx(1.0)
         assert scores[11] == pytest.approx(1.0)
 
     def test_orthogonal_target_all_zero(self):
         events = events_of({1: [(10, 4)], 2: [(11, 4)], 3: [(12, 4)]})
         model = KnnModel(events, build_profiles(events), k=2)
-        assert set(knn_scores(model, 1).values()) == {0.0}
+        assert set(knn_scores(model, 1).tolist()) == {0.0}
 
     def test_three_user_toy(self):
         # u1 and u2 share {A, B}; u3 is disjoint. With uniform ratings the
@@ -67,15 +82,16 @@ class TestKnn:
             3: [(D, 4)],
         })
         model = KnnModel(events, build_profiles(events), k=1)
-        scores = knn_scores(model, 1)
+        scores = by_item(model.item_ids, knn_scores(model, 1))
         assert scores[C] == pytest.approx(2 / math.sqrt(6))
         assert knn_topk(model, 1, {A, B}, 1) == [C]
 
     def test_unknown_user(self):
-        events = events_of({1: [(10, 4)]})
+        events = events_of({1: [(10, 4)], 3: [(10, 4)]})
         model = KnnModel(events, build_profiles(events), k=1)
-        with pytest.raises(NoSuchUserError):
-            knn_scores(model, 99)
+        for user_id in (0, 2, 99):  # below, between and above the known users
+            with pytest.raises(NoSuchUserError):
+                knn_scores(model, user_id)
 
     def test_neighbourhood_tie_broken_by_user_id(self):
         # users 2 and 3 are equally similar to user 1; k=1 must pick user 2,
@@ -86,5 +102,5 @@ class TestKnn:
             2: [(10, 4), (21, 4)],
         })
         model = KnnModel(events, build_profiles(events), k=1)
-        scores = knn_scores(model, 1)
+        scores = by_item(model.item_ids, knn_scores(model, 1))
         assert scores[21] > 0 and scores[31] == 0

@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -47,17 +49,28 @@ def test_probe_ranker_values_finite(monkeypatch):
     assert all(math.isfinite(v) for v in values.values())
 
 
-def test_traced_evaluate_ds_has_ranker_spans(pipeline, tmp_path, monkeypatch):
+def _traced_evaluate_span_names(pipeline, tmp_path, monkeypatch, system, *options):
     traced_cli = _import("traced_cli", monkeypatch)
     for module, attr, _, _ in traced_cli.LAYERS:  # undo the tracer's wrappers afterwards
         monkeypatch.setattr(module, attr, getattr(module, attr))
     spans_path = tmp_path / "spans.json"
     code = traced_cli.main([
-        str(spans_path), "evaluate", "--system", "ds", "--space", str(pipeline["space"]),
+        str(spans_path), "evaluate", "--system", system, "--space", str(pipeline["space"]),
         "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
-        "--phi-t", "all", "--phi-d", "5", "--out", str(tmp_path / "ds.results"),
+        *options, "--out", str(tmp_path / f"{system}.results"),
     ])
     assert code == 0
-    names = {span["name"] for span in json.loads(spans_path.read_text())}
+    return {span["name"] for span in json.loads(spans_path.read_text())}
+
+
+def test_traced_evaluate_ds_has_ranker_spans(pipeline, tmp_path, monkeypatch):
+    names = _traced_evaluate_span_names(pipeline, tmp_path, monkeypatch, "ds",
+                                        "--phi-t", "all", "--phi-d", "5")
     # the benchmark takes quantiles of the last two whenever pair streams are traced
     assert {"ranker.pair_stream", "ranker.user", "ranker.topk"} <= names
+
+
+@pytest.mark.parametrize("system, span", [("pop", "baselines.pop_topk"), ("knn", "baselines.knn_topk")])
+def test_traced_evaluate_baseline_has_topk_spans(pipeline, tmp_path, monkeypatch, system, span):
+    # the benchmark takes the median of these spans, which raises when there are none
+    assert span in _traced_evaluate_span_names(pipeline, tmp_path, monkeypatch, system)

@@ -243,6 +243,34 @@ class TestEvaluateCommand:
         assert f"over {len(targets) - len(skipped)} targets ({len(skipped)} skipped)" in summary
         assert len(out.read_text().splitlines()) == len(targets) - len(skipped) + 1
 
+    @pytest.mark.parametrize("system", ["pop", "knn", "ds"])
+    def test_user_with_every_rating_held_out_is_skipped(self, pipeline, tmp_path, capsys, system):
+        # a new user whose two liked ratings are both test targets has no training ratings
+        events = cli.load_ratings(pipeline["ratings"])
+        user, items = max(e.user_id for e in events) + 1, [events[0].item_id, events[1].item_id]
+        ratings, split = tmp_path / "ratings.dat", tmp_path / "split.tsv"
+        ratings.write_text(pipeline["ratings"].read_text()
+                           + "".join(f"{user}::{item}::5::{t}\n" for t, item in enumerate(items)))
+        split.write_text(pipeline["split"].read_text()
+                         + "".join(f"{user}\t{item}\ttest\n" for item in items))
+        common = ["--ratings", str(ratings), "--split", str(split)]
+        space = tmp_path / "cf.space"
+        assert main(["train-space", "--mode", "cf", *common, "--dims", "8", "--iters", "2",
+                     "--out", str(space)]) == 0
+        capsys.readouterr()
+        out = tmp_path / f"{system}.results"
+        code = main(["evaluate", "--system", system, "--space", str(space), *common,
+                     "--out", str(out)])
+        assert code == 0
+        targets = cli.test_targets(cli.load_split(split, cli.load_ratings(ratings)),
+                                   cli.load_ratings(ratings))
+        assert [(user, item) for item in sorted(items)] == [t for t in targets if t[0] == user]
+        lines = out.read_text().splitlines()[:-1]
+        assert lines and not any(line.startswith(f"{user}\t") for line in lines)
+        skipped = len(targets) - len(lines)
+        assert skipped >= 2
+        assert f"over {len(lines)} targets ({skipped} skipped)" in capsys.readouterr().out
+
     def test_space_with_repeated_item_is_data_error(self, pipeline, tmp_path):
         lines = pipeline["space"].read_text().splitlines()
         count, rest = lines[0].split(" ", 1)

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spacerank.baselines import KnnModel
 from spacerank.corpus import (
     Observation,
     RatingEvent,
@@ -10,11 +12,13 @@ from spacerank.corpus import (
     build_profiles,
     load_ratings,
     load_reviews,
+    rating_levels,
     ratings_to_observations,
     reviews_to_observations,
     user_mean,
 )
 from spacerank.errors import NoSuchUserError, ParseError, ValidationError
+from spacerank.spaces import EmbeddingSpace, build_vsm_space
 
 
 def write(tmp_path, name, text):
@@ -116,6 +120,83 @@ class TestRatingsToObservations:
         obs = ratings_to_observations(events, profiles)
         assert len(obs) == len(events)
         assert len({o.token for o in obs}) <= 2 * len(profiles)
+
+
+def reference_vsm_space(events, profiles, item_ids=None):
+    """`build_vsm_space` written out with id-to-row dicts and a loop over the events."""
+    events = list(events)
+    user_axis = {uid: axis for axis, uid in enumerate(sorted(profiles))}
+    if item_ids is None:
+        item_ids = sorted({e.item_id for e in events})
+    else:
+        item_ids = sorted(set(item_ids) | {e.item_id for e in events})
+    row_of = {item: row for row, item in enumerate(item_ids)}
+    matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.float64)
+    for e in events:
+        level = binarize(e.rating, profiles[e.user_id].mean_rating)
+        matrix[row_of[e.item_id], user_axis[e.user_id]] = level
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    nonzero = norms[:, 0] > 0
+    matrix[nonzero] /= norms[nonzero]
+    return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
+
+
+def reference_knn_matrix(events, profiles):
+    """`KnnModel`'s user ids, item ids and level matrix, written out with dicts and a loop."""
+    user_ids = sorted({e.user_id for e in events})
+    item_ids = sorted({e.item_id for e in events})
+    user_row = {u: r for r, u in enumerate(user_ids)}
+    item_col = {i: c for c, i in enumerate(item_ids)}
+    matrix = np.zeros((len(user_ids), len(item_ids)), dtype=np.float32)
+    for e in events:
+        matrix[user_row[e.user_id], item_col[e.item_id]] = binarize(
+            e.rating, profiles[e.user_id].mean_rating
+        )
+    return user_ids, item_ids, matrix
+
+
+@st.composite
+def rating_sets(draw):
+    """Shuffled events with unique (user, item) pairs; some users rate every item alike."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9)),
+                          min_size=1, max_size=30, unique=True))
+    flat = draw(st.sets(st.integers(1, 6)))  # every rating equals the user's mean
+    events = [
+        RatingEvent(user * 7, item * 3, 3 if user in flat else draw(st.integers(1, 5)), t)
+        for t, (user, item) in enumerate(pairs)
+    ]
+    return draw(st.permutations(events))
+
+
+class TestRatingLevels:
+    def test_levels_aligned_with_events(self):
+        events = [RatingEvent(2, 10, 5, 0), RatingEvent(1, 11, 2, 0), RatingEvent(2, 12, 1, 1)]
+        users, items, levels = rating_levels(events, build_profiles(events))
+        assert users.tolist() == [2, 1, 2]
+        assert items.tolist() == [10, 11, 12]
+        assert levels.tolist() == [2, 2, 1]
+
+    def test_missing_profile(self):
+        events = [RatingEvent(1, 10, 4, 0), RatingEvent(2, 10, 4, 0)]
+        with pytest.raises(NoSuchUserError):
+            rating_levels(events, build_profiles(events[:1]))
+
+    @given(events=rating_sets(), listed=st.lists(st.integers(0, 40), max_size=5),
+           idle_user=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_vsm_and_knn_match_their_loops(self, events, listed, idle_user):
+        # an idle user has a profile but no events: an all-zero vsm dimension
+        idle = [RatingEvent(1000, 3, 4, 0)] if idle_user else []
+        profiles = build_profiles(events + idle)
+        space = build_vsm_space(events, profiles, item_ids=listed or None)
+        reference = reference_vsm_space(events, profiles, item_ids=listed or None)
+        assert space == reference and space.matrix.dtype == reference.matrix.dtype
+
+        model = KnnModel(events, profiles, k=2)
+        user_ids, item_ids, matrix = reference_knn_matrix(events, profiles)
+        assert model.user_ids.tolist() == user_ids and model.item_ids.tolist() == item_ids
+        assert model.matrix.dtype == matrix.dtype
+        np.testing.assert_array_equal(model.matrix, matrix)
 
 
 class TestReviewsToObservations:

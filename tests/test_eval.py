@@ -2,13 +2,12 @@ from itertools import product
 
 import pytest
 
-from spacerank.errors import CannotRankError, FormatError, UndefinedTestError
+from spacerank.errors import FormatError, UndefinedTestError
 from spacerank.evaluate import (
     BLOCK_USERS,
     ContingencyTable,
     HitRecord,
     contingency,
-    each_user,
     evaluate_system,
     load_results,
     mcnemar_one_tailed,
@@ -110,12 +109,8 @@ class TestEvaluateSystem:
         assert result.recall == 0.0
 
     def test_cannot_rank_users_skipped(self):
-        def provider(user_id):
-            if user_id == 2:
-                raise CannotRankError("nope")
-            return [5]
-
-        result = evaluate_system(each_user(provider), [(1, 5), (2, 5), (1, 6)], k=10)
+        result = evaluate_system(lambda users: [None if u == 2 else [5] for u in users],
+                                 [(1, 5), (2, 5), (1, 6)], k=10)
         assert result.skipped == ((2, 5),)
         assert result.recall == pytest.approx(0.5)
 
@@ -128,11 +123,11 @@ class TestEvaluateSystem:
     def test_provider_called_once_per_user(self):
         calls = []
 
-        def provider(user_id):
-            calls.append(user_id)
-            return [1]
+        def provider(users):
+            calls.extend(users)
+            return [[1]] * len(users)
 
-        evaluate_system(each_user(provider), [(1, 1), (1, 2), (1, 3), (2, 1)], k=10)
+        evaluate_system(provider, [(1, 1), (1, 2), (1, 3), (2, 1)], k=10)
         assert calls == [1, 2]
 
     def test_blocks_cover_sorted_users_once(self):
@@ -168,11 +163,8 @@ class TestEvaluateSystem:
             )
 
     def test_all_skipped_rejected(self):
-        def provider(user_id):
-            raise CannotRankError("nobody")
-
         with pytest.raises(ValueError):
-            evaluate_system(each_user(provider), [(1, 1)], k=10)
+            evaluate_system(lambda users: [None] * len(users), [(1, 1)], k=10)
 
 
 @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33, 100])

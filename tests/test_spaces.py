@@ -4,6 +4,7 @@ import pytest
 from spacerank.corpus import Observation, RatingEvent, build_profiles
 from spacerank.errors import FormatError, SpaceRankError
 from spacerank.hsoftmax import build_huffman, build_vocabulary, hs_probability, new_node_matrix
+from spacerank import spaces
 from spacerank.spaces import (
     EmbeddingSpace,
     SpaceTrainConfig,
@@ -114,6 +115,33 @@ class TestTrainSpace:
         assert len(space) == 3 and np.isfinite(space.matrix).all()
         v1, v2, v3 = (space.vector(i) for i in (1, 2, 3))
         assert cosine(v1, v2) > cosine(v1, v3)
+
+    def test_multiworker_forks_once_and_shards_split_each_pass(self, monkeypatch):
+        def record(workers):
+            calls, passes = [], {}
+
+            def in_process(task, items, workers):  # as if one worker took every shard
+                calls.append(list(items))
+                return [task(x) for x in items]
+
+            def kernel(matrix, nodes, d, perm, start, end, rows, tokens, offsets, path, codes,
+                       pass_base, *_):
+                passes.setdefault(pass_base, []).append((start, end, perm.copy()))
+
+            monkeypatch.setattr(spaces, "fork_map", in_process)
+            monkeypatch.setattr(spaces.native, "hs_pass", lambda: (kernel, "recording"))
+            train_space(shared_token_corpus(), SpaceTrainConfig(8, iterations=3, seed=3, workers=workers))
+            return calls, passes
+
+        n = len(shared_token_corpus())
+        calls, passes = record(2)
+        assert calls == [[(0, n // 2), (n // 2, n)]]
+        _, reference = record(1)
+        assert sorted(passes) == sorted(reference) == [0, n, 2 * n]
+        for pass_base, shards in passes.items():
+            assert [shard[:2] for shard in shards] == [(0, n // 2), (n // 2, n)]
+            for _, _, perm in shards:  # every shard cuts the permutation workers=1 trains
+                np.testing.assert_array_equal(perm, reference[pass_base][0][2])
 
     def test_one_token_vocabulary_multiworker(self):
         obs = [Observation(1, "t"), Observation(2, "t")]
