@@ -38,8 +38,9 @@ class KnnModel:
     """User-based nearest neighbours over binarized rating vectors.
 
     Each user is a vector with binarize(rating, her mean) at rated item
-    coordinates and 0 elsewhere; neighbourhoods are the k most cosine-similar
-    other users, similarity ties broken by ascending user id.
+    coordinates and 0 elsewhere, held scaled to unit norm in `matrix` (every
+    user has a rating, so a nonzero norm); neighbourhoods are the k most
+    cosine-similar other users, similarity ties broken by ascending user id.
     """
 
     def __init__(self, events: Sequence[RatingEvent], profiles: dict[int, UserProfile], k: int):
@@ -51,9 +52,7 @@ class KnnModel:
         self.item_ids, cols = np.unique(items, return_inverse=True)
         self.matrix = np.zeros((len(self.user_ids), len(self.item_ids)), dtype=np.float32)
         self.matrix[rows, cols] = levels
-        norms = np.linalg.norm(self.matrix, axis=1)
-        norms[norms == 0] = 1.0
-        self._unit = self.matrix / norms[:, None]
+        self.matrix /= np.linalg.norm(self.matrix, axis=1)[:, None]
 
 
 def knn_scores(model: KnnModel, user_id: int) -> np.ndarray:
@@ -66,7 +65,7 @@ def knn_scores(model: KnnModel, user_id: int) -> np.ndarray:
     row = np.searchsorted(model.user_ids, user_id)
     if row == len(model.user_ids) or model.user_ids[row] != user_id:
         raise NoSuchUserError(f"user {user_id} has no training ratings")
-    sims = model._unit @ model._unit[row]
+    sims = model.matrix @ model.matrix[row]
     order = np.lexsort((model.user_ids, -sims))
     neighbours = order[order != row][: model.k]
     rated = (model.matrix[neighbours] > 0).astype(np.float64)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import RatingEvent, binarize
-from .errors import CannotRankError, FormatError
+from .errors import CannotRankError
 from .spaces import EmbeddingSpace
 
 
@@ -259,20 +259,3 @@ def recommend_topk(
         )
     return top_k(space.item_ids, space.matrix @ model.w, exclude, k)
 
-
-def save_hyperplane(model: HyperplaneModel, path) -> None:
-    """Diagnostic export: user id header, then the weight vector on one line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{model.user_id if model.user_id is not None else '-'}\n")
-        fh.write(" ".join(map(repr, model.w.tolist())) + "\n")
-
-
-def load_hyperplane(path) -> HyperplaneModel:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        user_id = None if header == "-" else int(header)
-        line = fh.readline().split()
-        if not line:
-            raise FormatError(f"{path}: missing weight line")
-        w = np.array([float(x) for x in line], dtype=np.float64)
-    return HyperplaneModel(user_id, w)

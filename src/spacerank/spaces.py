@@ -11,6 +11,7 @@ tree-node weights by SGD with a linearly decaying learning rate.
 from __future__ import annotations
 
 import copy
+import zipfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -219,70 +220,71 @@ def build_vsm_space(
     return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
 
 
-def save_space(space: EmbeddingSpace, path) -> None:
-    """Write ``item_count d [provenance]`` header plus one line per item.
-
-    Raises FormatError, writing nothing, if any value is non-finite.
-    """
+def _refuse_non_finite(space: EmbeddingSpace, path) -> None:
     if not np.isfinite(space.matrix).all():
         raise FormatError(f"{path}: refusing to write a space with non-finite values")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = f"{len(space)} {space.dimensions}"
-        if space.provenance is not None:
-            header += f" {space.provenance}"
-        fh.write(header + "\n")
-        # tolist() gives the exact float64 value of each entry (float32 -> float64
-        # is exact), and its repr round-trips.
-        for item_id, vec in zip(space.item_ids.tolist(), space.matrix):
-            fh.write(f"{item_id} " + " ".join(map(repr, vec.tolist())) + "\n")
+
+
+def save_space(space: EmbeddingSpace, path) -> None:
+    """Write one uncompressed ``.npz`` container at exactly `path`.
+
+    Its entries are ``item_ids`` (int64), ``matrix`` (as held: float32 for
+    trained spaces, float64 for vsm) and ``provenance`` (a 0-d string, ""
+    for none). Raises FormatError, writing nothing, if any value is
+    non-finite.
+    """
+    _refuse_non_finite(space, path)
+    with open(path, "wb") as fh:  # np.savez would append ".npz" to a path
+        np.savez(fh, item_ids=space.item_ids, matrix=space.matrix,
+                 provenance=np.array(space.provenance or ""))
 
 
 def load_space(path) -> EmbeddingSpace:
-    """Read a space file back; inverse of save_space, bit-exact.
+    """Read a `save_space` container back, bit-exact and with its dtypes.
 
-    Raises FormatError on a malformed file, a repeated item id or any
-    non-finite value.
+    Raises FormatError on any other file (text spaces written by earlier
+    versions included: retrain them), a truncated or damaged container, a
+    missing entry, wrong dtypes or shapes, an unknown provenance, repeated
+    item ids or non-finite values.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split()
-        if len(header) not in (2, 3):
-            raise FormatError(f"{path}: header must be 'item_count d [provenance]'")
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise FormatError(
+                f"{path}: not a space container; text spaces from earlier versions must be retrained"
+            )
+        fh.seek(0)
         try:
-            count, d = int(header[0]), int(header[1])
-        except ValueError:
-            raise FormatError(f"{path}: non-integer header fields {header!r}") from None
-        provenance = header[2] if len(header) == 3 else None
-        if provenance is not None and provenance not in PROVENANCES:
-            raise FormatError(f"{path}: unknown provenance {provenance!r}")
-        if d < 0 or count < 0:
-            raise FormatError(f"{path}: negative header values")
-        # vsm spaces are double precision (their unit-norm invariant needs
-        # it); trained spaces are single. The text format loses nothing
-        # either way.
-        dtype = np.float64 if provenance == "vsm" else np.float32
-        item_ids = np.empty(count, dtype=np.int64)
-        matrix = np.empty((count, d), dtype=dtype)
-        for row in range(count):
-            line = fh.readline()
-            if not line:
-                raise FormatError(f"{path}: truncated after {row} of {count} items")
-            parts = line.split()
-            if len(parts) != d + 1:
-                raise FormatError(
-                    f"{path}: item line has {len(parts) - 1} values, expected {d}"
-                )
-            item_ids[row] = int(parts[0])
-            matrix[row] = np.array(parts[1:], dtype=np.float64)
-        if fh.readline().strip():
-            raise FormatError(f"{path}: trailing data after {count} items")
+            with np.load(fh, allow_pickle=False) as npz:
+                item_ids, matrix, provenance = (npz[k] for k in ("item_ids", "matrix", "provenance"))
+        except KeyError as exc:
+            raise FormatError(f"{path}: space container misses an entry: {exc}") from None
+        except (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError) as exc:
+            raise FormatError(f"{path}: unreadable space container: {exc}") from None
+    if not (item_ids.dtype == np.int64 and item_ids.ndim == 1
+            and matrix.dtype in (np.float32, np.float64) and matrix.ndim == 2
+            and provenance.dtype.kind == "U" and provenance.ndim == 0):
+        raise FormatError(
+            f"{path}: entries must be 1-D int64 item_ids, a 2-D float32 or float64 "
+            "matrix and a 0-d string provenance"
+        )
     if not np.isfinite(matrix).all():
         raise FormatError(f"{path}: space holds non-finite values")
     try:
-        return EmbeddingSpace(d, item_ids, matrix, provenance)
-    except ValueError as exc:  # repeated item ids
+        return EmbeddingSpace(matrix.shape[1], item_ids, matrix, str(provenance) or None)
+    except ValueError as exc:  # ids and rows differ in count, unknown provenance, repeated ids
         raise FormatError(f"{path}: {exc}") from None
 
 
 def export_vectors(space: EmbeddingSpace, path) -> None:
-    """Write the space without its provenance tag for external projection tools."""
-    save_space(EmbeddingSpace(space.dimensions, space.item_ids, space.matrix), path)
+    """Write the space as text for external projection tools.
+
+    A header ``item_count d``, then ``item_id v_1 ... v_d`` per item, each
+    value the repr of its exact float64 value, so it parses back bit-exact.
+    No provenance is written. Raises FormatError, writing nothing, if any
+    value is non-finite.
+    """
+    _refuse_non_finite(space, path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(space)} {space.dimensions}\n")
+        for item_id, vec in zip(space.item_ids.tolist(), space.matrix):
+            fh.write(f"{item_id} " + " ".join(map(repr, vec.tolist())) + "\n")

@@ -74,3 +74,12 @@ def test_traced_evaluate_ds_has_ranker_spans(pipeline, tmp_path, monkeypatch):
 def test_traced_evaluate_baseline_has_topk_spans(pipeline, tmp_path, monkeypatch, system, span):
     # the benchmark takes the median of these spans, which raises when there are none
     assert span in _traced_evaluate_span_names(pipeline, tmp_path, monkeypatch, system)
+
+
+def test_probe_space_io_cheap_and_leaves_no_file(monkeypatch, tmp_path):
+    # the probe stats and unlinks exactly the path it passes to save_space
+    values = _import("probes", monkeypatch).probe_space_io(1, tmp_path)
+    assert set(values) == {"spaces.save_space_s", "spaces.load_space_s", "spaces.file_mb"}
+    assert all(math.isfinite(v) for v in values.values())
+    assert values["spaces.file_mb"] < 20
+    assert list(tmp_path.iterdir()) == []

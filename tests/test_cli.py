@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,9 @@ class TestTrainSpaceCommand:
             "--dims", "8", "--iters", "2", "--out", str(out),
         ])
         assert code == 0
-        assert out.read_text().splitlines()[0] == "300 8 cb"
+        space = cli.load_space(out)
+        assert (len(space), space.dimensions, space.provenance) == (300, 8, "cb")
+        assert space.matrix.dtype == np.float32
 
     def test_vsm_ignores_dims_with_warning(self, pipeline, tmp_path, capsys):
         out = tmp_path / "vsm.space"
@@ -76,7 +79,9 @@ class TestTrainSpaceCommand:
         ])
         assert code == 0
         assert "ignored" in capsys.readouterr().err
-        assert out.read_text().splitlines()[0] == "300 200 vsm"
+        space = cli.load_space(out)
+        assert (len(space), space.dimensions, space.provenance) == (300, 200, "vsm")
+        assert space.matrix.dtype == np.float64
 
     def test_missing_dims_is_error(self, pipeline, tmp_path):
         code = main([
@@ -271,16 +276,46 @@ class TestEvaluateCommand:
         assert skipped >= 2
         assert f"over {len(lines)} targets ({skipped} skipped)" in capsys.readouterr().out
 
-    def test_space_with_repeated_item_is_data_error(self, pipeline, tmp_path):
-        lines = pipeline["space"].read_text().splitlines()
-        count, rest = lines[0].split(" ", 1)
-        space = tmp_path / "dup.space"
-        space.write_text("\n".join([f"{int(count) + 1} {rest}", *lines[1:], lines[1]]) + "\n")
+    def assert_refused_by_ds_and_recommend(self, pipeline, space, capsys):
+        """Both readers of a space exit 2 on `space` and name it on stderr; returns that stderr."""
         manifest = pipeline["out"] / "cf.space.manifest.json"
-        (tmp_path / "dup.space.manifest.json").write_bytes(manifest.read_bytes())
-        common = ["--space", str(space), "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
-        assert main(["evaluate", "--system", "ds", *common, "--out", str(tmp_path / "x.results")]) == 2
+        Path(f"{space}.manifest.json").write_bytes(manifest.read_bytes())
+        common = ["--space", str(space), "--ratings", str(pipeline["ratings"]),
+                  "--split", str(pipeline["split"])]
+        results = space.parent / "x.results"
+        capsys.readouterr()
+        assert main(["evaluate", "--system", "ds", *common, "--out", str(results)]) == 2
+        evaluate_err = capsys.readouterr().err
         assert main(["recommend", *common, "--user", "1"]) == 2
+        recommend_err = capsys.readouterr().err
+        assert str(space) in evaluate_err and str(space) in recommend_err
+        assert not results.exists()
+        return evaluate_err + recommend_err
+
+    def test_space_with_repeated_item_is_data_error(self, pipeline, tmp_path, capsys):
+        with np.load(pipeline["space"], allow_pickle=False) as npz:
+            entries = dict(npz)
+        entries["item_ids"] = np.append(entries["item_ids"], entries["item_ids"][0])
+        entries["matrix"] = np.concatenate([entries["matrix"], entries["matrix"][:1]])
+        with open(tmp_path / "dup.space", "wb") as fh:
+            np.savez(fh, **entries)
+        self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "dup.space", capsys)
+
+    def test_truncated_space_is_data_error(self, pipeline, tmp_path, capsys):
+        data = pipeline["space"].read_bytes()
+        (tmp_path / "cut.space").write_bytes(data[: len(data) // 2])
+        self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "cut.space", capsys)
+
+    def test_text_space_of_an_earlier_version_is_data_error(self, pipeline, tmp_path, capsys):
+        # the text format spaces had before the container: header, then one row per item
+        space = cli.load_space(pipeline["space"])
+        rows = [f"{len(space)} {space.dimensions} cf"] + [
+            f"{item_id} " + " ".join(map(repr, vec.tolist()))
+            for item_id, vec in zip(space.item_ids.tolist(), space.matrix)
+        ]
+        (tmp_path / "old.space").write_text("\n".join(rows) + "\n")
+        err = self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "old.space", capsys)
+        assert err.count("must be retrained") == 2
 
     def test_ds_missing_space_is_usage_independent_error(self, pipeline, tmp_path):
         code = main([

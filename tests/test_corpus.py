@@ -142,7 +142,7 @@ def reference_vsm_space(events, profiles, item_ids=None):
 
 
 def reference_knn_matrix(events, profiles):
-    """`KnnModel`'s user ids, item ids and level matrix, written out with dicts and a loop."""
+    """`KnnModel`'s user ids, item ids and unit-norm level matrix, written out with dicts and loops."""
     user_ids = sorted({e.user_id for e in events})
     item_ids = sorted({e.item_id for e in events})
     user_row = {u: r for r, u in enumerate(user_ids)}
@@ -152,6 +152,8 @@ def reference_knn_matrix(events, profiles):
         matrix[user_row[e.user_id], item_col[e.item_id]] = binarize(
             e.rating, profiles[e.user_id].mean_rating
         )
+    for row in matrix:
+        row /= np.linalg.norm(row)
     return user_ids, item_ids, matrix
 
 

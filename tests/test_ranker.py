@@ -17,10 +17,8 @@ from spacerank.ranker import (
     RankerConfig,
     build_preferences,
     derive_seed,
-    load_hyperplane,
     pair_stream,
     recommend_topk,
-    save_hyperplane,
     score_items,
     top_k,
     train_hyperplane,
@@ -331,16 +329,6 @@ class TestTopK:
             expected = sorted((i for i in ids.tolist() if i not in exclude),
                               key=lambda i: (-scores[ids.tolist().index(i)], i))[:k]
             assert top_k(ids, scores, exclude, k) == expected
-
-
-class TestHyperplaneFile:
-    def test_round_trip(self, tmp_path):
-        model = HyperplaneModel(42, np.array([0.5, -1.25, 3e-9]))
-        path = tmp_path / "w.txt"
-        save_hyperplane(model, path)
-        loaded = load_hyperplane(path)
-        assert loaded.user_id == 42
-        np.testing.assert_array_equal(loaded.w, model.w)
 
 
 def test_derive_seed_is_stable_and_distinct():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spacerank.corpus import Observation, RatingEvent, build_profiles
 from spacerank.errors import FormatError, SpaceRankError
@@ -191,10 +194,66 @@ class TestVsmSpace:
         assert space.dimensions == 29
 
 
+def write_container(path, **entries):
+    """An ``.npz`` file holding exactly `entries`, written where `save_space` writes."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+def good_entries():
+    return {
+        "item_ids": np.array([240, 7], dtype=np.int64),
+        "matrix": np.array([[0.5, -1.0, 0.25], [1e-7, 3.5, -2.25]], dtype=np.float32),
+        "provenance": np.array("cf"),
+    }
+
+
+def parse_exported(path, dtype=np.float32) -> EmbeddingSpace:
+    """Read `export_vectors` text back: the oracle for a lossless export.
+
+    The decimal-text parser space files had before they became containers:
+    each value is read as the nearest float64, then rounded once to `dtype`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        count, d = (int(field) for field in fh.readline().split())
+        rows = [line.split() for line in fh]
+    assert len(rows) == count and all(len(row) == d + 1 for row in rows)
+    matrix = np.array([[float(v) for v in row[1:]] for row in rows], dtype=np.float64)
+    return EmbeddingSpace(d, [int(row[0]) for row in rows], matrix.reshape(count, d).astype(dtype))
+
+
+@st.composite
+def spaces_of_any_dtype(draw):
+    """Spaces of either float width, with every finite value hypothesis tries (-0.0, subnormals, max)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8, unique=True))
+    d = draw(st.integers(1, 6))
+    width = 32 if dtype == np.float32 else 64
+    values = st.floats(width=width, allow_nan=False, allow_infinity=False)
+    matrix = draw(arrays(dtype, (len(ids), d), elements=values))
+    provenance = draw(st.sampled_from([None, *spaces.PROVENANCES]))
+    return EmbeddingSpace(d, ids, matrix, provenance)
+
+
+def edge_space(dtype, provenance, n_items=3, d=2):
+    info = np.finfo(dtype)
+    values = [-0.0, info.smallest_subnormal, -info.max, info.max, info.tiny, 1.0]
+    matrix = np.resize(np.array(values, dtype=dtype), (n_items, d))
+    return EmbeddingSpace(d, np.arange(n_items) * 5, matrix, provenance)
+
+
+def assert_bit_equal(loaded, space):
+    assert loaded.matrix.dtype == space.matrix.dtype
+    assert loaded.item_ids.dtype == np.int64
+    assert loaded.matrix.tobytes() == space.matrix.tobytes()
+    assert loaded.item_ids.tolist() == space.item_ids.tolist()
+    assert loaded.dimensions == space.dimensions
+
+
 class TestSpaceFiles:
     def make_space(self):
-        matrix = np.array([[0.5, -1.0, 0.25], [1e-7, 3.5, -2.25]], dtype=np.float32)
-        return EmbeddingSpace(3, [240, 7], matrix, "cf")
+        entries = good_entries()
+        return EmbeddingSpace(3, entries["item_ids"], entries["matrix"], "cf")
 
     def test_round_trip_identity(self, tmp_path):
         space = self.make_space()
@@ -213,66 +272,156 @@ class TestSpaceFiles:
         loaded = load_space(path)
         assert np.array_equal(loaded.matrix, space.matrix)
 
+    @given(space=spaces_of_any_dtype())
+    @example(space=edge_space(np.float32, None, n_items=0))
+    @example(space=edge_space(np.float64, "vsm", n_items=0, d=1))
+    @example(space=edge_space(np.float32, "cf", n_items=6, d=1))
+    @example(space=edge_space(np.float32, "cb"))
+    @example(space=edge_space(np.float64, "vsm"))
+    @example(space=edge_space(np.float64, None))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_bit_exact_any_dtype(self, tmp_path_factory, space):
+        path = tmp_path_factory.mktemp("rt") / "s.space"
+        save_space(space, path)
+        loaded = load_space(path)
+        assert_bit_equal(loaded, space)
+        assert loaded.provenance == space.provenance
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        path = tmp_path / "s.space"
+        save_space(self.make_space(), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.space"]
+        with np.load(path, allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["item_ids", "matrix", "provenance"]
+            assert npz["provenance"].shape == () and str(npz["provenance"]) == "cf"
+
     @pytest.mark.parametrize("dtype, provenance", [(np.float32, "cf"), (np.float64, "vsm")])
     def test_file_of_the_per_value_writer_loads_bit_identically(self, tmp_path, dtype, provenance):
-        # The writer before the joined-row form: one repr(float(x)) call per value.
+        # The text writer before the joined-row form: one repr(float(x)) call
+        # per value. Exported vectors keep its bytes, minus the provenance.
         rng = np.random.default_rng(8)
         matrix = (rng.normal(size=(30, 7)) * 10.0 ** rng.integers(-30, 30, size=(30, 7))).astype(dtype)
         matrix[0, :3] = [-0.0, np.finfo(dtype).max, np.finfo(dtype).smallest_subnormal]
         space = EmbeddingSpace(7, np.arange(30) * 3, matrix, provenance)
-        old = tmp_path / "old.space"
+        old = tmp_path / "old.txt"
         with open(old, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{len(space)} {space.dimensions} {provenance}\n")
+            fh.write(f"{len(space)} {space.dimensions}\n")
             for item_id, vec in zip(space.item_ids, space.matrix):
                 fh.write(f"{item_id} " + " ".join(repr(float(x)) for x in vec) + "\n")
-        save_space(space, tmp_path / "new.space")
-        assert (tmp_path / "new.space").read_bytes() == old.read_bytes()
-        loaded = load_space(old)
-        assert loaded.matrix.dtype == dtype and loaded.matrix.tobytes() == matrix.tobytes()
-
-    def test_decimal_values_parse_as_float_then_round(self, tmp_path):
-        # Not float32 values: each is read as the nearest float64, then rounded once.
-        values = ["0.1", "-2.5e-40", "3.402823e+38", "0.30000000000000004", "-0"]
-        path = tmp_path / "s.space"
-        path.write_text(f"1 {len(values)} cf\n7 " + " ".join(values) + "\n")
-        expected = np.array([float(v) for v in values], dtype=np.float32)
-        assert load_space(path).matrix[0].tobytes() == expected.tobytes()
+        export_vectors(space, tmp_path / "new.txt")
+        assert (tmp_path / "new.txt").read_bytes() == old.read_bytes()
+        assert_bit_equal(parse_exported(old, dtype), space)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "s.space"
         save_space(self.make_space(), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(FormatError):
+        data = path.read_bytes()
+        for cut in sorted({0, 2, 4, 30, len(data) // 2, len(data) - 22, len(data) - 1}):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                load_space(path)
+
+    def test_bad_crc_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        save_space(self.make_space(), path)
+        data = bytearray(path.read_bytes())
+        at = data.index(np.float32(3.5).tobytes())  # a value inside the matrix entry
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="CRC"):
             load_space(path)
 
     def test_header_without_provenance_accepted(self, tmp_path):
         path = tmp_path / "s.space"
-        path.write_text("2 3\n1 0.0 1.0 2.0\n2 3.0 4.0 5.0\n")
+        write_container(path, **{**good_entries(), "provenance": np.array("")})
         space = load_space(path)
         assert space.provenance is None and len(space) == 2
 
+    def test_unknown_provenance_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        write_container(path, **{**good_entries(), "provenance": np.array("svd")})
+        with pytest.raises(FormatError, match="provenance"):
+            load_space(path)
+
     def test_non_finite_value_refused(self, tmp_path):
         path = tmp_path / "s.space"
-        path.write_text("2 2 cf\n1 0.5 nan\n2 1.0 2.0\n")
-        with pytest.raises(FormatError):
+        entries = good_entries()
+        entries["matrix"][0, 1] = np.nan
+        write_container(path, **entries)
+        with pytest.raises(FormatError, match="non-finite"):
             load_space(path)
         space = self.make_space()
         space.matrix[1, 1] = np.inf
-        with pytest.raises(FormatError):
-            save_space(space, tmp_path / "inf.space")
-        assert not (tmp_path / "inf.space").exists()
+        for write in (save_space, export_vectors):
+            with pytest.raises(FormatError):
+                write(space, tmp_path / "inf.space")
+            assert not (tmp_path / "inf.space").exists()
 
     def test_repeated_item_line_refused(self, tmp_path):
         path = tmp_path / "s.space"
-        path.write_text("3 2 cf\n1 0.5 1.0\n3 1.0 2.0\n1 0.5 1.0\n")
+        entries = good_entries()
+        write_container(path, **{**entries, "item_ids": np.array([7, 7], dtype=np.int64)})
         with pytest.raises(FormatError, match="repeated"):
             load_space(path)
 
     def test_wrong_value_count(self, tmp_path):
+        # one id fewer than the matrix has rows
         path = tmp_path / "s.space"
-        path.write_text("1 3 cf\n1 0.0 1.0\n")
+        write_container(path, **{**good_entries(), "item_ids": np.array([240], dtype=np.int64)})
+        with pytest.raises(FormatError, match="does not match"):
+            load_space(path)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 1), ()])
+    def test_matrix_not_two_dimensional_refused(self, tmp_path, shape):
+        path = tmp_path / "s.space"
+        matrix = np.zeros(shape, dtype=np.float32)
+        write_container(path, **{**good_entries(), "matrix": matrix})
+        with pytest.raises(FormatError, match="2-D"):
+            load_space(path)
+
+    @pytest.mark.parametrize("entry, value", [
+        ("item_ids", np.array([240, 7], dtype=np.int32)),
+        ("item_ids", np.array([240.0, 7.0])),
+        ("matrix", np.zeros((2, 3), dtype=np.float16)),
+        ("matrix", np.zeros((2, 3), dtype=np.int64)),
+        ("matrix", np.zeros((2, 3), dtype=">f4")),
+        ("provenance", np.array(b"cf")),
+        ("provenance", np.array(["cf"])),
+    ])
+    def test_wrong_dtype_refused(self, tmp_path, entry, value):
+        path = tmp_path / "s.space"
+        write_container(path, **{**good_entries(), entry: value})
+        with pytest.raises(FormatError, match="entries must be"):
+            load_space(path)
+
+    @pytest.mark.parametrize("entry", ["item_ids", "matrix", "provenance"])
+    def test_missing_entry_refused(self, tmp_path, entry):
+        path = tmp_path / "s.space"
+        entries = good_entries()
+        del entries[entry]
+        write_container(path, **entries)
+        with pytest.raises(FormatError, match=entry):
+            load_space(path)
+
+    def test_object_array_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        matrix = np.empty((2, 3), dtype=object)
+        matrix[:] = 0.5
+        write_container(path, **{**good_entries(), "matrix": matrix})
         with pytest.raises(FormatError):
+            load_space(path)
+
+    def test_bare_npy_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        np.save(path, good_entries()["matrix"])
+        path.with_suffix(".space.npy").replace(path)
+        with pytest.raises(FormatError, match="not a space container"):
+            load_space(path)
+
+    def test_text_space_of_earlier_versions_refused_with_retrain_hint(self, tmp_path):
+        path = tmp_path / "s.space"
+        path.write_text("2 3 cf\n240 0.5 -1.0 0.25\n7 1e-07 3.5 -2.25\n")
+        with pytest.raises(FormatError, match="retrain"):
             load_space(path)
 
     def test_export_format_and_round_trip(self, tmp_path):
@@ -280,7 +429,16 @@ class TestSpaceFiles:
         path = tmp_path / "vecs.txt"
         export_vectors(space, path)
         assert path.read_text().splitlines() == ["1 2", "240 0.5 -1.0"]
-        assert load_space(path) == space
+        assert parse_exported(path) == space
+
+    @given(space=spaces_of_any_dtype())
+    @example(space=edge_space(np.float32, "cf", n_items=0))
+    @example(space=edge_space(np.float64, "vsm"))
+    @settings(max_examples=100, deadline=None)
+    def test_export_round_trip_bit_exact(self, tmp_path_factory, space):
+        path = tmp_path_factory.mktemp("export") / "vecs.txt"
+        export_vectors(space, path)
+        assert_bit_equal(parse_exported(path, space.matrix.dtype), space)
 
     def test_export_empty_space(self, tmp_path):
         space = EmbeddingSpace(4, [], np.zeros((0, 4), dtype=np.float32))
