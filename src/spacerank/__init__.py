@@ -23,7 +23,6 @@ from .corpus import (
     rating_levels,
     ratings_to_observations,
     reviews_to_observations,
-    user_mean,
 )
 from .errors import (
     CannotRankError,

@@ -17,7 +17,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+
+from . import __version__, native
 from .baselines import KnnModel, build_popularity, knn_topk, popularity_topk
 from .corpus import (
     build_profiles,
@@ -166,7 +168,7 @@ def cmd_train_space(args) -> int:
             workers=args.workers,
         )
         space = train_space(observations, config, provenance=args.mode)
-        args.iters, args.hs_kernel = iterations, space.hs_kernel
+        args.iters, args.kernel = iterations, space.hs_kernel
 
     save_space(space, args.out)
     _manifest("train-space", args, _digests(*inputs)).write(args.out)
@@ -201,11 +203,23 @@ def _user_ranker_topk(space, users, events_by_user, rated_by_user, args):
     return [tops.get(user_id) for user_id in users]
 
 
+def _ranking_space(args):
+    """The space for hyperplane ranking, held as float64 (an exact cast) for the ranker pass.
+
+    Also resolves the compiled kernels before any thread starts, and
+    records which ranker path runs in ``args.kernel``.
+    """
+    space = load_space(args.space)
+    space.matrix = np.asarray(space.matrix, np.float64)
+    args.kernel = native.kernels()[1]
+    return space
+
+
 def cmd_recommend(args) -> int:
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, "test")
     _check_space_provenance(args, "test", _digests(args.ratings, args.split))
-    space = load_space(args.space)
+    space = _ranking_space(args)
     user_events = [e for e in training if e.user_id == args.user]
     if not user_events:
         raise CannotRankError(f"user {args.user} has no training ratings")
@@ -237,7 +251,7 @@ def cmd_evaluate(args) -> int:
         if not args.space:
             raise SpaceRankError("--system ds requires --space")
         _check_space_provenance(args, args.holdout, inputs)
-        space = load_space(args.space)
+        space = _ranking_space(args)
         inputs.update(_digests(args.space))
 
         def provider(users):

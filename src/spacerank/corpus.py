@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -55,17 +55,14 @@ class Observation:
     token: str
 
 
-def load_ratings(path, on_duplicate: str = "error") -> list[RatingEvent]:
+def load_ratings(path) -> list[RatingEvent]:
     """Parse a ``::``-separated ratings file into events, in file order.
 
-    A malformed line raises :class:`ParseError` naming the line number. A
-    repeated (user, item) pair raises :class:`ValidationError` by default;
-    with ``on_duplicate="last"`` the later event silently wins instead.
+    A malformed line raises :class:`ParseError` naming the line number, a
+    repeated (user, item) pair :class:`ValidationError`.
     """
-    if on_duplicate not in ("error", "last"):
-        raise ValueError(f"on_duplicate must be 'error' or 'last', got {on_duplicate!r}")
     events: list[RatingEvent] = []
-    position: dict[tuple[int, int], int] = {}
+    seen: set[tuple[int, int]] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -80,17 +77,12 @@ def load_ratings(path, on_duplicate: str = "error") -> list[RatingEvent]:
                 raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
             if not 1 <= rating <= 5:
                 raise ParseError(path, line_no, f"rating {rating} outside [1,5]")
-            event = RatingEvent(user_id, item_id, rating, ts)
-            key = (user_id, item_id)
-            if key in position:
-                if on_duplicate == "error":
-                    raise ValidationError(
-                        f"{path}:{line_no}: duplicate rating for user {user_id}, item {item_id}"
-                    )
-                events[position[key]] = event
-            else:
-                position[key] = len(events)
-                events.append(event)
+            if (user_id, item_id) in seen:
+                raise ValidationError(
+                    f"{path}:{line_no}: duplicate rating for user {user_id}, item {item_id}"
+                )
+            seen.add((user_id, item_id))
+            events.append(RatingEvent(user_id, item_id, rating, ts))
     return events
 
 
@@ -115,14 +107,6 @@ def load_reviews(path) -> list[ReviewDocument]:
                 raise ParseError(path, line_no, f"non-integer item id {item_field!r}") from None
             texts.setdefault(item_id, []).append(text)
     return [ReviewDocument(item_id, " ".join(parts)) for item_id, parts in texts.items()]
-
-
-def user_mean(events: Sequence[RatingEvent], user_id: int) -> float:
-    """Arithmetic mean of the user's raw 1-5 ratings in `events`."""
-    ratings = [e.rating for e in events if e.user_id == user_id]
-    if not ratings:
-        raise NoSuchUserError(f"user {user_id} has no events")
-    return sum(ratings) / len(ratings)
 
 
 def build_profiles(events: Iterable[RatingEvent]) -> dict[int, UserProfile]:

@@ -8,12 +8,12 @@ targets where exactly one of them hit.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
 from .errors import FormatError, UndefinedTestError
-from .parallel import fork_map
 
 Target = tuple[int, int]
 # Users, ascending, to their top-k lists (None: cannot rank), one block at a time.
@@ -75,15 +75,20 @@ def evaluate_system(
     `topk_for_users` takes a block of users and returns, per user, the
     top-k item list, or None for a user it cannot rank (no training
     ratings, nothing usable in the space). The users, ascending, are cut
-    into `user_blocks`, and each block is ranked once, split across
-    `workers` forked processes (see `fork_map`). Blocks do not depend on
-    the worker count, and neither do the results. A user's top-k list is
+    into `user_blocks`, and each block is ranked once, on up to `workers`
+    threads; blocks run in parallel only while the provider releases the
+    GIL, as the compiled ranker pass does. Blocks do not depend on the
+    worker count, and neither do the results. A user's top-k list is
     reused across their targets; an unranked user's targets are skipped
     and reported rather than counted as misses.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     blocks = user_blocks(sorted({user_id for user_id, _ in targets}))
+    with ThreadPoolExecutor(workers) as pool:
+        ranked = list(pool.map(topk_for_users, blocks))
     tops: dict[int, list[int] | None] = {}
-    for block, block_tops in zip(blocks, fork_map(topk_for_users, blocks, workers), strict=True):
+    for block, block_tops in zip(blocks, ranked, strict=True):
         if len(block_tops) != len(block):
             raise ValueError(f"provider returned {len(block_tops)} lists for {len(block)} users")
         for user_id, top in zip(block, block_tops):

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import native
 from .corpus import RatingEvent, binarize
 from .errors import CannotRankError
 from .spaces import EmbeddingSpace
@@ -62,11 +63,10 @@ class RankerConfig:
 @dataclass(frozen=True)
 class PreferenceTriple:
     """An item with the user's preference level: 0 unrated, 1 below her
-    mean, 2 at or above it. Timestamps only exist for rated items."""
+    mean, 2 at or above it."""
 
     item_id: int
     level: int
-    timestamp: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def build_preferences(
     mean = sum(e.rating for e in user_events) / len(user_events)
     usable.sort(key=lambda e: (e.timestamp, e.item_id))
     kept = usable if phi_t == "all" else usable[-int(phi_t):]
-    triples = [
-        PreferenceTriple(e.item_id, binarize(e.rating, mean), e.timestamp) for e in kept
-    ]
+    triples = [PreferenceTriple(e.item_id, binarize(e.rating, mean)) for e in kept]
     rated_ids = {e.item_id for e in kept}
     triples.extend(
         PreferenceTriple(int(item_id), 0)
@@ -162,19 +160,25 @@ def train_hyperplanes(
     configs: Sequence[RankerConfig],
     user_ids: Sequence[int | None],
 ) -> list[HyperplaneModel]:
-    """Fit each user's direction vector over their pair stream, all users at once.
+    """Fit each user's direction vector over their pair stream.
 
     User u starts from a small random w drawn from their `config.seed` and,
     for their k-th pair (a, b), applies w += g * alpha * (v_b - v_a) with
     g = sigmoid(w.v_a - w.v_b); the learning rate decays linearly from
-    alpha0 to 0 over the user's own stream of T_u pairs. One loop over k
-    advances every user whose stream is that long: users are ordered by
-    stream length, longest first, so those still training are a prefix.
-    A user's w depends only on their own stream and config, never on the
-    others, and matches the one-pair-at-a-time loop to rounding.
+    alpha0 to 0 over the user's own stream of T_u pairs. A user's w depends
+    only on their own stream and config, never on the others, and matches
+    the one-pair-at-a-time loop to rounding.
+
+    The compiled ``hyperplane_pass`` of `native.kernels` fits one user per
+    call. Without it, one numpy loop over k advances every user whose
+    stream is that long: users are ordered by stream length, longest
+    first, so those still training are a prefix. Both read the space as
+    float64, which is free for a space already held so.
     """
     if any(len(stream) == 0 for stream in streams):
         raise CannotRankError("empty pair stream")
+    if any(np.shape(stream)[1:] != (2,) for stream in streams):  # the kernel reads 2 ids per pair
+        raise ValueError("a pair stream must have shape (T, 2)")
     order = sorted(range(len(streams)), key=lambda u: -len(streams[u]))
     lengths = [len(streams[u]) for u in order] + [0]
     d = space.dimensions
@@ -182,23 +186,29 @@ def train_hyperplanes(
         [np.random.default_rng(configs[u].seed).uniform(-0.5 / d, 0.5 / d, size=d) for u in order]
     ).reshape(len(order), d)
     alpha0 = np.array([configs[u].alpha0 for u in order])
-    total = np.array(lengths[:-1], dtype=np.float64)
-    matrix = space.matrix
-    # Steps lengths[m] <= k < lengths[m - 1] advance the first m users. Their
-    # ids become rows one segment of at most SEGMENT_STEPS steps at a time,
-    # so no row stream is held beyond the segment being trained.
-    for m in range(len(order), 0, -1):
-        w_m = w[:m]
-        for first in range(lengths[m], lengths[m - 1], SEGMENT_STEPS):
-            stop = min(first + SEGMENT_STEPS, lengths[m - 1])
-            segment = np.stack([space.rows(streams[u][first:stop]) for u in order[:m]], axis=1)
-            rates = alpha0[:m] * (1.0 - np.arange(first, stop)[:, None] / total[:m])
-            for pair_rows, rate in zip(segment, rates):
-                pair = matrix[pair_rows]
-                diff = np.subtract(pair[:, 1], pair[:, 0], dtype=np.float64)
-                # g * rate, with g = sigmoid(w.v_a - w.v_b) clamped as hsoftmax.sigmoid clamps
-                step = rate / (1.0 + np.exp(np.minimum(np.einsum("ij,ij->i", w_m, diff), 500.0)))
-                w_m += step[:, None] * diff
+    matrix = np.ascontiguousarray(space.matrix, np.float64)
+    library = native.kernels()[0]
+    if library is not None:
+        for column, u in enumerate(order):
+            rows = space.rows(streams[u]).astype(np.int32)
+            library.hyperplane_pass(w[column], d, matrix, rows, lengths[column], alpha0[column])
+    else:
+        total = np.array(lengths[:-1], dtype=np.float64)
+        # Steps lengths[m] <= k < lengths[m - 1] advance the first m users. Their
+        # ids become rows one segment of at most SEGMENT_STEPS steps at a time,
+        # so no row stream is held beyond the segment being trained.
+        for m in range(len(order), 0, -1):
+            w_m = w[:m]
+            for first in range(lengths[m], lengths[m - 1], SEGMENT_STEPS):
+                stop = min(first + SEGMENT_STEPS, lengths[m - 1])
+                segment = np.stack([space.rows(streams[u][first:stop]) for u in order[:m]], axis=1)
+                rates = alpha0[:m] * (1.0 - np.arange(first, stop)[:, None] / total[:m])
+                for pair_rows, rate in zip(segment, rates):
+                    pair = matrix[pair_rows]
+                    diff = np.subtract(pair[:, 1], pair[:, 0], dtype=np.float64)
+                    # g * rate, with g = sigmoid(w.v_a - w.v_b) clamped as hsoftmax.sigmoid clamps
+                    step = rate / (1.0 + np.exp(np.minimum(np.einsum("ij,ij->i", w_m, diff), 500.0)))
+                    w_m += step[:, None] * diff
     models = [None] * len(order)
     for column, u in enumerate(order):
         models[u] = HyperplaneModel(user_ids[u], w[column].copy())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,7 +22,6 @@ from . import native
 from .corpus import Observation, RatingEvent, UserProfile, rating_levels
 from .errors import FormatError, SpaceRankError
 from .hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
-from .parallel import fork_map, shared_copy
 
 PROVENANCES = ("cf", "cb", "vsm")
 
@@ -35,7 +35,7 @@ class EmbeddingSpace:
 
     Spaces produced by train_space additionally carry the trained
     hierarchical-softmax node matrix as `hs_nodes` and the HS path that
-    trained them as `hs_kernel` (see `native.hs_pass`); both are diagnostics,
+    trained them as `hs_kernel` (see `native.kernels`); both are diagnostics,
     not serialized and not part of equality.
     """
 
@@ -132,17 +132,18 @@ def train_space(
     permutation and applies one hierarchical-softmax SGD step per
     observation; the learning rate decays linearly from alpha0 towards zero
     over all iterations x len(observations) steps, floored at alpha0 * 1e-4.
-    The steps run in the compiled kernel of `native.hs_pass` (float32, equal
-    to `hs_train_step` up to summation order), or through `hs_train_step`
-    itself where no kernel can be built.
+    The steps run in the compiled ``hs_pass`` of `native.kernels` (float32,
+    equal to `hs_train_step` up to summation order), or through
+    `hs_train_step` itself where no kernel can be built.
 
     Each pass is cut into `config.workers` contiguous shards of the
-    permutation. One forked worker per shard runs every pass over its shard,
-    with no barrier between passes, updating the item and node matrices in
-    shared memory without locking (Hogwild): races are tolerated and the
-    result is not reproducible. workers=1 trains the single shard
-    in-process and is deterministic. Raises SpaceRankError if training ends
-    with non-finite item vectors (alpha0 too large).
+    permutation. One thread per shard runs every pass over its shard, with
+    no barrier between passes, updating the shared item and node matrices
+    without locking (Hogwild): races are tolerated and the result is not
+    reproducible. workers=1 trains the single shard and is deterministic.
+    The numpy step holds the GIL, so without the kernel more workers only
+    interleave. Raises SpaceRankError if training ends with non-finite
+    item vectors (alpha0 too large).
     """
     observations = list(observations)
     if not observations:
@@ -156,12 +157,12 @@ def train_space(
 
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / d
-    matrix = shared_copy(rng.uniform(-bound, bound, size=(len(item_ids), d)).astype(np.float32))
-    nodes = shared_copy(new_node_matrix(tree, d))
+    matrix = rng.uniform(-bound, bound, size=(len(item_ids), d)).astype(np.float32)
+    nodes = new_node_matrix(tree, d)
 
     obs_tokens = [obs.token for obs in observations]
-    kernel, hs_kernel = native.hs_pass()
-    if kernel is not None:
+    library, hs_kernel = native.kernels()
+    if library is not None:
         token_ids = np.array([vocab.index[t] for t in obs_tokens], dtype=np.int32)
         paths = native.flat_paths(tree)
 
@@ -173,20 +174,21 @@ def train_space(
     shards = list(zip(edges[:-1], edges[1:]))
 
     def train_shard(shard):
-        shard_rng = copy.deepcopy(rng)  # so shards cut the same permutations on any worker
+        shard_rng = copy.deepcopy(rng)  # so shards cut the same permutations on any thread
         grad = np.empty(d, dtype=np.float32)
         for pass_base in range(0, total_steps, n):
             perm = shard_rng.permutation(n)
-            if kernel is not None:
-                kernel(matrix, nodes, d, perm, *shard, obs_rows, token_ids, *paths,
-                       pass_base, total_steps, alpha0, alpha_min, grad)
+            if library is not None:
+                library.hs_pass(matrix, nodes, d, perm, *shard, obs_rows, token_ids, *paths,
+                                pass_base, total_steps, alpha0, alpha_min, grad)
             else:
                 for k in range(*shard):
                     i = perm[k]
                     alpha = max(alpha0 * (1.0 - (pass_base + k) / total_steps), alpha_min)
                     hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
 
-    fork_map(train_shard, shards, config.workers)
+    with ThreadPoolExecutor(config.workers) as pool:
+        list(pool.map(train_shard, shards))  # list() re-raises a shard's exception
 
     if not np.isfinite(matrix).all():
         raise SpaceRankError(f"training diverged to non-finite item vectors at alpha0={alpha0}")
@@ -195,28 +197,20 @@ def train_space(
     return space
 
 
-def build_vsm_space(
-    events: Iterable[RatingEvent],
-    profiles: dict[int, UserProfile],
-    item_ids: Sequence[int] | None = None,
-) -> EmbeddingSpace:
-    """Normalized vector space with one dimension per user.
+def build_vsm_space(events: Iterable[RatingEvent], profiles: dict[int, UserProfile]) -> EmbeddingSpace:
+    """Normalized vector space with one dimension per user, over the rated items.
 
     Each item's coordinate for user u is binarize(rating, u's mean) where u
-    rated the item and 0 elsewhere; nonzero vectors are scaled to unit
-    Euclidean norm. Items that nobody rated stay zero vectors. Pass
-    `item_ids` to include such unrated items explicitly. Unlike trained
-    spaces, the matrix is double precision so the unit norms are exact to
-    working precision.
+    rated the item and 0 elsewhere; vectors are scaled to unit Euclidean
+    norm. Unlike trained spaces, the matrix is double precision so the unit
+    norms are exact to working precision.
     """
     users, items, levels = rating_levels(events, profiles)
     user_axis = np.sort(np.fromiter(profiles, np.int64, len(profiles)))
-    item_ids = np.union1d(items, np.fromiter(() if item_ids is None else item_ids, np.int64))
+    item_ids = np.unique(items)
     matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.float64)
     matrix[np.searchsorted(item_ids, items), np.searchsorted(user_axis, users)] = levels
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    nonzero = norms[:, 0] > 0
-    matrix[nonzero] /= norms[nonzero]
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)  # every row holds a level 1 or 2
     return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
 
 

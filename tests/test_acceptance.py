@@ -10,6 +10,7 @@ train the full-size spaces.
 import os
 import time
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from test_native import kernel_step
 
 
 def native_step():
-    if native.hs_pass()[0] is None:
+    if native.kernels()[0] is None:
         pytest.skip("no C compiler: the kernel path cannot be built")
     return kernel_step
 
@@ -148,7 +149,8 @@ def test_criterion_04_mcnemar_oracle():
     report(4, "McNemar equals brute-force enumeration", "(all tables, n01+n10 <= 16)")
 
 
-def test_criterion_05_ranker_separability():
+def check_ranker_separability():
+    """Criterion 5 on whichever hyperplane path `native.kernels` selects."""
     rng = np.random.default_rng(12)
     d, n_items, n_liked = 20, 100, 12
     matrix = rng.normal(0, 0.4, size=(n_items, d)).astype(np.float32)
@@ -176,7 +178,19 @@ def test_criterion_05_ranker_separability():
     for c in (1e-6, 0.5, 3.0, 1e6):
         scaled = HyperplaneModel(1, c * model.w)
         assert recommend_topk(scaled, space, set(liked), 10) == base
+    return accuracy
+
+
+def test_criterion_05_ranker_separability():
+    with mock.patch.object(native, "kernels", lambda: (None, "numpy")):
+        accuracy = check_ranker_separability()
     report(5, "ranker separability and scale invariance", f"(accuracy {accuracy:.2f})")
+
+
+def test_criterion_05_ranker_separability_native():
+    native_step()  # skips without a compiler
+    accuracy = check_ranker_separability()
+    report(5, "native ranker separability and scale invariance", f"(accuracy {accuracy:.2f})")
 
 
 @pytest.fixture(scope="module")

@@ -324,6 +324,16 @@ class TestEvaluateCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_data_error(self, pipeline, tmp_path, capsys, workers):
+        common = ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
+                  "--workers", workers]
+        space, results = tmp_path / "cf.space", tmp_path / "pop.results"
+        assert main(["train-space", "--mode", "cf", "--dims", "4", *common, "--out", str(space)]) == 2
+        assert main(["evaluate", "--system", "pop", *common, "--out", str(results)]) == 2
+        assert capsys.readouterr().err.count(f"workers must be >= 1, got {workers}") == 2
+        assert not space.exists() and not results.exists()
+
 
 class TestMcnemarCommand:
     def make_results(self, pipeline, tmp_path):

@@ -1,3 +1,5 @@
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -148,8 +150,30 @@ class TestEvaluateSystem:
             return [[len(users), users[0]]] * len(users)
 
         targets = [(u, item) for u in range(1, 36) for item in range(1, 36)]
-        runs = [evaluate_system(provider, targets, k=10, workers=w).records for w in (1, 2)]
-        assert runs[0] == runs[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as it can
+        try:
+            runs = [evaluate_system(provider, targets, k=10, workers=w).records for w in (1, 2, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_two_workers_rank_two_blocks_at_once(self):
+        # Each block waits for the other: blocks ranked one after another would time out.
+        barrier = threading.Barrier(2, timeout=30)
+
+        def provider(users):
+            barrier.wait()
+            return [[1]] * len(users)
+
+        targets = [(user_id, 1) for user_id in range(1, 18)]
+        assert len(user_blocks([u for u, _ in targets])) == 2
+        assert evaluate_system(provider, targets, k=10, workers=2).recall == 1.0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            evaluate_system(lambda users: [[1]] * len(users), [(1, 1)], k=10, workers=workers)
 
     def test_provider_block_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-"""The compiled HS pass against the numpy reference, and how it is built and loaded.
+"""The compiled passes against their numpy references, and how they are built and loaded.
 
-The reference is the Python pass loop over `hs_train_step` that
+The HS reference is the Python pass loop over `hs_train_step` that
 `train_space` runs without a compiler. The kernel sums dot products in
 another order, so it is held to a float32 tolerance: every matrix and node
 entry within 1e-5 of the reference, relative to the largest magnitude in
-that reference array. The fallback must equal the reference bit for bit.
+that reference array. The hyperplane reference is the batched numpy loop
+of `train_hyperplanes`, held to 1e-12 relative. The fallbacks must equal
+their references bit for bit.
 """
 
 import json
@@ -15,6 +17,7 @@ import sys
 import warnings
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,11 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacerank
-from spacerank import native
+from spacerank import cli, native
 from spacerank.cli import main
 from spacerank.corpus import Observation, build_profiles, load_ratings, ratings_to_observations
 from spacerank.hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
-from spacerank.spaces import ALPHA_FLOOR, SpaceTrainConfig, train_space
+from spacerank.ranker import RankerConfig, train_hyperplanes
+from spacerank.spaces import ALPHA_FLOOR, EmbeddingSpace, SpaceTrainConfig, load_space, train_space
 from test_spaces import shared_token_corpus
 
 TOLERANCE = 1e-5
@@ -38,9 +42,9 @@ requires_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compil
 def fresh_loader(tmp_path, monkeypatch):
     """An empty kernel cache directory and no kernel loaded yet in this process."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    native.hs_pass.cache_clear()
+    native.kernels.cache_clear()
     yield tmp_path / "cache" / "spacerank"
-    native.hs_pass.cache_clear()
+    native.kernels.cache_clear()
 
 
 def no_compiler(monkeypatch, tmp_path):
@@ -51,7 +55,7 @@ def no_compiler(monkeypatch, tmp_path):
 
 def kernel_step(v, token, vocab, tree, nodes, alpha):
     """`hs_train_step`'s signature, through the kernel: one observation at rate alpha."""
-    kernel = native.hs_pass()[0]
+    kernel = native.kernels()[0].hs_pass
     zero, token_id = np.zeros(1, np.int64), np.array([vocab.token_id(token)], np.int32)
     grad = np.empty(len(v), np.float32)
     kernel(v[None, :], nodes, len(v), zero, 0, 1, zero, token_id, *native.flat_paths(tree),
@@ -115,7 +119,7 @@ def test_kernel_matches_reference_pass_for_pass(vocab_size, d, n_items, extra, p
     tokens = [o.token for o in observations]
     ids = np.array([vocab.token_id(t) for t in tokens], dtype=np.int32)
     paths = native.flat_paths(tree)
-    kernel = native.hs_pass()[0]
+    kernel = native.kernels()[0].hs_pass
 
     matrix = rng.uniform(-0.5 / d, 0.5 / d, size=(n_items, d)).astype(np.float32)
     nodes = new_node_matrix(tree, d)
@@ -147,8 +151,8 @@ def test_kernel_floors_the_rate_like_the_reference():
     nodes = rng.normal(0, 0.5, size=(tree.internal_count, 4)).astype(np.float32)
     ref_matrix, ref_nodes = matrix.copy(), nodes.copy()
     perm, total, alpha0 = rng.permutation(30), 10**7, 50.0
-    native.hs_pass()[0](matrix, nodes, 4, perm, 0, 30, rows, ids, *native.flat_paths(tree), total - 30,
-                        total, alpha0, alpha0 * ALPHA_FLOOR, np.empty(4, np.float32))
+    native.kernels()[0].hs_pass(matrix, nodes, 4, perm, 0, 30, rows, ids, *native.flat_paths(tree),
+                                total - 30, total, alpha0, alpha0 * ALPHA_FLOOR, np.empty(4, np.float32))
     reference_shard(ref_matrix, ref_nodes, perm, (0, 30), rows, tokens, vocab, tree, total - 30, total, alpha0)
     assert_close(matrix, ref_matrix)
     assert_close(nodes, ref_nodes)
@@ -156,8 +160,8 @@ def test_kernel_floors_the_rate_like_the_reference():
 
 @requires_cc
 def test_native_path_used_when_cc_exists(pipeline):
-    kernel, description = native.hs_pass()
-    assert kernel is not None
+    library, description = native.kernels()
+    assert library is not None
     assert description["compiler"] == shutil.which("cc")
     assert description["flags"] == list(native.FLAGS)
     events = load_ratings(pipeline["ratings"])
@@ -194,14 +198,14 @@ def test_failing_compiler_falls_back(fresh_loader, monkeypatch, tmp_path):
     (bin_dir / "cc").chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
     with pytest.warns(RuntimeWarning, match="CalledProcessError"):
-        assert native.hs_pass() == (None, "numpy")
+        assert native.kernels() == (None, "numpy")
     assert list(fresh_loader.iterdir()) == []
 
 
 def built_library(cache_root: Path, monkeypatch) -> Path:
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache_root))
-    native.hs_pass.cache_clear()
-    assert native.hs_pass()[0] is not None
+    native.kernels.cache_clear()
+    assert native.kernels()[0] is not None
     (library,) = (cache_root / "spacerank").iterdir()
     return library
 
@@ -219,7 +223,7 @@ def test_damaged_cached_library_is_rebuilt(fresh_loader, monkeypatch, tmp_path, 
     else:  # a loadable library, but not one the loader wrote
         damaged.write_bytes(good.read_bytes()[:-32])
     monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_loader.parent))
-    native.hs_pass.cache_clear()
+    native.kernels.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         config = SpaceTrainConfig(8, iterations=5, seed=11)
@@ -236,55 +240,131 @@ def test_unwritable_cache_builds_privately(fresh_loader, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert native.hs_pass()[0] is not None
+        assert native.kernels()[0] is not None
 
 
 def test_kernel_source_ships_with_the_package():
-    source = resources.files("spacerank").joinpath("_hs_pass.c")
+    source = resources.files("spacerank").joinpath("_kernels.c")
     assert source.is_file()
-    assert "void hs_pass(" in source.read_text(encoding="utf-8")
+    text = source.read_text(encoding="utf-8")
+    assert "void hs_pass(" in text and "void hyperplane_pass(" in text
 
 
 def test_other_commands_never_build_or_load_the_kernel(pipeline, tmp_path):
     out, common = tmp_path, ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
-    commands = [
+    never = [
+        ["split", "--ratings", str(pipeline["ratings"]), "--out", str(out / "split")],
         ["train-space", "--mode", "vsm", *common, "--out", str(out / "vsm.space")],
+        ["evaluate", "--system", "pop", *common, "--out", str(out / "pop.results")],
+        ["evaluate", "--system", "knn", *common, "--out", str(out / "knn.results")],
+        ["mcnemar", str(out / "knn.results"), str(out / "pop.results")],
+    ]
+    ranking = [
         ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), *common,
          "--out", str(out / "ds.results")],
-        ["evaluate", "--system", "pop", *common, "--out", str(out / "pop.results")],
-        ["mcnemar", str(out / "ds.results"), str(out / "pop.results")],
+        ["recommend", "--space", str(pipeline["space"]), *common, "--user", "1"],
     ]
     script = (
         "import json, sys\n"
         "from spacerank import native\n"
         "from spacerank.cli import main\n"
-        f"codes = [main(argv) for argv in {commands!r}]\n"
-        "print(json.dumps([codes, 'subprocess' in sys.modules, native.hs_pass.cache_info().currsize]))\n"
+        "def run(commands):\n"
+        "    codes = [main(argv) for argv in commands]\n"
+        "    return [codes, 'subprocess' in sys.modules, native.kernels.cache_info().currsize]\n"
+        f"print(json.dumps([run({never!r}), run({ranking!r})]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(spacerank.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           check=True, timeout=120)
-    codes, imported, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
+    (codes, imported, loaded), (ranking_codes, _, ranking_loaded) = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * 5 and ranking_codes == [0, 0]
     assert not imported and loaded == 0
+    assert ranking_loaded == 1
 
 
-def test_manifest_pins_the_hs_path(fresh_loader, pipeline, monkeypatch, tmp_path):
-    def train(name):
+def test_manifest_pins_the_kernel_path(fresh_loader, pipeline, monkeypatch, tmp_path):
+    common = ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+
+    def run(name, *argv):
         path = tmp_path / name
-        code = main([
-            "train-space", "--mode", "cf", "--ratings", str(pipeline["ratings"]),
-            "--split", str(pipeline["split"]), "--dims", "8", "--iters", "2", "--out", str(path),
-        ])
-        assert code == 0
+        assert main([*argv, *common, "--out", str(path)]) == 0
         return path.read_bytes(), Path(f"{path}.manifest.json").read_bytes()
 
-    first = train("a.space")
-    assert train("b.space") == first
-    native_path = json.loads(first[1])["parameters"]["hs_kernel"]
-    assert native_path == native.hs_pass()[1]
+    def train(name):
+        return run(name, "train-space", "--mode", "cf", "--dims", "8", "--iters", "2")
+
+    def rank(name, system="ds"):
+        return run(name, "evaluate", "--system", system, "--space", str(pipeline["space"]))
+
+    first, ranked = train("a.space"), rank("a.results")
+    assert train("b.space") == first and rank("b.results") == ranked
+    assert json.loads(first[1])["parameters"]["kernel"] == native.kernels()[1]
+    assert json.loads(ranked[1])["parameters"]["kernel"] == native.kernels()[1]
+    assert "kernel" not in json.loads(rank("pop.results", "pop")[1])["parameters"]
     no_compiler(monkeypatch, tmp_path)
-    native.hs_pass.cache_clear()
+    native.kernels.cache_clear()
     with pytest.warns(RuntimeWarning):
         fallback = train("c.space")
-    assert json.loads(fallback[1])["parameters"]["hs_kernel"] == "numpy"
+    assert json.loads(fallback[1])["parameters"]["kernel"] == "numpy"
+    assert json.loads(rank("c.results")[1])["parameters"]["kernel"] == "numpy"
+
+
+def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipeline, monkeypatch, tmp_path):
+    # Without cc the batched numpy loop ranks. On the float64-held space its
+    # results must equal ranking the float32 space as loaded, as before the
+    # space was held in float64.
+    no_compiler(monkeypatch, tmp_path)
+    argv = ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), "--ratings",
+            str(pipeline["ratings"]), "--split", str(pipeline["split"]), "--workers", "2", "--out"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, str(tmp_path / "a.results")]) == 0
+        assert main([*argv, str(tmp_path / "b.results")]) == 0
+
+    def as_loaded(args):
+        args.kernel = native.kernels()[1]
+        return load_space(args.space)
+
+    with mock.patch.object(cli, "_ranking_space", as_loaded):
+        assert main([*argv, str(tmp_path / "float32.results")]) == 0
+    assert [w.category for w in caught] == [RuntimeWarning]
+    results = [(tmp_path / f"{name}.results").read_bytes() for name in ("a", "b", "float32")]
+    assert results[0] == results[1] == results[2]
+
+
+@st.composite
+def hyperplane_blocks(draw):
+    """A random space (float32 or float64, d 1-64) and a few users' streams and configs.
+
+    Item vectors are at most unit length, as in vsm and trained spaces. Far
+    longer ones (alpha0 * |v_b - v_a|^2 >> 1) make every step overshoot, and
+    then any reordering of one dot product grows chaotically: with entries
+    in [-2, 2] at d=45 the numpy loop itself strays 2e-8 from the per-pair
+    oracle of test_ranker.
+    """
+    n_items, d = draw(st.integers(2, 30)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
+    matrix = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
+    space = EmbeddingSpace(d, item_ids, matrix.astype(dtype))
+    lengths = draw(st.lists(st.one_of(st.just(1), st.integers(1, 400)), min_size=1, max_size=5))
+    streams = [rng.choice(item_ids, size=(length, 2)) for length in lengths]
+    configs = [RankerConfig(alpha0=draw(st.floats(0.001, 1.0)), seed=draw(st.integers(0, 2**63)))
+               for _ in lengths]
+    return space, streams, configs
+
+
+@requires_cc
+@given(hyperplane_blocks())
+@settings(max_examples=60, deadline=None)
+def test_hyperplane_kernel_matches_the_numpy_loop(block):
+    space, streams, configs = block
+    user_ids = list(range(len(streams)))
+    assert native.kernels()[0] is not None
+    models = train_hyperplanes(streams, space, configs, user_ids)
+    with mock.patch.object(native, "kernels", lambda: (None, "numpy")):
+        references = train_hyperplanes(streams, space, configs, user_ids)
+    for model, reference in zip(models, references):
+        assert model.user_id == reference.user_id
+        assert np.linalg.norm(model.w - reference.w) <= 1e-12 * np.linalg.norm(reference.w)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacerank import ranker
+from spacerank import native, ranker
 from spacerank.corpus import RatingEvent
 from spacerank.errors import CannotRankError
 from spacerank.hsoftmax import sigmoid
@@ -264,22 +264,30 @@ class TestTrainHyperplanes:
     def test_batched_matches_reference_and_any_block_partition(self, block):
         space, streams, configs, cuts, segment_steps = block
         user_ids = list(range(len(streams)))
-        with mock.patch.object(ranker, "SEGMENT_STEPS", segment_steps):
-            models = train_hyperplanes(streams, space, configs, user_ids)
-        assert [m.user_id for m in models] == user_ids
-        for stream, config, model in zip(streams, configs, models):
-            reference = reference_hyperplane(stream, space, config)
-            assert np.linalg.norm(model.w - reference) <= 1e-12 * np.linalg.norm(reference)
-        bounds = [0, *cuts, len(streams)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            part = train_hyperplanes(streams[lo:hi], space, configs[lo:hi], user_ids[lo:hi])
-            for model, whole in zip(part, models[lo:hi]):
-                assert np.array_equal(model.w, whole.w)
+        for kernels in (native.kernels, lambda: (None, "numpy")):  # the compiled pass, the numpy loop
+            with mock.patch.object(native, "kernels", kernels):
+                with mock.patch.object(ranker, "SEGMENT_STEPS", segment_steps):
+                    models = train_hyperplanes(streams, space, configs, user_ids)
+                assert [m.user_id for m in models] == user_ids
+                for stream, config, model in zip(streams, configs, models):
+                    reference = reference_hyperplane(stream, space, config)
+                    assert np.linalg.norm(model.w - reference) <= 1e-12 * np.linalg.norm(reference)
+                bounds = [0, *cuts, len(streams)]
+                for lo, hi in zip(bounds, bounds[1:]):
+                    part = train_hyperplanes(streams[lo:hi], space, configs[lo:hi], user_ids[lo:hi])
+                    for model, whole in zip(part, models[lo:hi]):
+                        assert np.array_equal(model.w, whole.w)
 
     def test_unknown_item_refused(self):
         space = grid_space(4)
         with pytest.raises(KeyError):
             train_hyperplanes([np.array([[1, 99]])], space, [RankerConfig()], [1])
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3), (2, 2, 2)])
+    def test_misshapen_stream_refused(self, shape):
+        stream = np.ones(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match="shape"):
+            train_hyperplanes([stream], grid_space(4), [RankerConfig()], [1])
 
 
 class TestScoring:
@@ -302,6 +310,19 @@ class TestScoring:
         first = recommend_topk(HyperplaneModel(None, w), space, set(), 30)
         second = recommend_topk(HyperplaneModel(None, 7.5 * w), space, set(), 30)
         assert first == second
+
+    def test_float64_space_is_ranked_without_a_copy(self):
+        # As the CLI holds it: a float32 matrix would be cast to a float64 copy per call.
+        rng = np.random.default_rng(3)
+        space = EmbeddingSpace(500, np.arange(1, 2001), rng.normal(size=(2000, 500)))
+        model = HyperplaneModel(None, rng.normal(size=500))
+        tracemalloc.start()
+        try:
+            recommend_topk(model, space, {1, 2, 3}, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6 < space.matrix.nbytes
 
 
 class TestTopK:
