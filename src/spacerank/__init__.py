@@ -57,7 +57,6 @@ from .hsoftmax import (
 )
 from .ranker import (
     HyperplaneModel,
-    PreferenceTriple,
     RankerConfig,
     build_preferences,
     derive_seed,

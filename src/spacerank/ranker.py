@@ -22,7 +22,7 @@ from .errors import CannotRankError
 from .spaces import EmbeddingSpace
 
 
-# Steps of a block whose item ids become matrix rows at once in
+# Steps of a block whose rows are gathered at once by the numpy loop of
 # train_hyperplanes: bounds the scratch a block needs beyond its streams.
 SEGMENT_STEPS = 1024
 
@@ -61,15 +61,6 @@ class RankerConfig:
 
 
 @dataclass(frozen=True)
-class PreferenceTriple:
-    """An item with the user's preference level: 0 unrated, 1 below her
-    mean, 2 at or above it."""
-
-    item_id: int
-    level: int
-
-
-@dataclass(frozen=True)
 class HyperplaneModel:
     """A user's ranking direction; length matches the space dimensionality."""
 
@@ -81,34 +72,39 @@ def build_preferences(
     user_events: Sequence[RatingEvent],
     space: EmbeddingSpace,
     phi_t: int | str = "all",
-) -> list[PreferenceTriple]:
-    """Preference levels for every item in the space, from one user's ratings.
+) -> np.recarray:
+    """Preference levels for every row of the space, from one user's ratings.
 
-    Ratings on items missing from the space are unusable. The user's mean
-    is taken over all her supplied (training) events; only the phi_t most
-    recently rated usable items keep their rated level, and every other
-    space item becomes level 0.
+    A record array with fields ``row`` (space row) and ``level`` (0 unrated,
+    1 below the user's mean, 2 at or above it). Ratings on items missing from
+    the space are unusable. The user's mean is taken over all their supplied
+    (training) events; only the phi_t most recently rated usable items keep
+    their rated level, oldest first (ties by item id), and every other space
+    row follows, in order, at level 0.
     """
     if not user_events:
         raise CannotRankError("user has no training events")
-    usable = [e for e in user_events if e.item_id in space]
-    if not usable:
+    ids, ratings, times = np.array(
+        [(e.item_id, e.rating, e.timestamp) for e in user_events], dtype=np.int64
+    ).T
+    usable = np.flatnonzero(np.isin(ids, space.item_ids))
+    if not len(usable):
         raise CannotRankError("none of the user's rated items are in the space")
     mean = sum(e.rating for e in user_events) / len(user_events)
-    usable.sort(key=lambda e: (e.timestamp, e.item_id))
-    kept = usable if phi_t == "all" else usable[-int(phi_t):]
-    triples = [PreferenceTriple(e.item_id, binarize(e.rating, mean)) for e in kept]
-    rated_ids = {e.item_id for e in kept}
-    triples.extend(
-        PreferenceTriple(int(item_id), 0)
-        for item_id in space.item_ids
-        if int(item_id) not in rated_ids
-    )
-    return triples
+    kept = usable[np.lexsort((ids[usable], times[usable]))]
+    if phi_t != "all":
+        kept = kept[-int(phi_t):]
+    rated = space.rows(ids[kept])
+    unrated = np.ones(len(space), dtype=bool)
+    unrated[rated] = False
+    rows = np.concatenate([rated, np.flatnonzero(unrated)])
+    levels = np.zeros(len(rows), dtype=np.int8)
+    levels[:len(rated)] = [binarize(r, mean) for r in ratings[kept]]
+    return np.rec.fromarrays([rows, levels], names="row,level")
 
 
 def pair_stream(
-    triples: Sequence[PreferenceTriple],
+    preferences: np.recarray,
     phi_i: int,
     phi_d: float,
     seed: int,
@@ -118,22 +114,20 @@ def pair_stream(
     Each pass emits every differently-leveled pair once, shuffled: pairs of
     two rated items always, pairs of a rated and an unrated item with
     probability 1/phi_d. The concatenation over passes is the SGD stream,
-    a ``(T, 2)`` array of item ids in the narrowest integer dtype that holds
-    them. Candidates are ordered level-1 x level-2 pairs first, then
-    level-0 x (level-1 then level-2) pairs, each in triple order; a pass
-    draws its keep mask, then its permutation. Raises CannotRankError if
-    the stream is empty: no pair is differently leveled, or downsampling
-    dropped every rated-versus-unrated pair of a user whose rated items all
-    share one level.
+    a ``(T, 2)`` array of space rows in the narrowest unsigned dtype that
+    holds them. Candidates are ordered level-1 x level-2 pairs first, then
+    level-0 x (level-1 then level-2) pairs, each in `build_preferences`
+    order; a pass draws its keep mask, then its permutation. Raises
+    CannotRankError if the stream is empty: no pair is differently leveled,
+    or downsampling dropped every rated-versus-unrated pair of a user whose
+    rated items all share one level.
     """
-    levels = np.fromiter((t.level for t in triples), dtype=np.int8, count=len(triples))
-    ids = np.fromiter((t.item_id for t in triples), dtype=np.int64, count=len(triples))
-    lo, hi = ids.min(initial=0), ids.max(initial=0)
-    ids = ids.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
-    unrated, disliked, liked = (ids[levels == v] for v in (0, 1, 2))
+    rows, levels = preferences.row, preferences.level
+    rows = rows.astype(np.min_scalar_type(rows.max(initial=0)))
+    unrated, disliked, liked = (rows[levels == v] for v in (0, 1, 2))
     rated = np.concatenate([disliked, liked])
     n_rated_pairs = len(disliked) * len(liked)
-    candidates = np.empty((n_rated_pairs + len(unrated) * len(rated), 2), dtype=ids.dtype)
+    candidates = np.empty((n_rated_pairs + len(unrated) * len(rated), 2), dtype=rows.dtype)
     candidates[:n_rated_pairs, 0] = np.repeat(disliked, len(liked))
     candidates[:n_rated_pairs, 1] = np.tile(liked, len(disliked))
     candidates[n_rated_pairs:, 0] = np.repeat(unrated, len(rated))
@@ -160,14 +154,15 @@ def train_hyperplanes(
     configs: Sequence[RankerConfig],
     user_ids: Sequence[int | None],
 ) -> list[HyperplaneModel]:
-    """Fit each user's direction vector over their pair stream.
+    """Fit each user's direction vector over their stream of space-row pairs.
 
     User u starts from a small random w drawn from their `config.seed` and,
-    for their k-th pair (a, b), applies w += g * alpha * (v_b - v_a) with
-    g = sigmoid(w.v_a - w.v_b); the learning rate decays linearly from
+    for their k-th pair of rows (a, b), applies w += g * alpha * (v_b - v_a)
+    with g = sigmoid(w.v_a - w.v_b); the learning rate decays linearly from
     alpha0 to 0 over the user's own stream of T_u pairs. A user's w depends
     only on their own stream and config, never on the others, and matches
-    the one-pair-at-a-time loop to rounding.
+    the one-pair-at-a-time loop to rounding. A stream that is not integer,
+    or holds a row outside the space, raises ValueError before any training.
 
     The compiled ``hyperplane_pass`` of `native.kernels` fits one user per
     call. Without it, one numpy loop over k advances every user whose
@@ -175,10 +170,16 @@ def train_hyperplanes(
     first, so those still training are a prefix. Both read the space as
     float64, which is free for a space already held so.
     """
+    streams = [np.asarray(stream) for stream in streams]
     if any(len(stream) == 0 for stream in streams):
         raise CannotRankError("empty pair stream")
-    if any(np.shape(stream)[1:] != (2,) for stream in streams):  # the kernel reads 2 ids per pair
-        raise ValueError("a pair stream must have shape (T, 2)")
+    for stream in streams:
+        if stream.shape[1:] != (2,):  # the kernel reads 2 rows per pair
+            raise ValueError("a pair stream must have shape (T, 2)")
+        if not np.issubdtype(stream.dtype, np.integer):
+            raise ValueError(f"a pair stream must hold integer rows, not {stream.dtype}")
+        if stream.min() < 0 or stream.max() >= len(space):
+            raise ValueError(f"a pair stream holds a row outside the space's {len(space)} rows")
     order = sorted(range(len(streams)), key=lambda u: -len(streams[u]))
     lengths = [len(streams[u]) for u in order] + [0]
     d = space.dimensions
@@ -190,18 +191,17 @@ def train_hyperplanes(
     library = native.kernels()[0]
     if library is not None:
         for column, u in enumerate(order):
-            rows = space.rows(streams[u]).astype(np.int32)
+            rows = np.ascontiguousarray(streams[u], np.int32)
             library.hyperplane_pass(w[column], d, matrix, rows, lengths[column], alpha0[column])
     else:
         total = np.array(lengths[:-1], dtype=np.float64)
-        # Steps lengths[m] <= k < lengths[m - 1] advance the first m users. Their
-        # ids become rows one segment of at most SEGMENT_STEPS steps at a time,
-        # so no row stream is held beyond the segment being trained.
+        # Steps lengths[m] <= k < lengths[m - 1] advance the first m users,
+        # one segment of at most SEGMENT_STEPS steps at a time.
         for m in range(len(order), 0, -1):
             w_m = w[:m]
             for first in range(lengths[m], lengths[m - 1], SEGMENT_STEPS):
                 stop = min(first + SEGMENT_STEPS, lengths[m - 1])
-                segment = np.stack([space.rows(streams[u][first:stop]) for u in order[:m]], axis=1)
+                segment = np.stack([streams[u][first:stop] for u in order[:m]], axis=1)
                 rates = alpha0[:m] * (1.0 - np.arange(first, stop)[:, None] / total[:m])
                 for pair_rows, rate in zip(segment, rates):
                     pair = matrix[pair_rows]

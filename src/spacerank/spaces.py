@@ -67,10 +67,6 @@ class EmbeddingSpace:
     def __len__(self) -> int:
         return len(self.item_ids)
 
-    def __contains__(self, item_id: int) -> bool:
-        at = np.searchsorted(self._sorted_ids, item_id)
-        return bool(at < len(self) and self._sorted_ids[at] == item_id)
-
     def row(self, item_id: int) -> int:
         return int(self.rows(item_id))
 

@@ -334,7 +334,7 @@ def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipelin
 
 @st.composite
 def hyperplane_blocks(draw):
-    """A random space (float32 or float64, d 1-64) and a few users' streams and configs.
+    """A random space (float32 or float64, d 1-64) and a few users' row streams and configs.
 
     Item vectors are at most unit length, as in vsm and trained spaces. Far
     longer ones (alpha0 * |v_b - v_a|^2 >> 1) make every step overshoot, and
@@ -349,7 +349,7 @@ def hyperplane_blocks(draw):
     matrix = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
     space = EmbeddingSpace(d, item_ids, matrix.astype(dtype))
     lengths = draw(st.lists(st.one_of(st.just(1), st.integers(1, 400)), min_size=1, max_size=5))
-    streams = [rng.choice(item_ids, size=(length, 2)) for length in lengths]
+    streams = [rng.integers(n_items, size=(length, 2)) for length in lengths]
     configs = [RankerConfig(alpha0=draw(st.floats(0.001, 1.0)), seed=draw(st.integers(0, 2**63)))
                for _ in lengths]
     return space, streams, configs

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacerank import native, ranker
-from spacerank.corpus import RatingEvent
+from spacerank.corpus import RatingEvent, binarize
 from spacerank.errors import CannotRankError
 from spacerank.hsoftmax import sigmoid
 from spacerank.ranker import (
@@ -42,46 +42,85 @@ def separable_space(n_items=100, d=20, n_liked=10, seed=0):
     return EmbeddingSpace(d, list(range(1, n_items + 1)), matrix)
 
 
+def reference_preferences(user_events, space, phi_t):
+    """The per-event object loop, one (item id, level) per space item: the oracle."""
+    if not user_events:
+        raise CannotRankError("user has no training events")
+    in_space = set(space.item_ids.tolist())
+    usable = [e for e in user_events if e.item_id in in_space]
+    if not usable:
+        raise CannotRankError("none of the user's rated items are in the space")
+    mean = sum(e.rating for e in user_events) / len(user_events)
+    usable.sort(key=lambda e: (e.timestamp, e.item_id))
+    kept = usable if phi_t == "all" else usable[-int(phi_t):]
+    preferences = [(e.item_id, binarize(e.rating, mean)) for e in kept]
+    rated_ids = {e.item_id for e in kept}
+    preferences.extend((int(i), 0) for i in space.item_ids if int(i) not in rated_ids)
+    return preferences
+
+
 def reference_hyperplane(pairs, space, config):
-    """The per-pair SGD loop, one interpreted step per pair: the oracle."""
+    """The per-pair SGD loop over row pairs, one interpreted step per pair: the oracle."""
     d = space.dimensions
-    rows_a = [space.row(int(a)) for a, _ in pairs]
-    rows_b = [space.row(int(b)) for _, b in pairs]
     w = np.random.default_rng(config.seed).uniform(-0.5 / d, 0.5 / d, size=d)
     total = len(pairs)
     for k in range(total):
-        va = space.matrix[rows_a[k]]
-        vb = space.matrix[rows_b[k]]
+        va = space.matrix[int(pairs[k][0])]
+        vb = space.matrix[int(pairs[k][1])]
         g = sigmoid(float(w @ va - w @ vb))
         step = g * config.alpha0 * (1.0 - k / total)
         w += step * (vb.astype(np.float64) - va)
     return w
 
 
+@st.composite
+def preference_cases(draw):
+    """One user's events over a space with unsorted ids; some rated items are
+    missing from it, timestamps tie, and any event may be unusable."""
+    n_items = draw(st.integers(1, 30))
+    item_ids = draw(st.lists(st.integers(1, 60), min_size=n_items, max_size=n_items, unique=True))
+    space = EmbeddingSpace(1, item_ids, np.zeros((n_items, 1)))
+    event = st.builds(RatingEvent, st.just(1), st.integers(1, 70), st.integers(1, 5), st.integers(0, 6))
+    events = draw(st.lists(event, max_size=40))
+    return events, space, draw(st.one_of(st.just("all"), st.integers(1, 12)))
+
+
 class TestBuildPreferences:
+    @settings(max_examples=200, deadline=None)
+    @given(preference_cases())
+    def test_matches_object_loop(self, case):
+        events, space, phi_t = case
+        try:
+            expected = reference_preferences(events, space, phi_t)
+        except CannotRankError as refused:
+            with pytest.raises(CannotRankError, match=str(refused)):
+                build_preferences(events, space, phi_t)
+            return
+        prefs = build_preferences(events, space, phi_t)
+        assert list(zip(space.item_ids[prefs.row].tolist(), prefs.level.tolist())) == expected
+
     def test_recency_trim(self):
         space = grid_space(20)
         events = [RatingEvent(1, i, 5 if i % 2 else 2, 100 + i) for i in range(1, 9)]
-        triples = build_preferences(events, space, phi_t=5)
-        rated = [t for t in triples if t.level > 0]
-        assert [t.item_id for t in rated] == [4, 5, 6, 7, 8]
-        assert sum(1 for t in triples if t.level == 0) == 20 - 5
-        assert len(triples) == 20
+        prefs = build_preferences(events, space, phi_t=5)
+        assert space.item_ids[prefs.row[prefs.level > 0]].tolist() == [4, 5, 6, 7, 8]
+        assert np.count_nonzero(prefs.level == 0) == 20 - 5
+        assert sorted(prefs.row) == list(range(20))
 
     def test_phi_t_all(self):
         space = grid_space(10)
         events = [RatingEvent(1, i, 4, i) for i in range(1, 4)]
-        triples = build_preferences(events, space, phi_t="all")
-        assert sum(1 for t in triples if t.level > 0) == 3
+        prefs = build_preferences(events, space, phi_t="all")
+        assert np.count_nonzero(prefs.level > 0) == 3
 
     def test_levels_binarized_against_train_mean(self):
         space = grid_space(10)
         # mean 3.4: the 3s go to level 1, the 4s to level 2
         ratings = (3, 4, 3, 4, 3)
         events = [RatingEvent(1, i + 1, r, i) for i, r in enumerate(ratings)]
-        triples = build_preferences(events, space, phi_t="all")
-        levels = {t.item_id: t.level for t in triples if t.level > 0}
-        assert levels == {1: 1, 2: 2, 3: 1, 4: 2, 5: 1}
+        prefs = build_preferences(events, space, phi_t="all")
+        rated = prefs[prefs.level > 0]
+        assert dict(zip(space.item_ids[rated.row].tolist(), rated.level.tolist())) == {1: 1, 2: 2, 3: 1, 4: 2, 5: 1}
 
     def test_items_missing_from_space_unusable(self):
         space = grid_space(5)
@@ -95,70 +134,71 @@ class TestBuildPreferences:
 
 
 class TestPairStream:
-    def triples(self, n_unrated=4):
-        prefs = build_preferences(
+    def prefs(self, n_unrated=4):
+        # items 1 (disliked) and 2 (liked) are rows 0 and 1
+        return build_preferences(
             [RatingEvent(1, 1, 2, 0), RatingEvent(1, 2, 5, 1)],
             grid_space(n_unrated + 2),
             phi_t="all",
         )
-        return prefs
 
     def test_orientation_lower_level_first(self):
-        triples = self.triples()
-        levels = {t.item_id: t.level for t in triples}
-        for a, b in pair_stream(triples, phi_i=5, phi_d=2.0, seed=0):
+        prefs = self.prefs()
+        levels = dict(zip(prefs.row.tolist(), prefs.level.tolist()))
+        for a, b in pair_stream(prefs, phi_i=5, phi_d=2.0, seed=0):
             assert levels[a] < levels[b]
 
     def test_no_downsampling_keeps_every_pair_every_iteration(self):
-        triples = self.triples(n_unrated=4)
-        stream = pair_stream(triples, phi_i=3, phi_d=1.0, seed=0)
+        prefs = self.prefs(n_unrated=4)
+        stream = pair_stream(prefs, phi_i=3, phi_d=1.0, seed=0)
         # 1 rated-rated pair + 4 unrated x 2 rated pairs, all in all 3 passes
         assert len(stream) == 3 * (1 + 8)
 
     def test_rated_pair_in_every_iteration(self):
-        triples = self.triples()
-        stream = pair_stream(triples, phi_i=10, phi_d=1e9, seed=0)
-        assert np.all(stream == (1, 2), axis=1).sum() == 10
+        prefs = self.prefs()
+        stream = pair_stream(prefs, phi_i=10, phi_d=1e9, seed=0)
+        assert np.all(stream == (0, 1), axis=1).sum() == 10
 
     def test_downsampling_expectation(self):
-        triples = self.triples(n_unrated=100)
+        prefs = self.prefs(n_unrated=100)
         total = 0
         for seed in range(30):
-            stream = pair_stream(triples, phi_i=10, phi_d=10.0, seed=seed)
-            total += sum(1 for a, b in stream if a != 1 or b != 2) - 10 * 0
+            stream = pair_stream(prefs, phi_i=10, phi_d=10.0, seed=seed)
+            total += sum(1 for a, b in stream if a != 0 or b != 1) - 10 * 0
         # 200 rated-unrated pairs x phi_i/phi_d = 1 expected use each
         mean_uses = (total - 30 * 10) / (30 * 200)
         assert 0.85 < mean_uses < 1.15
 
     def test_no_pairs_cannot_rank(self):
         space = grid_space(2)
-        triples = build_preferences(
+        prefs = build_preferences(
             [RatingEvent(1, 1, 5, 0), RatingEvent(1, 2, 5, 1)], space, phi_t="all"
         )
         # both rated items binarize to 2 and no unrated items remain
         with pytest.raises(CannotRankError):
-            pair_stream(triples, phi_i=2, phi_d=1.0, seed=0)
-        triples = build_preferences(
+            pair_stream(prefs, phi_i=2, phi_d=1.0, seed=0)
+        prefs = build_preferences(
             [RatingEvent(1, 1, 5, 0), RatingEvent(1, 2, 5, 1)], grid_space(6), phi_t="all"
         )
         # one rated level: only rated-unrated candidates, and phi_d=1e9 drops them all
         with pytest.raises(CannotRankError):
-            pair_stream(triples, phi_i=3, phi_d=1e9, seed=0)
+            pair_stream(prefs, phi_i=3, phi_d=1e9, seed=0)
 
     def test_stream_is_golden(self):
-        # sha256 of the int64 pairs, recorded when the stream was a list of tuples
+        # sha256 of the pairs' int64 item ids, recorded when the stream was a list of id tuples
         rng = np.random.default_rng(0)
         space = EmbeddingSpace(2, list(range(1, 41)), rng.normal(size=(40, 2)).astype(np.float32))
         events = [RatingEvent(1, i, 1 + (i * 7) % 5, 100 - i) for i in range(1, 13)]
-        triples = build_preferences(events, space, phi_t="all")
+        prefs = build_preferences(events, space, phi_t="all")
         golden = {
             3.0: (573, "1d04be81f7ea14badd1433859e26d403f43acca75922a2834c5bde7eb79204f2"),
             1.0: (1484, "56df49ad35e0202d59af4e1ad5b303bbe30ad07edbebcec6f3795370bd1f3a37"),
         }
         for phi_d, (count, digest) in golden.items():
-            stream = pair_stream(triples, phi_i=4, phi_d=phi_d, seed=2024)
-            assert stream.shape == (count, 2)
-            assert hashlib.sha256(stream.astype(np.int64).tobytes()).hexdigest() == digest
+            stream = pair_stream(prefs, phi_i=4, phi_d=phi_d, seed=2024)
+            assert stream.shape == (count, 2) and stream.dtype == np.uint8
+            item_ids = space.item_ids[stream].astype(np.int64)
+            assert hashlib.sha256(item_ids.tobytes()).hexdigest() == digest
 
     def test_heavy_user_stream_is_one_compact_array(self):
         # 1000 ratings at phi_t=all on 1500 items: 1.5M pairs at phi_i=2
@@ -166,11 +206,11 @@ class TestPairStream:
         space = EmbeddingSpace(1, np.arange(1, 1501), np.zeros((1500, 1), dtype=np.float32))
         events = [RatingEvent(1, int(i), int(r), t) for t, (i, r) in
                   enumerate(zip(rng.permutation(np.arange(1, 1501))[:1000], rng.integers(1, 6, 1000)))]
-        triples = build_preferences(events, space, phi_t="all")
-        l0, l1, l2 = (sum(1 for t in triples if t.level == v) for v in (0, 1, 2))
+        prefs = build_preferences(events, space, phi_t="all")
+        l0, l1, l2 = (np.count_nonzero(prefs.level == v) for v in (0, 1, 2))
         tracemalloc.start()
         try:
-            stream = pair_stream(triples, phi_i=2, phi_d=1.0, seed=0)
+            stream = pair_stream(prefs, phi_i=2, phi_d=1.0, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -179,9 +219,9 @@ class TestPairStream:
         assert peak < 3 * stream.nbytes
 
     def test_seeded_determinism(self):
-        triples = self.triples(n_unrated=30)
-        a = pair_stream(triples, phi_i=4, phi_d=3.0, seed=9)
-        b = pair_stream(triples, phi_i=4, phi_d=3.0, seed=9)
+        prefs = self.prefs(n_unrated=30)
+        a = pair_stream(prefs, phi_i=4, phi_d=3.0, seed=9)
+        b = pair_stream(prefs, phi_i=4, phi_d=3.0, seed=9)
         assert np.array_equal(a, b)
 
 
@@ -190,7 +230,7 @@ class TestTrainHyperplane:
         matrix = np.ones((2, 3), dtype=np.float32)
         space = EmbeddingSpace(3, [1, 2], matrix)
         config = RankerConfig(seed=5)
-        model = train_hyperplane([(1, 2)] * 50, space, config)
+        model = train_hyperplane([(0, 1)] * 50, space, config)
         rng = np.random.default_rng(5)
         init = rng.uniform(-0.5 / 3, 0.5 / 3, size=3)
         np.testing.assert_array_equal(model.w, init)
@@ -199,8 +239,8 @@ class TestTrainHyperplane:
         matrix = np.array([[0.0, 1.0], [0.0, 0.9], [1.0, 0.0], [0.9, 0.0]], dtype=np.float32)
         space = EmbeddingSpace(2, [1, 2, 3, 4], matrix)
         events = [RatingEvent(1, 1, 5, 0), RatingEvent(1, 2, 5, 1)]
-        triples = build_preferences(events, space, phi_t="all")
-        pairs = pair_stream(triples, phi_i=50, phi_d=1.0, seed=1)
+        prefs = build_preferences(events, space, phi_t="all")
+        pairs = pair_stream(prefs, phi_i=50, phi_d=1.0, seed=1)
         model = train_hyperplane(pairs, space, RankerConfig(phi_i=50, phi_d=1.0, seed=1))
         scores = score_items(model, space)
         assert min(scores[1], scores[2]) > max(scores[3], scores[4])
@@ -209,8 +249,8 @@ class TestTrainHyperplane:
         space = separable_space()
         liked = list(range(1, 11))
         events = [RatingEvent(7, i, 5, i) for i in liked]
-        triples = build_preferences(events, space, phi_t="all")
-        pairs = pair_stream(triples, phi_i=50, phi_d=1.0, seed=3)
+        prefs = build_preferences(events, space, phi_t="all")
+        pairs = pair_stream(prefs, phi_i=50, phi_d=1.0, seed=3)
         model = train_hyperplane(pairs, space, RankerConfig(phi_i=50, phi_d=1.0, seed=3), user_id=7)
         scores = score_items(model, space)
         correct = sum(
@@ -242,14 +282,14 @@ class TestTrainHyperplane:
 
 @st.composite
 def ranker_blocks(draw):
-    """A random small space and a few users' random pair streams and configs."""
+    """A random small space and a few users' random row-pair streams and configs."""
     n_items = draw(st.integers(2, 25))
     d = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
     space = EmbeddingSpace(d, item_ids, rng.uniform(-2, 2, size=(n_items, d)).astype(np.float32))
     users = draw(st.integers(1, 7))
-    streams = [rng.choice(item_ids, size=(int(rng.integers(1, 150)), 2)) for _ in range(users)]
+    streams = [rng.integers(n_items, size=(int(rng.integers(1, 150)), 2)) for _ in range(users)]
     configs = [
         RankerConfig(alpha0=draw(st.sampled_from([0.001, 0.025, 0.3, 1.0])), seed=draw(st.integers(0, 2**63)))
         for _ in range(users)
@@ -278,10 +318,30 @@ class TestTrainHyperplanes:
                     for model, whole in zip(part, models[lo:hi]):
                         assert np.array_equal(model.w, whole.w)
 
-    def test_unknown_item_refused(self):
-        space = grid_space(4)
-        with pytest.raises(KeyError):
-            train_hyperplanes([np.array([[1, 99]])], space, [RankerConfig()], [1])
+    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0]]), np.array([[2, -1]]), np.array([[4, 0]])],
+                             ids=["float", "negative", "past-end"])
+    def test_bad_row_stream_refused_before_training(self, bad):
+        good = np.array([[0, 3]], dtype=np.uint8)
+        library = mock.Mock()
+        for kernels in (lambda: (library, "kernel"), lambda: (None, "numpy")):
+            with mock.patch.object(native, "kernels", kernels):
+                with pytest.raises(ValueError, match="row"):
+                    train_hyperplanes([good, bad], grid_space(4), [RankerConfig()] * 2, [1, 2])
+        library.hyperplane_pass.assert_not_called()
+
+    def test_kernel_path_copies_the_stream_once(self):
+        if native.kernels()[0] is None:
+            pytest.skip("no compiled kernel")
+        rng = np.random.default_rng(6)
+        space = EmbeddingSpace(4, np.arange(50), rng.normal(size=(50, 4)))  # float64, as the CLI holds it
+        stream = rng.integers(50, size=(200_000, 2)).astype(np.uint16)  # as pair_stream emits it
+        tracemalloc.start()
+        try:
+            train_hyperplanes([stream], space, [RankerConfig()], [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(stream) + 64 * 1024  # one int32 copy of the stream
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3), (2, 2, 2)])
     def test_misshapen_stream_refused(self, shape):
