@@ -65,7 +65,6 @@ from .ranker import (
     score_items,
     top_k,
     train_hyperplane,
-    train_hyperplanes,
 )
 from .spaces import (
     EmbeddingSpace,

@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,33 +43,9 @@ from .ranker import (
     recommend_topk,
     score_items,
     train_hyperplane,
-    train_hyperplanes,
 )
 from .spaces import SpaceTrainConfig, build_vsm_space, load_space, save_space, train_space
 from .splits import build_split, load_split, mark_counts, save_split, test_targets
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every output artifact."""
-
-    command: str
-    parameters: dict
-    inputs: dict  # path -> sha256 hex digest
-    seed: int | None
-    version: str = field(default=__version__)
-
-    def write(self, artifact_path) -> Path:
-        path = Path(f"{artifact_path}.manifest.json")
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "version": self.version,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
 
 
 def _digest(path) -> str:
@@ -85,14 +60,19 @@ def _digests(*paths) -> dict[str, str]:
     return {str(p): _digest(p) for p in paths}
 
 
-def _manifest(command: str, args: argparse.Namespace, inputs: dict, skip=("out", "func", "command")) -> RunManifest:
-    params = {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
-    return RunManifest(
-        command=command,
-        parameters=params,
-        inputs=inputs,
-        seed=getattr(args, "seed", None),
-    )
+def _write_manifest(command: str, args: argparse.Namespace, inputs: dict, artifact_path) -> None:
+    """Write ``<artifact_path>.manifest.json``: the command, every resolved
+    parameter, the input sha256 digests (path -> hex), the seed and the version."""
+    skip = ("out", "func", "command")
+    payload = {
+        "command": command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in skip and not callable(v)},
+        "inputs": inputs,
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    Path(f"{artifact_path}.manifest.json").write_text(text, encoding="utf-8")
 
 
 def _warn(message: str) -> None:
@@ -121,7 +101,7 @@ def cmd_split(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "split.tsv"
     save_split(split, out_path)
-    _manifest("split", args, _digests(args.ratings)).write(out_path)
+    _write_manifest("split", args, _digests(args.ratings), out_path)
     print(
         f"{len(events)} events -> {len(split.train)} train, "
         f"{len(split.validation)} validation, {len(split.test)} test -> {out_path}"
@@ -168,10 +148,10 @@ def cmd_train_space(args) -> int:
             workers=args.workers,
         )
         space = train_space(observations, config, provenance=args.mode)
-        args.iters, args.kernel = iterations, space.hs_kernel
+        args.iters, args.kernel = iterations, native.kernels()[1]
 
     save_space(space, args.out)
-    _manifest("train-space", args, _digests(*inputs)).write(args.out)
+    _write_manifest("train-space", args, _digests(*inputs), args.out)
     print(f"{args.mode} space: {len(space)} items x {space.dimensions} dims -> {args.out}")
     return 0
 
@@ -183,24 +163,16 @@ def _ranker_config(args, user_id) -> RankerConfig:
     )
 
 
-def _user_ranker_topk(space, users, events_by_user, rated_by_user, args):
-    """Top-k lists for a block of users whose hyperplanes train together.
-
-    A user that cannot be ranked (no usable ratings, no pairs) gets None.
-    """
-    streams, configs, ranked = [], [], []
-    for user_id in users:
-        config = _ranker_config(args, user_id)
-        try:
-            triples = build_preferences(events_by_user.get(user_id, ()), space, config.phi_t)
-            streams.append(pair_stream(triples, config.phi_i, config.phi_d, config.seed))
-        except CannotRankError:
-            continue
-        configs.append(config)
-        ranked.append(user_id)
-    models = train_hyperplanes(streams, space, configs, ranked)
-    tops = {m.user_id: recommend_topk(m, space, rated_by_user[m.user_id], args.k) for m in models}
-    return [tops.get(user_id) for user_id in users]
+def _user_ranker_topk(space, user_id, events_by_user, rated_by_user, args):
+    """One user's top-k list, or None if they cannot be ranked (no usable ratings, no pairs)."""
+    config = _ranker_config(args, user_id)
+    try:
+        preferences = build_preferences(events_by_user[user_id], space, config.phi_t)
+        stream = pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
+        model = train_hyperplane(stream, space, config, user_id)
+    except CannotRankError:
+        return None
+    return recommend_topk(model, space, rated_by_user[user_id], args.k)
 
 
 def _ranking_space(args):
@@ -254,28 +226,27 @@ def cmd_evaluate(args) -> int:
         space = _ranking_space(args)
         inputs.update(_digests(args.space))
 
-        def provider(users):
-            return _user_ranker_topk(space, users, events_by_user, rated_by_user, args)
+        def topk(user_id):
+            return _user_ranker_topk(space, user_id, events_by_user, rated_by_user, args)
 
-    else:
-        if args.system == "pop":
-            model = build_popularity(training)
+    elif args.system == "pop":
+        model = build_popularity(training)
 
-            def topk(user_id):
-                return popularity_topk(model, rated_by_user[user_id], args.k)
+        def topk(user_id):
+            return popularity_topk(model, rated_by_user[user_id], args.k)
 
-        else:  # knn
-            model = KnnModel(training, build_profiles(training), args.k_neighbors)
+    else:  # knn
+        model = KnnModel(training, build_profiles(training), args.k_neighbors)
 
-            def topk(user_id):
-                return knn_topk(model, user_id, rated_by_user[user_id], args.k)
+        def topk(user_id):
+            return knn_topk(model, user_id, rated_by_user[user_id], args.k)
 
-        def provider(users):
-            return [topk(u) if u in rated_by_user else None for u in users]
+    def provider(user_id):  # a user without training ratings cannot be ranked
+        return topk(user_id) if user_id in rated_by_user else None
 
     result = evaluate_system(provider, targets, k=args.k, workers=args.workers)
     save_results(result.records, args.out, k=args.k)
-    _manifest("evaluate", args, inputs).write(args.out)
+    _write_manifest("evaluate", args, inputs, args.out)
     print(
         f"{args.system}: recall@{args.k} = {result.recall:.4f} "
         f"over {len(result.records)} targets ({len(result.skipped)} skipped) -> {args.out}"

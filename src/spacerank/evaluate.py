@@ -16,12 +16,6 @@ from typing import Callable, Sequence
 from .errors import FormatError, UndefinedTestError
 
 Target = tuple[int, int]
-# Users, ascending, to their top-k lists (None: cannot rank), one block at a time.
-BlockProvider = Callable[[Sequence[int]], Sequence["Sequence[int] | None"]]
-
-# Users per block handed to a provider: enough for one batched ranker step
-# to advance many users, few enough to keep a block's pair streams small.
-BLOCK_USERS = 16
 
 
 @dataclass(frozen=True)
@@ -58,41 +52,30 @@ def recall_at_k(hits: Sequence[HitRecord]) -> float:
     return sum(1 for h in hits if h.hit) / len(hits)
 
 
-def user_blocks(users: Sequence[int]) -> list[Sequence[int]]:
-    """`users`, in order, cut into the fewest blocks of at most BLOCK_USERS, sized evenly."""
-    n, count = len(users), -(-len(users) // BLOCK_USERS)
-    return [users[n * i // count : n * (i + 1) // count] for i in range(count)]
-
-
 def evaluate_system(
-    topk_for_users: BlockProvider,
+    topk_for_user: Callable[[int], Sequence[int] | None],
     targets: Sequence[Target],
     k: int = 10,
     workers: int = 1,
 ) -> EvalResult:
     """Run one system over the evaluation targets.
 
-    `topk_for_users` takes a block of users and returns, per user, the
-    top-k item list, or None for a user it cannot rank (no training
-    ratings, nothing usable in the space). The users, ascending, are cut
-    into `user_blocks`, and each block is ranked once, on up to `workers`
-    threads; blocks run in parallel only while the provider releases the
-    GIL, as the compiled ranker pass does. Blocks do not depend on the
-    worker count, and neither do the results. A user's top-k list is
-    reused across their targets; an unranked user's targets are skipped
-    and reported rather than counted as misses.
+    `topk_for_user` takes one user and returns their top-k item list, or
+    None for a user it cannot rank (no training ratings, nothing usable in
+    the space). It is called once per user, for the users in ascending
+    order, on up to `workers` threads; users are ranked in parallel only
+    while the provider releases the GIL, as the compiled ranker pass does.
+    A user's list depends on the user alone, so the results do not depend
+    on the worker count. The list is reused across the user's targets; an
+    unranked user's targets are skipped and reported rather than counted
+    as misses.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    blocks = user_blocks(sorted({user_id for user_id, _ in targets}))
+    users = sorted({user_id for user_id, _ in targets})
     with ThreadPoolExecutor(workers) as pool:
-        ranked = list(pool.map(topk_for_users, blocks))
-    tops: dict[int, list[int] | None] = {}
-    for block, block_tops in zip(blocks, ranked, strict=True):
-        if len(block_tops) != len(block):
-            raise ValueError(f"provider returned {len(block_tops)} lists for {len(block)} users")
-        for user_id, top in zip(block, block_tops):
-            tops[user_id] = None if top is None else list(top)[:k]
+        ranked = pool.map(topk_for_user, users)
+        tops = {u: None if top is None else list(top)[:k] for u, top in zip(users, ranked)}
     records: list[HitRecord] = []
     skipped: list[Target] = []
     for user_id, item_id in targets:

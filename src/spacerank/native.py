@@ -5,7 +5,7 @@ The system ``cc`` builds them once into ``$XDG_CACHE_HOME/spacerank`` (default
 command, written whole with ``os.replace`` and ending in the sha256 of its
 own bytes, so a damaged file is rebuilt rather than loaded. If that
 directory cannot be written it is built privately for this process. Only
-`train_space` and `train_hyperplanes` call the passes: split, vsm, pop,
+`train_space` and `train_hyperplane` call the passes: split, vsm, pop,
 knn and mcnemar never compile or load them. ctypes releases the GIL for
 each call, so the passes run in parallel on threads.
 """
@@ -69,7 +69,7 @@ def kernels():
     The library's ``hs_pass`` and ``hyperplane_pass`` are the passes. The
     description names the compiler, the flags and the source digest.
     Without a library the numpy references run: `hsoftmax.hs_train_step`
-    and the batched loop of `ranker.train_hyperplanes`. Call it once before
+    and the per-pair loop of `ranker.train_hyperplane`. Call it once before
     starting threads: the cache is not a lock.
     """
     source = resources.files(__package__).joinpath("_kernels.c").read_bytes()

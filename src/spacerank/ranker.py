@@ -11,6 +11,7 @@ well-ordered ones. Item vectors are never modified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,11 +21,6 @@ from . import native
 from .corpus import RatingEvent, binarize
 from .errors import CannotRankError
 from .spaces import EmbeddingSpace
-
-
-# Steps of a block whose rows are gathered at once by the numpy loop of
-# train_hyperplanes: bounds the scratch a block needs beyond its streams.
-SEGMENT_STEPS = 1024
 
 
 def derive_seed(seed: int, user_id: int) -> int:
@@ -148,81 +144,47 @@ def pair_stream(
     return stream
 
 
-def train_hyperplanes(
-    streams: Sequence[np.ndarray],
-    space: EmbeddingSpace,
-    configs: Sequence[RankerConfig],
-    user_ids: Sequence[int | None],
-) -> list[HyperplaneModel]:
-    """Fit each user's direction vector over their stream of space-row pairs.
-
-    User u starts from a small random w drawn from their `config.seed` and,
-    for their k-th pair of rows (a, b), applies w += g * alpha * (v_b - v_a)
-    with g = sigmoid(w.v_a - w.v_b); the learning rate decays linearly from
-    alpha0 to 0 over the user's own stream of T_u pairs. A user's w depends
-    only on their own stream and config, never on the others, and matches
-    the one-pair-at-a-time loop to rounding. A stream that is not integer,
-    or holds a row outside the space, raises ValueError before any training.
-
-    The compiled ``hyperplane_pass`` of `native.kernels` fits one user per
-    call. Without it, one numpy loop over k advances every user whose
-    stream is that long: users are ordered by stream length, longest
-    first, so those still training are a prefix. Both read the space as
-    float64, which is free for a space already held so.
-    """
-    streams = [np.asarray(stream) for stream in streams]
-    if any(len(stream) == 0 for stream in streams):
-        raise CannotRankError("empty pair stream")
-    for stream in streams:
-        if stream.shape[1:] != (2,):  # the kernel reads 2 rows per pair
-            raise ValueError("a pair stream must have shape (T, 2)")
-        if not np.issubdtype(stream.dtype, np.integer):
-            raise ValueError(f"a pair stream must hold integer rows, not {stream.dtype}")
-        if stream.min() < 0 or stream.max() >= len(space):
-            raise ValueError(f"a pair stream holds a row outside the space's {len(space)} rows")
-    order = sorted(range(len(streams)), key=lambda u: -len(streams[u]))
-    lengths = [len(streams[u]) for u in order] + [0]
-    d = space.dimensions
-    w = np.array(
-        [np.random.default_rng(configs[u].seed).uniform(-0.5 / d, 0.5 / d, size=d) for u in order]
-    ).reshape(len(order), d)
-    alpha0 = np.array([configs[u].alpha0 for u in order])
-    matrix = np.ascontiguousarray(space.matrix, np.float64)
-    library = native.kernels()[0]
-    if library is not None:
-        for column, u in enumerate(order):
-            rows = np.ascontiguousarray(streams[u], np.int32)
-            library.hyperplane_pass(w[column], d, matrix, rows, lengths[column], alpha0[column])
-    else:
-        total = np.array(lengths[:-1], dtype=np.float64)
-        # Steps lengths[m] <= k < lengths[m - 1] advance the first m users,
-        # one segment of at most SEGMENT_STEPS steps at a time.
-        for m in range(len(order), 0, -1):
-            w_m = w[:m]
-            for first in range(lengths[m], lengths[m - 1], SEGMENT_STEPS):
-                stop = min(first + SEGMENT_STEPS, lengths[m - 1])
-                segment = np.stack([streams[u][first:stop] for u in order[:m]], axis=1)
-                rates = alpha0[:m] * (1.0 - np.arange(first, stop)[:, None] / total[:m])
-                for pair_rows, rate in zip(segment, rates):
-                    pair = matrix[pair_rows]
-                    diff = np.subtract(pair[:, 1], pair[:, 0], dtype=np.float64)
-                    # g * rate, with g = sigmoid(w.v_a - w.v_b) clamped as hsoftmax.sigmoid clamps
-                    step = rate / (1.0 + np.exp(np.minimum(np.einsum("ij,ij->i", w_m, diff), 500.0)))
-                    w_m += step[:, None] * diff
-    models = [None] * len(order)
-    for column, u in enumerate(order):
-        models[u] = HyperplaneModel(user_ids[u], w[column].copy())
-    return models
-
-
 def train_hyperplane(
     pairs: np.ndarray | Sequence[tuple[int, int]],
     space: EmbeddingSpace,
     config: RankerConfig,
     user_id: int | None = None,
 ) -> HyperplaneModel:
-    """Fit one user's direction vector: `train_hyperplanes` on a block of one."""
-    return train_hyperplanes([np.asarray(pairs)], space, [config], [user_id])[0]
+    """Fit one user's direction vector over their stream of space-row pairs.
+
+    w starts small and random, drawn from `config.seed`, and for the k-th
+    pair of rows (a, b) of the T pairs takes the step
+    w += alpha0 * (1 - k / T) * g * (v_b - v_a) with g = sigmoid(w.v_a - w.v_b),
+    its exponent clamped at 500 as hsoftmax.sigmoid clamps it. A stream that
+    is not ``(T, 2)`` integer rows inside the space raises ValueError before
+    any training.
+
+    The compiled ``hyperplane_pass`` of `native.kernels` runs the loop in
+    one call. Without it the same loop runs here, one pair at a time over
+    the stream's rows. Both read the space as float64, which is free for a
+    space already held so.
+    """
+    stream = np.asarray(pairs)
+    if not len(stream):
+        raise CannotRankError("empty pair stream")
+    if stream.shape[1:] != (2,):  # the kernel reads 2 rows per pair
+        raise ValueError("a pair stream must have shape (T, 2)")
+    if not np.issubdtype(stream.dtype, np.integer):
+        raise ValueError(f"a pair stream must hold integer rows, not {stream.dtype}")
+    if stream.min() < 0 or stream.max() >= len(space):
+        raise ValueError(f"a pair stream holds a row outside the space's {len(space)} rows")
+    d, total, alpha0 = space.dimensions, len(stream), config.alpha0
+    w = np.random.default_rng(config.seed).uniform(-0.5 / d, 0.5 / d, size=d)
+    matrix = np.ascontiguousarray(space.matrix, np.float64)
+    library = native.kernels()[0]
+    if library is not None:
+        rows = np.ascontiguousarray(stream, np.int32)
+        library.hyperplane_pass(w, d, matrix, rows, total, alpha0)
+    else:
+        for k, (a, b) in enumerate(stream):
+            diff = matrix[b] - matrix[a]
+            w += alpha0 * (1.0 - k / total) / (1.0 + math.exp(min(w @ diff, 500.0))) * diff
+    return HyperplaneModel(user_id, w)
 
 
 def score_items(model: HyperplaneModel, space: EmbeddingSpace) -> dict[int, float]:

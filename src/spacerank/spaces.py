@@ -31,16 +31,7 @@ ALPHA_FLOOR = 1e-4
 
 
 class EmbeddingSpace:
-    """Dense real vector per item, all of one dimensionality.
-
-    Spaces produced by train_space additionally carry the trained
-    hierarchical-softmax node matrix as `hs_nodes` and the HS path that
-    trained them as `hs_kernel` (see `native.kernels`); both are diagnostics,
-    not serialized and not part of equality.
-    """
-
-    hs_nodes: np.ndarray | None = None
-    hs_kernel: dict | str | None = None
+    """Dense real vector per item, all of one dimensionality."""
 
     def __init__(self, dimensions, item_ids, matrix, provenance=None):
         matrix = np.asarray(matrix)
@@ -157,7 +148,7 @@ def train_space(
     nodes = new_node_matrix(tree, d)
 
     obs_tokens = [obs.token for obs in observations]
-    library, hs_kernel = native.kernels()
+    library = native.kernels()[0]
     if library is not None:
         token_ids = np.array([vocab.index[t] for t in obs_tokens], dtype=np.int32)
         paths = native.flat_paths(tree)
@@ -188,9 +179,7 @@ def train_space(
 
     if not np.isfinite(matrix).all():
         raise SpaceRankError(f"training diverged to non-finite item vectors at alpha0={alpha0}")
-    space = EmbeddingSpace(d, item_ids, matrix, provenance)
-    space.hs_nodes, space.hs_kernel = nodes, hs_kernel
-    return space
+    return EmbeddingSpace(d, item_ids, matrix, provenance)
 
 
 def build_vsm_space(events: Iterable[RatingEvent], profiles: dict[int, UserProfile]) -> EmbeddingSpace:

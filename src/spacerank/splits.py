@@ -139,7 +139,11 @@ def save_split(split: EvalSplit, path) -> None:
 
 
 def load_split(path, events: Sequence[RatingEvent]) -> EvalSplit:
-    """Rebuild an EvalSplit from an exported file plus the corpus it covers."""
+    """Rebuild an EvalSplit from an exported file plus the corpus it covers.
+
+    A pair listed twice, as the same kind or as both, raises ParseError at
+    its second line: the sets must stay disjoint.
+    """
     validation: set[Pair] = set()
     test: set[Pair] = set()
     with open(path, encoding="utf-8") as fh:
@@ -154,6 +158,8 @@ def load_split(path, events: Sequence[RatingEvent]) -> EvalSplit:
                 pair = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer ids in {line!r}") from None
+            if pair in validation or pair in test:
+                raise ParseError(path, line_no, f"pair {pair} is listed twice")
             (validation if parts[2] == "validation" else test).add(pair)
     all_pairs = {(e.user_id, e.item_id) for e in events}
     held = validation | test

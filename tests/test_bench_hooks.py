@@ -50,6 +50,10 @@ def test_probe_ranker_values_finite(monkeypatch):
 
 
 def _traced_evaluate_span_names(pipeline, tmp_path, monkeypatch, system, *options):
+    return {span["name"] for span in _traced_evaluate_spans(pipeline, tmp_path, monkeypatch, system, *options)}
+
+
+def _traced_evaluate_spans(pipeline, tmp_path, monkeypatch, system, *options):
     traced_cli = _import("traced_cli", monkeypatch)
     for module, attr, _, _ in traced_cli.LAYERS:  # undo the tracer's wrappers afterwards
         monkeypatch.setattr(module, attr, getattr(module, attr))
@@ -60,7 +64,7 @@ def _traced_evaluate_span_names(pipeline, tmp_path, monkeypatch, system, *option
         *options, "--out", str(tmp_path / f"{system}.results"),
     ])
     assert code == 0
-    return {span["name"] for span in json.loads(spans_path.read_text())}
+    return json.loads(spans_path.read_text())
 
 
 def test_traced_evaluate_ds_has_ranker_spans(pipeline, tmp_path, monkeypatch):
@@ -68,6 +72,16 @@ def test_traced_evaluate_ds_has_ranker_spans(pipeline, tmp_path, monkeypatch):
                                         "--phi-t", "all", "--phi-d", "5")
     # the benchmark takes quantiles of the last two whenever pair streams are traced
     assert {"ranker.pair_stream", "ranker.user", "ranker.topk"} <= names
+
+
+def test_traced_evaluate_ds_times_each_ranked_user(pipeline, tmp_path, monkeypatch):
+    # pipeline.ranker.user_ms and hyperplane_us_per_pair read one span per user, not per group of users
+    spans = _traced_evaluate_spans(pipeline, tmp_path, monkeypatch, "ds", "--phi-t", "all", "--phi-d", "5")
+    (evaluation,) = [span["attrs"] for span in spans if span["name"] == "evaluate.evaluate_system"]
+    counts = {name: sum(span["name"] == name for span in spans)
+              for name in ("ranker.user", "ranker.train_hyperplane", "ranker.topk")}
+    assert evaluation["users_ranked"] > 1
+    assert counts == dict.fromkeys(counts, evaluation["users_ranked"])
 
 
 @pytest.mark.parametrize("system, span", [("pop", "baselines.pop_topk"), ("knn", "baselines.knn_topk")])

@@ -6,7 +6,6 @@ import pytest
 
 from spacerank.errors import FormatError, UndefinedTestError
 from spacerank.evaluate import (
-    BLOCK_USERS,
     ContingencyTable,
     HitRecord,
     contingency,
@@ -15,7 +14,6 @@ from spacerank.evaluate import (
     mcnemar_one_tailed,
     recall_at_k,
     save_results,
-    user_blocks,
 )
 
 
@@ -103,102 +101,63 @@ class TestContingency:
 
 class TestEvaluateSystem:
     def test_single_target_hit(self):
-        result = evaluate_system(lambda users: [[7, 8, 9]] * len(users), [(1, 7)], k=10)
+        result = evaluate_system(lambda user: [7, 8, 9], [(1, 7)], k=10)
         assert result.recall == 1.0
 
     def test_topk_truncated_to_k(self):
-        result = evaluate_system(lambda users: [list(range(30))] * len(users), [(1, 15)], k=10)
+        result = evaluate_system(lambda user: list(range(30)), [(1, 15)], k=10)
         assert result.recall == 0.0
 
     def test_cannot_rank_users_skipped(self):
-        result = evaluate_system(lambda users: [None if u == 2 else [5] for u in users],
-                                 [(1, 5), (2, 5), (1, 6)], k=10)
+        result = evaluate_system(lambda user: None if user == 2 else [5], [(1, 5), (2, 5), (1, 6)], k=10)
         assert result.skipped == ((2, 5),)
         assert result.recall == pytest.approx(0.5)
 
     def test_block_provider_none_skips_that_user_only(self):
-        result = evaluate_system(lambda users: [None if u == 2 else [5] for u in users],
-                                 [(1, 5), (2, 5), (3, 6)], k=10)
+        result = evaluate_system(lambda user: None if user == 2 else [5], [(1, 5), (2, 5), (3, 6)], k=10)
         assert result.skipped == ((2, 5),)
         assert result.recall == pytest.approx(0.5)
 
     def test_provider_called_once_per_user(self):
         calls = []
 
-        def provider(users):
-            calls.extend(users)
-            return [[1]] * len(users)
+        def provider(user):
+            calls.append(user)
+            return [1]
 
-        evaluate_system(provider, [(1, 1), (1, 2), (1, 3), (2, 1)], k=10)
+        evaluate_system(provider, [(2, 1), (1, 1), (1, 2), (1, 3)], k=10)
         assert calls == [1, 2]
 
-    def test_blocks_cover_sorted_users_once(self):
-        blocks = []
-
-        def provider(users):
-            blocks.append(list(users))
-            return [[1]] * len(users)
-
-        targets = [(u, 1) for u in range(40, 0, -1)]
-        evaluate_system(provider, targets, k=10)
-        assert [u for block in blocks for u in block] == list(range(1, 41))
-        assert [len(b) for b in blocks] == [13, 13, 14]
-
-    def test_blocks_do_not_depend_on_workers(self):
-        # each user's list holds their block's size and first user
-        def provider(users):
-            return [[len(users), users[0]]] * len(users)
-
-        targets = [(u, item) for u in range(1, 36) for item in range(1, 36)]
+    def test_results_do_not_depend_on_workers(self):
+        # user u's list is [u], so a list handed to the wrong user changes the hits
+        targets = [(u, item) for u in range(35, 0, -1) for item in range(1, 36)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as it can
         try:
-            runs = [evaluate_system(provider, targets, k=10, workers=w).records for w in (1, 2, 8)]
+            runs = [evaluate_system(lambda user: [user], targets, k=10, workers=w).records for w in (1, 2, 8)]
         finally:
             sys.setswitchinterval(interval)
         assert runs[0] == runs[1] == runs[2]
+        assert [r.target for r in runs[0] if r.hit] == [(u, u) for u in range(35, 0, -1)]
 
-    def test_two_workers_rank_two_blocks_at_once(self):
-        # Each block waits for the other: blocks ranked one after another would time out.
+    def test_two_workers_rank_two_users_at_once(self):
+        # Each user waits for the other: users ranked one after another would time out.
         barrier = threading.Barrier(2, timeout=30)
 
-        def provider(users):
+        def provider(user):
             barrier.wait()
-            return [[1]] * len(users)
+            return [1]
 
-        targets = [(user_id, 1) for user_id in range(1, 18)]
-        assert len(user_blocks([u for u, _ in targets])) == 2
-        assert evaluate_system(provider, targets, k=10, workers=2).recall == 1.0
+        assert evaluate_system(provider, [(1, 1), (2, 1)], k=10, workers=2).recall == 1.0
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            evaluate_system(lambda users: [[1]] * len(users), [(1, 1)], k=10, workers=workers)
-
-    def test_provider_block_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_system(lambda users: [[1]], [(1, 1), (2, 1)], k=10)
-        # one list too many for the first block, one too few for the second
-        targets = [(user_id, 1) for user_id in range(1, 18)]
-        assert len(user_blocks([u for u, _ in targets])) == 2
-        with pytest.raises(ValueError):
-            evaluate_system(
-                lambda users: [[1]] * (len(users) + (1 if users[0] == 1 else -1)), targets, k=10
-            )
+            evaluate_system(lambda user: [1], [(1, 1)], k=10, workers=workers)
 
     def test_all_skipped_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_system(lambda users: [None] * len(users), [(1, 1)], k=10)
-
-
-@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33, 100])
-def test_user_blocks_even_and_bounded(count):
-    users = list(range(count))
-    blocks = user_blocks(users)
-    assert [u for block in blocks for u in block] == users
-    assert all(1 <= len(b) <= BLOCK_USERS for b in blocks)
-    assert len(blocks) == -(-count // BLOCK_USERS)
-    assert max(map(len, blocks), default=0) - min(map(len, blocks), default=0) <= 1
+            evaluate_system(lambda user: None, [(1, 1)], k=10)
 
 
 class TestResultsFile:

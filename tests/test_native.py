@@ -4,9 +4,10 @@ The HS reference is the Python pass loop over `hs_train_step` that
 `train_space` runs without a compiler. The kernel sums dot products in
 another order, so it is held to a float32 tolerance: every matrix and node
 entry within 1e-5 of the reference, relative to the largest magnitude in
-that reference array. The hyperplane reference is the batched numpy loop
-of `train_hyperplanes`, held to 1e-12 relative. The fallbacks must equal
-their references bit for bit.
+that reference array. The hyperplane kernel and `train_hyperplane`'s
+numpy loop, which runs without a compiler, are both held to 1e-12 relative
+of the per-pair oracle of test_ranker, and to each other. The HS fallback
+must equal its reference bit for bit.
 """
 
 import json
@@ -25,13 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacerank
-from spacerank import cli, native
+from spacerank import cli, native, spaces
 from spacerank.cli import main
 from spacerank.corpus import Observation, build_profiles, load_ratings, ratings_to_observations
 from spacerank.hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
-from spacerank.ranker import RankerConfig, train_hyperplanes
+from spacerank.ranker import RankerConfig, train_hyperplane
 from spacerank.spaces import ALPHA_FLOOR, EmbeddingSpace, SpaceTrainConfig, load_space, train_space
-from test_spaces import shared_token_corpus
+from test_ranker import reference_hyperplane
+from test_spaces import shared_token_corpus, train_space_and_nodes
 
 TOLERANCE = 1e-5
 
@@ -167,11 +169,11 @@ def test_native_path_used_when_cc_exists(pipeline):
     events = load_ratings(pipeline["ratings"])
     observations = ratings_to_observations(events, build_profiles(events))
     config = SpaceTrainConfig(16, iterations=2, seed=3)
-    space = train_space(observations, config)
-    assert space.hs_kernel == description
+    with mock.patch.object(spaces, "hs_train_step", side_effect=AssertionError("the numpy step ran")):
+        space, trained_nodes = train_space_and_nodes(observations, config)
     matrix, nodes = reference_train_space(observations, config)
     assert_close(space.matrix, matrix)
-    assert_close(space.hs_nodes, nodes)
+    assert_close(trained_nodes, nodes)
 
 
 # -- fallback, cache and packaging ---------------------------------------------
@@ -182,12 +184,12 @@ def test_no_compiler_warns_once_and_matches_reference(fresh_loader, monkeypatch,
     config = SpaceTrainConfig(8, iterations=5, seed=11)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = train_space(shared_token_corpus(), config)
+        first, first_nodes = train_space_and_nodes(shared_token_corpus(), config)
         second = train_space(shared_token_corpus(), config)
     assert [w.category for w in caught] == [RuntimeWarning]
-    assert first.hs_kernel == "numpy" and first == second
+    assert native.kernels() == (None, "numpy") and first == second
     matrix, nodes = reference_train_space(shared_token_corpus(), config)
-    assert np.array_equal(first.matrix, matrix) and np.array_equal(first.hs_nodes, nodes)
+    assert np.array_equal(first.matrix, matrix) and np.array_equal(first_nodes, nodes)
     assert not fresh_loader.exists()
 
 
@@ -228,7 +230,7 @@ def test_damaged_cached_library_is_rebuilt(fresh_loader, monkeypatch, tmp_path, 
         warnings.simplefilter("error")
         config = SpaceTrainConfig(8, iterations=5, seed=11)
         space = train_space(shared_token_corpus(), config)
-    assert space.hs_kernel != "numpy"
+    assert native.kernels()[0] is not None
     assert_close(space.matrix, reference_train_space(shared_token_corpus(), config)[0])
     assert damaged.read_bytes() == good.read_bytes()
 
@@ -310,12 +312,18 @@ def test_manifest_pins_the_kernel_path(fresh_loader, pipeline, monkeypatch, tmp_
 
 
 def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipeline, monkeypatch, tmp_path):
-    # Without cc the batched numpy loop ranks. On the float64-held space its
-    # results must equal ranking the float32 space as loaded, as before the
-    # space was held in float64.
-    no_compiler(monkeypatch, tmp_path)
+    # Without cc the numpy loop ranks. On the float64-held space its results
+    # must equal ranking the float32 space as loaded, as before the space was
+    # held in float64, and the kernel path's results where cc exists.
     argv = ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), "--ratings",
             str(pipeline["ratings"]), "--split", str(pipeline["split"]), "--workers", "2", "--out"]
+    names = ["a", "b", "float32"]
+    if shutil.which("cc") is not None:
+        assert main([*argv, str(tmp_path / "kernel.results")]) == 0
+        assert native.kernels()[0] is not None
+        names.append("kernel")
+        native.kernels.cache_clear()
+    no_compiler(monkeypatch, tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*argv, str(tmp_path / "a.results")]) == 0
@@ -328,19 +336,18 @@ def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipelin
     with mock.patch.object(cli, "_ranking_space", as_loaded):
         assert main([*argv, str(tmp_path / "float32.results")]) == 0
     assert [w.category for w in caught] == [RuntimeWarning]
-    results = [(tmp_path / f"{name}.results").read_bytes() for name in ("a", "b", "float32")]
-    assert results[0] == results[1] == results[2]
+    results = [(tmp_path / f"{name}.results").read_bytes() for name in names]
+    assert results == [results[0]] * len(names)
 
 
 @st.composite
-def hyperplane_blocks(draw):
-    """A random space (float32 or float64, d 1-64) and a few users' row streams and configs.
+def hyperplane_cases(draw):
+    """A random space (float32 or float64, d 1-64), one user's row stream and config.
 
     Item vectors are at most unit length, as in vsm and trained spaces. Far
     longer ones (alpha0 * |v_b - v_a|^2 >> 1) make every step overshoot, and
-    then any reordering of one dot product grows chaotically: with entries
-    in [-2, 2] at d=45 the numpy loop itself strays 2e-8 from the per-pair
-    oracle of test_ranker.
+    then any reordering of one dot product grows chaotically, past any
+    fixed relative tolerance.
     """
     n_items, d = draw(st.integers(2, 30)), draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -348,23 +355,23 @@ def hyperplane_blocks(draw):
     item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
     matrix = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
     space = EmbeddingSpace(d, item_ids, matrix.astype(dtype))
-    lengths = draw(st.lists(st.one_of(st.just(1), st.integers(1, 400)), min_size=1, max_size=5))
-    streams = [rng.integers(n_items, size=(length, 2)) for length in lengths]
-    configs = [RankerConfig(alpha0=draw(st.floats(0.001, 1.0)), seed=draw(st.integers(0, 2**63)))
-               for _ in lengths]
-    return space, streams, configs
+    length = draw(st.one_of(st.just(1), st.integers(1, 400)))
+    stream = rng.integers(n_items, size=(length, 2))
+    config = RankerConfig(alpha0=draw(st.floats(0.001, 1.0)), seed=draw(st.integers(0, 2**63)))
+    return space, stream, config
 
 
 @requires_cc
-@given(hyperplane_blocks())
+@given(hyperplane_cases())
 @settings(max_examples=60, deadline=None)
-def test_hyperplane_kernel_matches_the_numpy_loop(block):
-    space, streams, configs = block
-    user_ids = list(range(len(streams)))
+def test_hyperplane_kernel_matches_the_numpy_loop(case):
+    space, stream, config = case
     assert native.kernels()[0] is not None
-    models = train_hyperplanes(streams, space, configs, user_ids)
+    model = train_hyperplane(stream, space, config, user_id=4)
     with mock.patch.object(native, "kernels", lambda: (None, "numpy")):
-        references = train_hyperplanes(streams, space, configs, user_ids)
-    for model, reference in zip(models, references):
-        assert model.user_id == reference.user_id
-        assert np.linalg.norm(model.w - reference.w) <= 1e-12 * np.linalg.norm(reference.w)
+        fallback = train_hyperplane(stream, space, config, user_id=4)
+    oracle = reference_hyperplane(stream, space, config)
+    assert model.user_id == fallback.user_id == 4
+    for w in (model.w, fallback.w):
+        assert np.linalg.norm(w - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.linalg.norm(model.w - fallback.w) <= 1e-12 * np.linalg.norm(fallback.w)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacerank import native, ranker
+from spacerank import native
 from spacerank.corpus import RatingEvent, binarize
 from spacerank.errors import CannotRankError
 from spacerank.hsoftmax import sigmoid
 from spacerank.ranker import (
-    SEGMENT_STEPS,
     HyperplaneModel,
     RankerConfig,
     build_preferences,
@@ -22,7 +21,6 @@ from spacerank.ranker import (
     score_items,
     top_k,
     train_hyperplane,
-    train_hyperplanes,
 )
 from spacerank.spaces import EmbeddingSpace
 
@@ -265,10 +263,9 @@ class TestTrainHyperplane:
             score_items(model, space)
 
     def test_empty_stream(self):
-        with pytest.raises(CannotRankError):
-            train_hyperplane([], grid_space(), RankerConfig())
-        with pytest.raises(CannotRankError):
-            train_hyperplanes([np.array([[1, 2]]), np.empty((0, 2))], grid_space(), [RankerConfig()] * 2, [1, 2])
+        for empty in ([], np.empty((0, 2), dtype=np.uint8)):
+            with pytest.raises(CannotRankError):
+                train_hyperplane(empty, grid_space(), RankerConfig())
 
     def test_matches_reference_loop(self):
         space = separable_space()
@@ -281,52 +278,42 @@ class TestTrainHyperplane:
 
 
 @st.composite
-def ranker_blocks(draw):
-    """A random small space and a few users' random row-pair streams and configs."""
+def ranker_cases(draw):
+    """A random small space, one user's random row-pair stream and config."""
     n_items = draw(st.integers(2, 25))
     d = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
     space = EmbeddingSpace(d, item_ids, rng.uniform(-2, 2, size=(n_items, d)).astype(np.float32))
-    users = draw(st.integers(1, 7))
-    streams = [rng.integers(n_items, size=(int(rng.integers(1, 150)), 2)) for _ in range(users)]
-    configs = [
-        RankerConfig(alpha0=draw(st.sampled_from([0.001, 0.025, 0.3, 1.0])), seed=draw(st.integers(0, 2**63)))
-        for _ in range(users)
-    ]
-    cuts = sorted(draw(st.lists(st.integers(1, users), max_size=3)))
-    return space, streams, configs, cuts, draw(st.sampled_from([1, 7, 64, SEGMENT_STEPS]))
+    stream = rng.integers(n_items, size=(int(rng.integers(1, 150)), 2))
+    config = RankerConfig(alpha0=draw(st.sampled_from([0.001, 0.025, 0.3, 1.0])), seed=draw(st.integers(0, 2**63)))
+    return space, stream, config
+
+
+def no_kernels():
+    return None, "numpy"
 
 
 class TestTrainHyperplanes:
     @settings(max_examples=60, deadline=None)
-    @given(ranker_blocks())
-    def test_batched_matches_reference_and_any_block_partition(self, block):
-        space, streams, configs, cuts, segment_steps = block
-        user_ids = list(range(len(streams)))
-        for kernels in (native.kernels, lambda: (None, "numpy")):  # the compiled pass, the numpy loop
+    @given(ranker_cases())
+    def test_both_paths_match_reference(self, case):
+        space, stream, config = case
+        reference = reference_hyperplane(stream, space, config)
+        for kernels in (native.kernels, no_kernels):  # the compiled pass, the numpy loop
             with mock.patch.object(native, "kernels", kernels):
-                with mock.patch.object(ranker, "SEGMENT_STEPS", segment_steps):
-                    models = train_hyperplanes(streams, space, configs, user_ids)
-                assert [m.user_id for m in models] == user_ids
-                for stream, config, model in zip(streams, configs, models):
-                    reference = reference_hyperplane(stream, space, config)
-                    assert np.linalg.norm(model.w - reference) <= 1e-12 * np.linalg.norm(reference)
-                bounds = [0, *cuts, len(streams)]
-                for lo, hi in zip(bounds, bounds[1:]):
-                    part = train_hyperplanes(streams[lo:hi], space, configs[lo:hi], user_ids[lo:hi])
-                    for model, whole in zip(part, models[lo:hi]):
-                        assert np.array_equal(model.w, whole.w)
+                model = train_hyperplane(stream, space, config, user_id=3)
+            assert model.user_id == 3
+            assert np.linalg.norm(model.w - reference) <= 1e-12 * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0]]), np.array([[2, -1]]), np.array([[4, 0]])],
                              ids=["float", "negative", "past-end"])
     def test_bad_row_stream_refused_before_training(self, bad):
-        good = np.array([[0, 3]], dtype=np.uint8)
         library = mock.Mock()
-        for kernels in (lambda: (library, "kernel"), lambda: (None, "numpy")):
+        for kernels in (lambda: (library, "kernel"), no_kernels):
             with mock.patch.object(native, "kernels", kernels):
                 with pytest.raises(ValueError, match="row"):
-                    train_hyperplanes([good, bad], grid_space(4), [RankerConfig()] * 2, [1, 2])
+                    train_hyperplane(bad, grid_space(4), RankerConfig(), 1)
         library.hyperplane_pass.assert_not_called()
 
     def test_kernel_path_copies_the_stream_once(self):
@@ -337,17 +324,32 @@ class TestTrainHyperplanes:
         stream = rng.integers(50, size=(200_000, 2)).astype(np.uint16)  # as pair_stream emits it
         tracemalloc.start()
         try:
-            train_hyperplanes([stream], space, [RankerConfig()], [1])
+            train_hyperplane(stream, space, RankerConfig(), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 8 * len(stream) + 64 * 1024  # one int32 copy of the stream
 
+    def test_numpy_loop_keeps_no_per_pair_objects(self):
+        # The loop walks the stream's rows: a list of the stream (stream.tolist())
+        # would hold two Python ints per pair, megabytes for this stream.
+        rng = np.random.default_rng(7)
+        space = EmbeddingSpace(4, np.arange(50), rng.normal(size=(50, 4)))  # float64, as the CLI holds it
+        stream = rng.integers(50, size=(200_000, 2)).astype(np.uint16)  # as pair_stream emits it
+        with mock.patch.object(native, "kernels", no_kernels):
+            tracemalloc.start()
+            try:
+                train_hyperplane(stream, space, RankerConfig(), 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 16 * 1024  # w, one pair's rows and difference, the seeded generator
+
     @pytest.mark.parametrize("shape", [(6,), (2, 3), (2, 2, 2)])
     def test_misshapen_stream_refused(self, shape):
         stream = np.ones(shape, dtype=np.int64)
         with pytest.raises(ValueError, match="shape"):
-            train_hyperplanes([stream], grid_space(4), [RankerConfig()], [1])
+            train_hyperplane(stream, grid_space(4), RankerConfig(), 1)
 
 
 class TestScoring:

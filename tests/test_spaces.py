@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def shared_token_corpus():
     for token in ("u7_r2", "u8_r1", "u9_r2", "u10_r2", "u11_r1", "u12_r2"):
         obs.extend([Observation(3, token)] * 3)
     return obs
+
+
+def train_space_and_nodes(observations, config):
+    """`train_space`, and the hierarchical-softmax node matrix it trained in place."""
+    made = []
+
+    def record(tree, d):
+        made.append(new_node_matrix(tree, d))
+        return made[-1]
+
+    with mock.patch.object(spaces, "new_node_matrix", record):
+        space = train_space(observations, config)
+    return space, made[0]
 
 
 def cosine(a, b):
@@ -102,14 +116,14 @@ class TestTrainSpace:
             ]
             return float(np.mean(losses))
 
-        trained = train_space(obs, SpaceTrainConfig(d, iterations=30, seed=2))
+        trained, nodes = train_space_and_nodes(obs, SpaceTrainConfig(d, iterations=30, seed=2))
         init_rng = np.random.default_rng(2)
         init_matrix = init_rng.uniform(-0.5 / d, 0.5 / d, size=(50, d)).astype(np.float32)
         untrained = EmbeddingSpace(d, sorted({o.item_id for o in obs}), init_matrix)
         # Zero nodes make every branch 0.5, so the initial loss is exactly
         # the mean code length times log 2.
         initial = mean_loss(untrained, new_node_matrix(tree, d))
-        assert mean_loss(trained, trained.hs_nodes) < initial
+        assert mean_loss(trained, nodes) < initial
 
     def test_multiworker_runs(self):
         # Two Hogwild threads update the same matrices.
@@ -142,8 +156,8 @@ class TestTrainSpace:
 
     def test_one_token_vocabulary_multiworker(self):
         obs = [Observation(1, "t"), Observation(2, "t")]
-        space = train_space(obs, SpaceTrainConfig(4, iterations=2, seed=1, workers=2))
-        assert space.hs_nodes.shape == (0, 4)
+        space, nodes = train_space_and_nodes(obs, SpaceTrainConfig(4, iterations=2, seed=1, workers=2))
+        assert nodes.shape == (0, 4)
         init = np.random.default_rng(1).uniform(-0.5 / 4, 0.5 / 4, size=(2, 4)).astype(np.float32)
         np.testing.assert_array_equal(space.matrix, init)
 

@@ -1,7 +1,8 @@
 import pytest
 
+from spacerank.cli import main
 from spacerank.corpus import RatingEvent, load_ratings
-from spacerank.errors import FormatError
+from spacerank.errors import FormatError, ParseError
 from spacerank.splits import build_split, load_split, mark_counts, save_split
 from spacerank.splits import test_targets as targets_of
 
@@ -115,6 +116,26 @@ class TestSplitFile:
         path.write_text("9\t9\ttest\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_split(path, user_events(1, 3))
+
+
+    @pytest.mark.parametrize("kinds", [("validation", "test"), ("test", "test")], ids=["both kinds", "same kind"])
+    def test_pair_listed_twice_rejected_at_second_line(self, tmp_path, kinds):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"1\t100\t{kinds[0]}\n1\t101\ttest\n1\t100\t{kinds[1]}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as refused:
+            load_split(path, user_events(1, 3))
+        assert refused.value.line_no == 3
+
+    def test_evaluate_exits_two_on_a_pair_listed_twice(self, pipeline, tmp_path, capsys):
+        lines = pipeline["split"].read_text(encoding="utf-8").splitlines()
+        validation = next(line for line in lines if line.endswith("\tvalidation"))
+        split = tmp_path / "split.tsv"
+        split.write_text("\n".join([*lines, validation.replace("validation", "test")]) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--system", "pop", "--ratings", str(pipeline["ratings"]),
+                     "--split", str(split), "--out", str(tmp_path / "pop.results")])
+        assert code == 2
+        assert f"{split}:{len(lines) + 1}: pair" in capsys.readouterr().err
+        assert not (tmp_path / "pop.results").exists()
 
 
 class TestDeterminismAcrossRuns:
