@@ -16,10 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, native
-from .baselines import KnnModel, build_popularity, knn_topk, popularity_topk
+from . import __version__
 from .corpus import (
     build_profiles,
     load_ratings,
@@ -35,17 +32,32 @@ from .evaluate import (
     mcnemar_one_tailed,
     save_results,
 )
-from .ranker import (
-    RankerConfig,
-    build_preferences,
-    derive_seed,
-    pair_stream,
-    recommend_topk,
-    score_items,
-    train_hyperplane,
-)
-from .spaces import SpaceTrainConfig, build_vsm_space, load_space, save_space, train_space
 from .splits import build_split, load_split, mark_counts, save_split, test_targets
+
+# The names this module uses from the numpy-backed layers (baselines,
+# ranker, spaces), bound on first use so that split and mcnemar never load
+# numpy. Each becomes a module global, and the commands call it through this
+# module, so a wrapper set on it beforehand (as the benchmark's tracer does)
+# is kept and called.
+_NUMPY_LAYERS = (
+    "KnnModel", "build_popularity", "knn_topk", "popularity_topk",
+    "RankerConfig", "build_preferences", "derive_seed", "pair_stream", "recommend_topk",
+    "score_items", "train_hyperplane",
+    "SpaceTrainConfig", "build_vsm_space", "load_space", "save_space", "train_space",
+)
+
+
+def _bind_numpy_layers() -> None:
+    package = sys.modules[__package__]  # its lazy exports import each defining module
+    for name in _NUMPY_LAYERS:
+        globals().setdefault(name, getattr(package, name))
+
+
+def __getattr__(name):
+    if name not in _NUMPY_LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_numpy_layers()
+    return globals()[name]
 
 
 def _digest(path) -> str:
@@ -117,6 +129,7 @@ def _training_events(events, split_path, holdout):
 
 
 def cmd_train_space(args) -> int:
+    _bind_numpy_layers()
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, args.holdout)
     profiles = build_profiles(training)
@@ -148,6 +161,8 @@ def cmd_train_space(args) -> int:
             workers=args.workers,
         )
         space = train_space(observations, config, provenance=args.mode)
+        from . import native
+
         args.iters, args.kernel = iterations, native.kernels()[1]
 
     save_space(space, args.out)
@@ -181,6 +196,10 @@ def _ranking_space(args):
     Also resolves the compiled kernels before any thread starts, and
     records which ranker path runs in ``args.kernel``.
     """
+    import numpy as np
+
+    from . import native
+
     space = load_space(args.space)
     space.matrix = np.asarray(space.matrix, np.float64)
     args.kernel = native.kernels()[1]
@@ -188,6 +207,7 @@ def _ranking_space(args):
 
 
 def cmd_recommend(args) -> int:
+    _bind_numpy_layers()
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, "test")
     _check_space_provenance(args, "test", _digests(args.ratings, args.split))
@@ -207,6 +227,7 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _bind_numpy_layers()
     events = load_ratings(args.ratings)
     split, training = _training_events(events, args.split, args.holdout)
     targets = test_targets(split, events, which=args.holdout)

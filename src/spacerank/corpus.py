@@ -10,18 +10,17 @@ against the user's mean, and review text becomes one token per word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NoSuchUserError, ParseError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class RatingEvent:
+class RatingEvent(NamedTuple):
     """One (user, item, rating, timestamp) interaction on a 1-5 scale."""
 
     user_id: int
@@ -30,8 +29,7 @@ class RatingEvent:
     timestamp: int
 
 
-@dataclass(frozen=True)
-class UserProfile:
+class UserProfile(NamedTuple):
     """Per-user statistics over the training portion of the corpus."""
 
     user_id: int
@@ -39,16 +37,14 @@ class UserProfile:
     rating_count: int
 
 
-@dataclass(frozen=True)
-class ReviewDocument:
+class ReviewDocument(NamedTuple):
     """Concatenated review text for one item, stripped of ratings and usernames."""
 
     item_id: int
     text: str
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One (item_id, token) training pair."""
 
     item_id: int
@@ -72,17 +68,18 @@ def load_ratings(path) -> list[RatingEvent]:
             if len(parts) != 4:
                 raise ParseError(path, line_no, f"expected 4 '::'-separated fields, got {len(parts)}")
             try:
-                user_id, item_id, rating, ts = (int(p) for p in parts)
+                event = RatingEvent._make(map(int, parts))
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-            if not 1 <= rating <= 5:
-                raise ParseError(path, line_no, f"rating {rating} outside [1,5]")
-            if (user_id, item_id) in seen:
+            if not 1 <= event.rating <= 5:
+                raise ParseError(path, line_no, f"rating {event.rating} outside [1,5]")
+            pair = (event.user_id, event.item_id)
+            if pair in seen:
                 raise ValidationError(
-                    f"{path}:{line_no}: duplicate rating for user {user_id}, item {item_id}"
+                    f"{path}:{line_no}: duplicate rating for user {event.user_id}, item {event.item_id}"
                 )
-            seen.add((user_id, item_id))
-            events.append(RatingEvent(user_id, item_id, rating, ts))
+            seen.add(pair)
+            events.append(event)
     return events
 
 
@@ -140,6 +137,8 @@ def rating_levels(
 
     Raises NoSuchUserError for an event whose user has no profile.
     """
+    import numpy as np  # the only numpy use here: split and mcnemar never load it
+
     events = list(events)
     n = len(events)
     return (

@@ -8,24 +8,20 @@ targets where exactly one of them hit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import FormatError, UndefinedTestError
 
 Target = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class HitRecord:
+class HitRecord(NamedTuple):
     target: Target
     hit: bool
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(NamedTuple):
     """Paired outcome counts: neither hit, only B, only A, both."""
 
     n00: int
@@ -38,8 +34,7 @@ class ContingencyTable:
         return self.n00 + self.n01 + self.n10 + self.n11
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     recall: float
     records: tuple[HitRecord, ...]
     skipped: tuple[Target, ...]
@@ -63,8 +58,9 @@ def evaluate_system(
     `topk_for_user` takes one user and returns their top-k item list, or
     None for a user it cannot rank (no training ratings, nothing usable in
     the space). It is called once per user, for the users in ascending
-    order, on up to `workers` threads; users are ranked in parallel only
-    while the provider releases the GIL, as the compiled ranker pass does.
+    order: on the calling thread at one worker, else on `workers` threads;
+    users are ranked in parallel only while the provider releases the GIL,
+    as the compiled ranker pass does.
     A user's list depends on the user alone, so the results do not depend
     on the worker count. The list is reused across the user's targets; an
     unranked user's targets are skipped and reported rather than counted
@@ -73,9 +69,14 @@ def evaluate_system(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     users = sorted({user_id for user_id, _ in targets})
-    with ThreadPoolExecutor(workers) as pool:
-        ranked = pool.map(topk_for_user, users)
-        tops = {u: None if top is None else list(top)[:k] for u, top in zip(users, ranked)}
+    if workers == 1:
+        ranked = map(topk_for_user, users)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+        with ThreadPoolExecutor(workers) as pool:
+            ranked = list(pool.map(topk_for_user, users))
+    tops = {u: None if top is None else list(top)[:k] for u, top in zip(users, ranked)}
     records: list[HitRecord] = []
     skipped: list[Target] = []
     for user_id, item_id in targets:
@@ -144,7 +145,11 @@ def load_results(path) -> list[HitRecord]:
                 continue
             if saw_summary or len(parts) != 3 or parts[2] not in ("0", "1"):
                 raise FormatError(f"{path}:{line_no}: bad results line {line!r}")
-            records.append(HitRecord((int(parts[0]), int(parts[1])), parts[2] == "1"))
+            try:
+                target = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                raise FormatError(f"{path}:{line_no}: bad results line {line!r}") from None
+            records.append(HitRecord(target, parts[2] == "1"))
     if not saw_summary:
         raise FormatError(f"{path}: missing recall summary line")
     return records

@@ -10,8 +10,7 @@ held-out set proportional to each user's rating volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import RatingEvent
 from .errors import FormatError, ParseError
@@ -19,8 +18,7 @@ from .errors import FormatError, ParseError
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class EvalSplit:
+class EvalSplit(NamedTuple):
     """Disjoint train/validation/test partition of (user_id, item_id) pairs."""
 
     train: frozenset[Pair]

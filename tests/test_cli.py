@@ -1,10 +1,15 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spacerank import cli
+import spacerank
+from spacerank import baselines, cli, spaces
 from spacerank.cli import main
 
 
@@ -372,3 +377,84 @@ class TestUsage:
 
     def test_missing_subcommand_exit_one(self):
         assert main([]) == 1
+
+
+# The package's public names, by defining module.
+EXPORTS = {
+    "baselines": ["KnnModel", "PopularityModel", "build_popularity", "knn_scores", "knn_topk",
+                  "popularity_topk"],
+    "corpus": ["Observation", "RatingEvent", "ReviewDocument", "UserProfile", "binarize",
+               "build_profiles", "load_ratings", "load_reviews", "rating_levels",
+               "ratings_to_observations", "reviews_to_observations"],
+    "errors": ["CannotRankError", "FormatError", "NoSuchTokenError", "NoSuchUserError",
+               "ParseError", "SpaceRankError", "UndefinedTestError", "ValidationError"],
+    "evaluate": ["ContingencyTable", "EvalResult", "HitRecord", "contingency", "evaluate_system",
+                 "load_results", "mcnemar_one_tailed", "recall_at_k", "save_results"],
+    "hsoftmax": ["HuffmanTree", "Vocabulary", "build_huffman", "build_vocabulary", "hs_probability",
+                 "hs_train_step", "new_node_matrix", "sigmoid"],
+    "ranker": ["HyperplaneModel", "RankerConfig", "build_preferences", "derive_seed", "pair_stream",
+               "recommend_topk", "score_items", "top_k", "train_hyperplane"],
+    "spaces": ["EmbeddingSpace", "SpaceTrainConfig", "build_vsm_space", "export_vectors",
+               "load_space", "save_space", "train_space"],
+    "splits": ["EvalSplit", "build_split", "load_split", "mark_counts", "save_split", "test_targets"],
+}
+
+
+def run_fresh(script: str) -> list:
+    """Run a script in a new interpreter; returns the JSON on its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spacerank.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartUp:
+    def test_package_exports_each_name_from_its_module(self):
+        assert sorted(spacerank.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+        assert set(spacerank.__all__) <= set(dir(spacerank))
+        for module, names in EXPORTS.items():
+            for name in names:
+                assert getattr(spacerank, name) is getattr(importlib.import_module(f"spacerank.{module}"), name)
+        with pytest.raises(AttributeError):
+            spacerank.no_such_name
+
+    def test_import_spacerank_loads_no_numpy(self):
+        assert run_fresh("import sys, json, spacerank\nprint(json.dumps('numpy' in sys.modules))") is False
+
+    def test_split_and_mcnemar_run_with_numpy_blocked(self, pipeline, tmp_path):
+        ratings, common = str(pipeline["ratings"]), ["--ratings", str(pipeline["ratings"]),
+                                                     "--split", str(pipeline["split"])]
+        assert main(["split", "--ratings", ratings, "--out", str(tmp_path / "normal")]) == 0
+        for system in ("pop", "knn"):
+            assert main(["evaluate", "--system", system, *common, "--out", str(tmp_path / system)]) == 0
+        split = ["split", "--ratings", ratings, "--out", str(tmp_path / "blocked")]
+        mcnemar = ["mcnemar", str(tmp_path / "knn"), str(tmp_path / "pop")]
+        script = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None  # every import of numpy now fails\n"
+            "from spacerank.cli import main\n"
+            f"codes = [main({split!r}), main({mcnemar!r})]\n"
+            "heavy = ('numpy', 'dataclasses', 'concurrent.futures', 'ctypes')\n"
+            "print(json.dumps([codes, [m for m in heavy if sys.modules.get(m) is not None]]))\n"
+        )
+        assert run_fresh(script) == [[0, 0], []]
+        for name in ("split.tsv", "split.tsv.manifest.json"):
+            assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+    @pytest.mark.parametrize("module, name, system", [
+        (spaces, "load_space", "ds"), (baselines, "build_popularity", "pop"),
+    ])
+    def test_wrapper_set_before_main_is_called(self, pipeline, tmp_path, monkeypatch, module, name, system):
+        for unbound in cli._NUMPY_LAYERS:  # as in a fresh process: no layer bound yet
+            monkeypatch.delitem(vars(cli), unbound, raising=False)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return getattr(module, name)(*args, **kwargs)
+
+        monkeypatch.setitem(vars(cli), name, wrapper)  # setattr(cli, name, wrapper), undone afterwards
+        assert main(["evaluate", "--system", system, "--space", str(pipeline["space"]),
+                     "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
+                     "--out", str(tmp_path / "results")]) == 0
+        assert calls == [name] and getattr(cli, name) is wrapper

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spacerank.baselines import KnnModel
@@ -53,6 +53,69 @@ class TestLoadRatings:
         path = write(tmp_path, "r.dat", "1::2::3::4\n1::2::5::9\n")
         with pytest.raises(ValidationError):
             load_ratings(path)
+
+
+def per_field_load_ratings(path):
+    """The per-field parser that `load_ratings` replaced, kept as its oracle."""
+    events, seen = [], set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split("::")
+            if len(parts) != 4:
+                raise ParseError(path, line_no, f"expected 4 '::'-separated fields, got {len(parts)}")
+            try:
+                user_id, item_id, rating, ts = (int(p) for p in parts)
+            except ValueError:
+                raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
+            if not 1 <= rating <= 5:
+                raise ParseError(path, line_no, f"rating {rating} outside [1,5]")
+            if (user_id, item_id) in seen:
+                raise ValidationError(
+                    f"{path}:{line_no}: duplicate rating for user {user_id}, item {item_id}"
+                )
+            seen.add((user_id, item_id))
+            events.append((user_id, item_id, rating, ts))
+    return events
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+_FIELD = st.one_of(
+    st.integers(0, 6).map(str),
+    st.sampled_from(["+5", " 5", "5 ", "5_0", "-1", "x", "", "4.0", "\u0665"]),
+)
+_LINE = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(0, 9)).map(
+        lambda fields: "::".join(map(str, fields))
+    ),
+    st.just(""),
+)
+_ODD_LINE = st.one_of(st.lists(_FIELD, min_size=3, max_size=5).map("::".join), st.just(" "))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+    odd=st.one_of(st.none(), st.tuples(st.integers(0, 8), _ODD_LINE)),
+)
+def test_load_ratings_matches_the_per_field_parser(tmp_path, lines, odd):
+    if odd is not None:  # at most one odd line, so that most files parse past it
+        lines.insert(odd[0], (odd[1], "\n"))
+    path = tmp_path / "r.dat"
+    path.write_bytes("".join(line + end for line, end in lines).encode("utf-8"))
+    expected = _outcome(per_field_load_ratings, path)
+    got = _outcome(load_ratings, path)
+    assert got == expected
+    if isinstance(got, list):
+        assert all(type(e) is RatingEvent for e in got)
 
 
 class TestBinarize:

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from itertools import product
@@ -140,6 +141,16 @@ class TestEvaluateSystem:
         assert runs[0] == runs[1] == runs[2]
         assert [r.target for r in runs[0] if r.hit] == [(u, u) for u in range(35, 0, -1)]
 
+    def test_one_worker_ranks_on_the_calling_thread(self):
+        threads = []
+
+        def provider(user):
+            threads.append((user, threading.current_thread()))
+            return [1]
+
+        evaluate_system(provider, [(2, 1), (1, 1), (3, 1)], k=10, workers=1)
+        assert threads == [(u, threading.current_thread()) for u in (1, 2, 3)]
+
     def test_two_workers_rank_two_users_at_once(self):
         # Each user waits for the other: users ranked one after another would time out.
         barrier = threading.Barrier(2, timeout=30)
@@ -178,4 +189,11 @@ class TestResultsFile:
         path = tmp_path / "r.tsv"
         path.write_text("1\t7\t2\nrecall@10\t1.0\n")
         with pytest.raises(FormatError):
+            load_results(path)
+
+    @pytest.mark.parametrize("line", ["x\t3\t0", "1\t3.5\t1"])
+    def test_non_integer_id_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "r.tsv"
+        path.write_text(f"1\t7\t1\n{line}\nrecall@10\t0.5\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: bad results line"):
             load_results(path)
