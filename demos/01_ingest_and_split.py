@@ -37,7 +37,9 @@ print(f"\nitem {docs[0].item_id} review tokens: {[o.token for o in obs[:8]]} ...
 # later half test, so nothing in training lies in any user's future.
 counts = sr.mark_counts(events)
 split = sr.build_split(events, counts)
-print(f"\nsplit: {len(split.train)} train / {len(split.validation)} validation / {len(split.test)} test")
+# A split holds only the held-out pairs; train is every other rating.
+n_train = len(events) - len(split.validation) - len(split.test)
+print(f"\nsplit: {n_train} train / {len(split.validation)} validation / {len(split.test)} test")
 print(f"held-out total = {len(events)} // 25 = {len(events) // 25}")
 
 targets = sr.test_targets(split, events)

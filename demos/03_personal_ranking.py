@@ -7,6 +7,8 @@ every item to a one-dimensional preference score.
 
 from pathlib import Path
 
+import numpy as np
+
 import spacerank as sr
 from spacerank.minicorpus import generate_minicorpus
 
@@ -30,11 +32,11 @@ print(f"user {user}: {len(mine)} train ratings, mean {profiles[user].mean_rating
 # above); every other item in the space is level 0. Pairs are oriented
 # (lower, higher) and the rated-vs-unrated ones are downsampled.
 config = sr.RankerConfig(phi_i=10, phi_t="all", phi_d=5.0, seed=sr.derive_seed(1, user))
-triples = sr.build_preferences(mine, space, config.phi_t)
-levels = [t.level for t in triples]
-print(f"preference levels: {levels.count(2)} liked, {levels.count(1)} disliked, {levels.count(0)} unrated")
+preferences = sr.build_preferences(mine, space, config.phi_t)
+unrated, disliked, liked = np.bincount(preferences.level, minlength=3)
+print(f"preference levels: {liked} liked, {disliked} disliked, {unrated} unrated")
 
-pairs = sr.pair_stream(triples, config.phi_i, config.phi_d, config.seed)
+pairs = sr.pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
 print(f"pair stream: {len(pairs)} training pairs over {config.phi_i} passes")
 
 model = sr.train_hyperplane(pairs, space, config, user_id=user)

@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "baselines": (
         "KnnModel", "PopularityModel", "build_popularity", "knn_scores", "knn_topk",
-        "popularity_topk",
+        "popularity_topk", "top_k",
     ),
     "corpus": (
         "Observation", "RatingEvent", "ReviewDocument", "UserProfile", "binarize",
@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "ranker": (
         "HyperplaneModel", "RankerConfig", "build_preferences", "derive_seed", "pair_stream",
-        "recommend_topk", "score_items", "top_k", "train_hyperplane",
+        "recommend_topk", "score_items", "train_hyperplane",
     ),
     "spaces": (
         "EmbeddingSpace", "SpaceTrainConfig", "build_vsm_space", "export_vectors", "load_space",

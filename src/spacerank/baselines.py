@@ -1,7 +1,7 @@
 """Reference recommenders: popularity ranking and user-based KNN.
 
-Both operate on the same training events as the learned spaces and share
-the deterministic top-k tie-breaking of the ranker module.
+Both operate on the same training events as the learned spaces. `top_k`,
+their deterministic top-k selection, lives here; the ranker imports it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,27 @@ import numpy as np
 
 from .corpus import RatingEvent, UserProfile, rating_levels
 from .errors import NoSuchUserError
-from .ranker import top_k
+
+
+def top_k(
+    item_ids: np.ndarray,
+    scores: np.ndarray,
+    exclude: Iterable[int],
+    k: int,
+) -> list[int]:
+    """Highest-scoring items, ties by ascending item id, `exclude` removed.
+
+    Returns fewer than k items when not enough candidates exist.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    item_ids = np.asarray(item_ids)
+    exclude = np.fromiter(exclude, dtype=np.int64)
+    if len(exclude):
+        keep = ~np.isin(item_ids, exclude)
+        item_ids, scores = item_ids[keep], np.asarray(scores)[keep]
+    order = np.lexsort((item_ids, -np.asarray(scores, dtype=np.float64)))
+    return [int(i) for i in item_ids[order[:k]]]
 
 
 @dataclass(frozen=True)

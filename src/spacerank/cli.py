@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import _MODULE_OF, __version__
 from .corpus import (
     build_profiles,
     load_ratings,
@@ -35,28 +35,30 @@ from .evaluate import (
 from .splits import build_split, load_split, mark_counts, save_split, test_targets
 
 # The names this module uses from the numpy-backed layers (baselines,
-# ranker, spaces), bound on first use so that split and mcnemar never load
-# numpy. Each becomes a module global, and the commands call it through this
-# module, so a wrapper set on it beforehand (as the benchmark's tracer does)
-# is kept and called.
+# ranker, spaces), bound on first use so that each command loads only the
+# layers it runs, and split and mcnemar never load numpy. Each becomes a module
+# global, and the commands call it through this module, so a wrapper set on it
+# beforehand (as the benchmark's tracer does) is kept and called.
 _NUMPY_LAYERS = (
-    "KnnModel", "build_popularity", "knn_topk", "popularity_topk",
+    "KnnModel", "build_popularity", "knn_topk", "popularity_topk", "top_k",
     "RankerConfig", "build_preferences", "derive_seed", "pair_stream", "recommend_topk",
-    "score_items", "train_hyperplane",
+    "train_hyperplane",
     "SpaceTrainConfig", "build_vsm_space", "load_space", "save_space", "train_space",
 )
 
 
-def _bind_numpy_layers() -> None:
+def _bind_numpy_layers(*modules: str) -> None:
+    """Bind the `_NUMPY_LAYERS` names defined in `modules`, importing only those modules."""
     package = sys.modules[__package__]  # its lazy exports import each defining module
     for name in _NUMPY_LAYERS:
-        globals().setdefault(name, getattr(package, name))
+        if _MODULE_OF[name] in modules:
+            globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
     if name not in _NUMPY_LAYERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_numpy_layers()
+    _bind_numpy_layers(_MODULE_OF[name])
     return globals()[name]
 
 
@@ -114,8 +116,9 @@ def cmd_split(args) -> int:
     out_path = out_dir / "split.tsv"
     save_split(split, out_path)
     _write_manifest("split", args, _digests(args.ratings), out_path)
+    n_held_out = len(split.validation) + len(split.test)
     print(
-        f"{len(events)} events -> {len(split.train)} train, "
+        f"{len(events)} events -> {len(events) - n_held_out} train, "
         f"{len(split.validation)} validation, {len(split.test)} test -> {out_path}"
     )
     return 0
@@ -129,7 +132,7 @@ def _training_events(events, split_path, holdout):
 
 
 def cmd_train_space(args) -> int:
-    _bind_numpy_layers()
+    _bind_numpy_layers("spaces")
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, args.holdout)
     profiles = build_profiles(training)
@@ -171,23 +174,25 @@ def cmd_train_space(args) -> int:
     return 0
 
 
-def _ranker_config(args, user_id) -> RankerConfig:
-    return RankerConfig(
+def _fit_user(space, user_events, args):
+    """The hyperplane of the user whose training events these are; CannotRankError if unrankable."""
+    user_id = user_events[0].user_id
+    config = RankerConfig(
         phi_i=args.phi_i, phi_t=args.phi_t, phi_d=args.phi_d,
         alpha0=args.alpha, seed=derive_seed(args.seed, user_id),
     )
+    preferences = build_preferences(user_events, space, config.phi_t)
+    stream = pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
+    return train_hyperplane(stream, space, config, user_id)
 
 
-def _user_ranker_topk(space, user_id, events_by_user, rated_by_user, args):
+def _user_ranker_topk(space, user_events, args):
     """One user's top-k list, or None if they cannot be ranked (no usable ratings, no pairs)."""
-    config = _ranker_config(args, user_id)
     try:
-        preferences = build_preferences(events_by_user[user_id], space, config.phi_t)
-        stream = pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
-        model = train_hyperplane(stream, space, config, user_id)
+        model = _fit_user(space, user_events, args)
     except CannotRankError:
         return None
-    return recommend_topk(model, space, rated_by_user[user_id], args.k)
+    return recommend_topk(model, space, (e.item_id for e in user_events), args.k)
 
 
 def _ranking_space(args):
@@ -207,7 +212,7 @@ def _ranking_space(args):
 
 
 def cmd_recommend(args) -> int:
-    _bind_numpy_layers()
+    _bind_numpy_layers("baselines", "ranker", "spaces")
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, "test")
     _check_space_provenance(args, "test", _digests(args.ratings, args.split))
@@ -215,55 +220,51 @@ def cmd_recommend(args) -> int:
     user_events = [e for e in training if e.user_id == args.user]
     if not user_events:
         raise CannotRankError(f"user {args.user} has no training ratings")
-    config = _ranker_config(args, args.user)
-    triples = build_preferences(user_events, space, config.phi_t)
-    pairs = pair_stream(triples, config.phi_i, config.phi_d, config.seed)
-    model = train_hyperplane(pairs, space, config, user_id=args.user)
-    top = recommend_topk(model, space, {e.item_id for e in user_events}, args.k)
-    scores = score_items(model, space)
-    for item_id in top:
-        print(f"{item_id}\t{scores[item_id]!r}")
+    scores = space.matrix @ _fit_user(space, user_events, args).w
+    top = top_k(space.item_ids, scores, (e.item_id for e in user_events), args.k)
+    for item_id, score in zip(top, scores[space.rows(top)].tolist()):
+        print(f"{item_id}\t{score!r}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _bind_numpy_layers()
     events = load_ratings(args.ratings)
     split, training = _training_events(events, args.split, args.holdout)
     targets = test_targets(split, events, which=args.holdout)
     if not targets:
         raise SpaceRankError(f"no rated-4-or-5 targets in the {args.holdout} set")
-    rated_by_user: dict[int, set[int]] = {}
     events_by_user: dict[int, list] = {}
     for e in training:
-        rated_by_user.setdefault(e.user_id, set()).add(e.item_id)
         events_by_user.setdefault(e.user_id, []).append(e)
 
     inputs = _digests(args.ratings, args.split)
     if args.system == "ds":
         if not args.space:
             raise SpaceRankError("--system ds requires --space")
+        _bind_numpy_layers("ranker", "spaces")
         _check_space_provenance(args, args.holdout, inputs)
         space = _ranking_space(args)
         inputs.update(_digests(args.space))
 
-        def topk(user_id):
-            return _user_ranker_topk(space, user_id, events_by_user, rated_by_user, args)
+        def topk(user_events):
+            return _user_ranker_topk(space, user_events, args)
 
     elif args.system == "pop":
+        _bind_numpy_layers("baselines")
         model = build_popularity(training)
 
-        def topk(user_id):
-            return popularity_topk(model, rated_by_user[user_id], args.k)
+        def topk(user_events):
+            return popularity_topk(model, (e.item_id for e in user_events), args.k)
 
     else:  # knn
+        _bind_numpy_layers("baselines")
         model = KnnModel(training, build_profiles(training), args.k_neighbors)
 
-        def topk(user_id):
-            return knn_topk(model, user_id, rated_by_user[user_id], args.k)
+        def topk(user_events):
+            return knn_topk(model, user_events[0].user_id, (e.item_id for e in user_events), args.k)
 
     def provider(user_id):  # a user without training ratings cannot be ranked
-        return topk(user_id) if user_id in rated_by_user else None
+        return topk(events_by_user[user_id]) if user_id in events_by_user else None
 
     result = evaluate_system(provider, targets, k=args.k, workers=args.workers)
     save_results(result.records, args.out, k=args.k)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Observation
 from .errors import NoSuchTokenError
 
 
@@ -74,11 +73,10 @@ class HuffmanTree:
 
 
 def build_vocabulary(observations) -> Vocabulary:
-    """Count token occurrences over an observation stream."""
+    """Count token occurrences over a stream of ``(item, token)`` observations."""
     counts: dict[str, int] = {}
     first_seen: dict[str, int] = {}
-    for obs in observations:
-        token = obs.token if isinstance(obs, Observation) else obs[1]
+    for _, token in observations:
         if token in counts:
             counts[token] += 1
         else:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import native
+from .baselines import top_k
 from .corpus import RatingEvent, binarize
 from .errors import CannotRankError
 from .spaces import EmbeddingSpace
@@ -195,27 +196,6 @@ def score_items(model: HyperplaneModel, space: EmbeddingSpace) -> dict[int, floa
         )
     scores = space.matrix @ model.w
     return {int(item): float(s) for item, s in zip(space.item_ids, scores)}
-
-
-def top_k(
-    item_ids: np.ndarray,
-    scores: np.ndarray,
-    exclude: Iterable[int],
-    k: int,
-) -> list[int]:
-    """Highest-scoring items, ties by ascending item id, `exclude` removed.
-
-    Returns fewer than k items when not enough candidates exist.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    item_ids = np.asarray(item_ids)
-    exclude = np.fromiter(exclude, dtype=np.int64)
-    if len(exclude):
-        keep = ~np.isin(item_ids, exclude)
-        item_ids, scores = item_ids[keep], np.asarray(scores)[keep]
-    order = np.lexsort((item_ids, -np.asarray(scores, dtype=np.float64)))
-    return [int(i) for i in item_ids[order[:k]]]
 
 
 def recommend_topk(

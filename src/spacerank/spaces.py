@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -173,6 +172,8 @@ def train_space(
                     i = perm[k]
                     alpha = max(alpha0 * (1.0 - (pass_base + k) / total_steps), alpha_min)
                     hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
+
+    from concurrent.futures import ThreadPoolExecutor  # vsm and the space readers never start a pool
 
     with ThreadPoolExecutor(config.workers) as pool:
         list(pool.map(train_shard, shards))  # list() re-raises a shard's exception

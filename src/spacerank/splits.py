@@ -4,8 +4,9 @@ Users are ordered by rating volume (most active first, ties by user id) and
 each user's ratings by submission time (ties by item id). Every Nth rating
 of that global sequence is marked; a user with n marked ratings contributes
 her n temporally-latest events, the earlier half to validation and the later
-half to test. Everything else is training data. The sampling keeps the
-held-out set proportional to each user's rating volume.
+half to test. Everything else is training data, left implicit: a split
+holds only its held-out pairs. The sampling keeps the held-out set
+proportional to each user's rating volume.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ Pair = tuple[int, int]
 
 
 class EvalSplit(NamedTuple):
-    """Disjoint train/validation/test partition of (user_id, item_id) pairs."""
+    """Disjoint validation and test sets of (user_id, item_id) pairs; the rest is train."""
 
-    train: frozenset[Pair]
     validation: frozenset[Pair]
     test: frozenset[Pair]
 
@@ -74,14 +74,13 @@ def mark_counts(events: Sequence[RatingEvent], every: int = 25) -> dict[int, int
 
 
 def build_split(events: Sequence[RatingEvent], counts: dict[int, int]) -> EvalSplit:
-    """Partition events into train/validation/test per the marked counts.
+    """Hold out validation and test events per the marked counts.
 
     A user with n > 0 marked ratings holds out her n temporally-latest
     events: the earlier ceil(n/2) go to validation, the later floor(n/2) to
     test (an odd leftover goes to validation). All other events are train.
     """
     per_user = _user_event_order(events)
-    train: set[Pair] = set()
     validation: set[Pair] = set()
     test: set[Pair] = set()
     for uid, user_events in per_user.items():
@@ -90,13 +89,11 @@ def build_split(events: Sequence[RatingEvent], counts: dict[int, int]) -> EvalSp
             raise ValueError(
                 f"user {uid}: {n} marked ratings but only {len(user_events)} events"
             )
-        cut = len(user_events) - n
-        train.update((e.user_id, e.item_id) for e in user_events[:cut])
-        held = user_events[cut:]
+        held = user_events[len(user_events) - n:]
         n_validation = (n + 1) // 2
         validation.update((e.user_id, e.item_id) for e in held[:n_validation])
         test.update((e.user_id, e.item_id) for e in held[n_validation:])
-    return EvalSplit(frozenset(train), frozenset(validation), frozenset(test))
+    return EvalSplit(frozenset(validation), frozenset(test))
 
 
 def test_targets(
@@ -159,9 +156,7 @@ def load_split(path, events: Sequence[RatingEvent]) -> EvalSplit:
             if pair in validation or pair in test:
                 raise ParseError(path, line_no, f"pair {pair} is listed twice")
             (validation if parts[2] == "validation" else test).add(pair)
-    all_pairs = {(e.user_id, e.item_id) for e in events}
-    held = validation | test
-    if not held <= all_pairs:
-        missing = next(iter(held - all_pairs))
-        raise FormatError(f"{path}: held-out pair {missing} not present in the corpus")
-    return EvalSplit(frozenset(all_pairs - held), frozenset(validation), frozenset(test))
+    missing = (validation | test).difference((e.user_id, e.item_id) for e in events)
+    if missing:
+        raise FormatError(f"{path}: held-out pair {next(iter(missing))} not present in the corpus")
+    return EvalSplit(frozenset(validation), frozenset(test))

@@ -136,13 +136,32 @@ class TestRecommendCommand:
 
         args = cli.build_parser().parse_args(["evaluate", "--system", "ds", *common, "--out", "unused"])
         _, training = cli._training_events(cli.load_ratings(args.ratings), args.split, args.holdout)
-        events_by_user, rated_by_user = {}, {}
-        for e in training:
-            events_by_user.setdefault(e.user_id, []).append(e)
-            rated_by_user.setdefault(e.user_id, set()).add(e.item_id)
-        top = cli._user_ranker_topk(cli.load_space(args.space), 2, events_by_user, rated_by_user, args)
+        user_events = [e for e in training if e.user_id == 2]
+        top = cli._user_ranker_topk(cli.load_space(args.space), user_events, args)
         assert len(recommended) == 10
         assert top == recommended
+
+    @pytest.mark.parametrize("options", [[], ["--phi-t", "all", "--phi-d", "5", "--k", "15"]])
+    def test_prints_the_scores_of_score_items_bit_for_bit(self, pipeline, capsys, options):
+        argv = ["recommend", "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
+                "--split", str(pipeline["split"]), "--user", "2", *options]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        # retrain the user as recommend does, on a float64 copy of the space
+        args = cli.build_parser().parse_args(argv)
+        space = spacerank.load_space(args.space)
+        space.matrix = space.matrix.astype(np.float64)
+        _, training = cli._training_events(spacerank.load_ratings(args.ratings), args.split, "test")
+        user_events = [e for e in training if e.user_id == 2]
+        config = spacerank.RankerConfig(phi_i=args.phi_i, phi_t=args.phi_t, phi_d=args.phi_d,
+                                        alpha0=args.alpha, seed=spacerank.derive_seed(args.seed, 2))
+        preferences = spacerank.build_preferences(user_events, space, config.phi_t)
+        stream = spacerank.pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
+        model = spacerank.train_hyperplane(stream, space, config, 2)
+        scores = spacerank.score_items(model, space)
+        top = spacerank.recommend_topk(model, space, {e.item_id for e in user_events}, args.k)
+        assert lines == [f"{item}\t{scores[item]!r}" for item in top]
 
     def test_phi_t_all_accepted(self, pipeline, capsys):
         code = main([
@@ -382,7 +401,7 @@ class TestUsage:
 # The package's public names, by defining module.
 EXPORTS = {
     "baselines": ["KnnModel", "PopularityModel", "build_popularity", "knn_scores", "knn_topk",
-                  "popularity_topk"],
+                  "popularity_topk", "top_k"],
     "corpus": ["Observation", "RatingEvent", "ReviewDocument", "UserProfile", "binarize",
                "build_profiles", "load_ratings", "load_reviews", "rating_levels",
                "ratings_to_observations", "reviews_to_observations"],
@@ -393,7 +412,7 @@ EXPORTS = {
     "hsoftmax": ["HuffmanTree", "Vocabulary", "build_huffman", "build_vocabulary", "hs_probability",
                  "hs_train_step", "new_node_matrix", "sigmoid"],
     "ranker": ["HyperplaneModel", "RankerConfig", "build_preferences", "derive_seed", "pair_stream",
-               "recommend_topk", "score_items", "top_k", "train_hyperplane"],
+               "recommend_topk", "score_items", "train_hyperplane"],
     "spaces": ["EmbeddingSpace", "SpaceTrainConfig", "build_vsm_space", "export_vectors",
                "load_space", "save_space", "train_space"],
     "splits": ["EvalSplit", "build_split", "load_split", "mark_counts", "save_split", "test_targets"],
@@ -440,6 +459,27 @@ class TestStartUp:
         assert run_fresh(script) == [[0, 0], []]
         for name in ("split.tsv", "split.tsv.manifest.json"):
             assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, unloaded", [
+        (["evaluate", "--system", "pop"], ["ranker", "spaces", "hsoftmax", "native"]),
+        (["evaluate", "--system", "knn"], ["ranker", "spaces", "hsoftmax", "native"]),
+        (["train-space", "--mode", "vsm"], ["baselines", "ranker"]),
+        (["evaluate", "--system", "ds", "--workers", "1"], []),
+    ], ids=["pop", "knn", "vsm", "ds"])
+    def test_command_loads_only_the_layers_it_runs(self, pipeline, tmp_path, command, unloaded):
+        argv = [*command, "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
+                "--out", str(tmp_path / "out")]
+        if command[0] == "evaluate":  # pop and knn ignore the space
+            argv += ["--space", str(pipeline["space"])]
+        # and none of these commands starts a thread pool
+        modules = ["concurrent.futures", *(f"spacerank.{m}" for m in unloaded)]
+        script = (
+            "import json, sys\n"
+            "from spacerank.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))\n"
+        )
+        assert run_fresh(script) == [0, []]
 
     @pytest.mark.parametrize("module, name, system", [
         (spaces, "load_space", "ds"), (baselines, "build_popularity", "pop"),

@@ -51,8 +51,10 @@ def random_instance(rng, max_vocab=64, max_dim=16):
 
 
 class TestVocabulary:
-    def test_frequency_order(self):
-        obs = [Observation(1, "a"), Observation(1, "b"), Observation(2, "a")]
+    @pytest.mark.parametrize("record", [Observation, lambda item, token: (item, token)],
+                             ids=["Observation", "tuple"])
+    def test_frequency_order(self, record):
+        obs = [record(1, "a"), record(1, "b"), record(2, "a")]
         vocab = build_vocabulary(obs)
         assert vocab.tokens == ("a", "b")
         assert vocab.counts.tolist() == [2, 1]

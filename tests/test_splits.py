@@ -11,6 +11,11 @@ def user_events(user_id, n, rating=4, t0=0):
     return [RatingEvent(user_id, 100 * user_id + i, rating, t0 + i) for i in range(n)]
 
 
+def implicit_train(split, events):
+    """The train pairs a split leaves implicit: every corpus pair it does not hold out."""
+    return {(e.user_id, e.item_id) for e in events} - split.validation - split.test
+
+
 class TestMarkCounts:
     def test_no_25th_element(self):
         events = user_events(1, 24)
@@ -46,7 +51,7 @@ class TestBuildSplit:
         split = build_split(events, {1: 2})
         assert split.validation == {(1, 108)}
         assert split.test == {(1, 109)}
-        assert len(split.train) == 8
+        assert len(implicit_train(split, events)) == 8
 
     def test_odd_count_favours_validation(self):
         events = user_events(1, 10)
@@ -57,7 +62,7 @@ class TestBuildSplit:
     def test_unmarked_user_all_train(self):
         events = user_events(1, 5)
         split = build_split(events, {1: 0})
-        assert split.train == {(e.user_id, e.item_id) for e in events}
+        assert implicit_train(split, events) == {(e.user_id, e.item_id) for e in events}
         assert not split.validation and not split.test
 
     def test_partition_and_temporal_invariants(self):
@@ -67,15 +72,14 @@ class TestBuildSplit:
         counts = mark_counts(events, every=7)
         split = build_split(events, counts)
         all_pairs = {(e.user_id, e.item_id) for e in events}
-        assert split.train | split.validation | split.test == all_pairs
-        assert not split.train & split.validation
-        assert not split.train & split.test
+        train = implicit_train(split, events)
+        assert split.validation | split.test <= all_pairs
         assert not split.validation & split.test
         assert len(split.validation) == sum((n + 1) // 2 for n in counts.values())
         assert len(split.test) == sum(n // 2 for n in counts.values())
         ts = {(e.user_id, e.item_id): e.timestamp for e in events}
         for uid in range(1, 9):
-            train_ts = [ts[p] for p in split.train if p[0] == uid]
+            train_ts = [ts[p] for p in train if p[0] == uid]
             held_ts = [ts[p] for p in (split.validation | split.test) if p[0] == uid]
             if train_ts and held_ts:
                 assert min(held_ts) >= max(train_ts)
