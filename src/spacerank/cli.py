@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import _MODULE_OF, __version__
+from . import _EXPORTS, _MODULE_OF, __version__
 from .corpus import (
     build_profiles,
     load_ratings,
@@ -34,31 +34,26 @@ from .evaluate import (
 )
 from .splits import build_split, load_split, mark_counts, save_split, test_targets
 
-# The names this module uses from the numpy-backed layers (baselines,
-# ranker, spaces), bound on first use so that each command loads only the
-# layers it runs, and split and mcnemar never load numpy. Each becomes a module
-# global, and the commands call it through this module, so a wrapper set on it
-# beforehand (as the benchmark's tracer does) is kept and called.
-_NUMPY_LAYERS = (
-    "KnnModel", "build_popularity", "knn_topk", "popularity_topk", "top_k",
-    "RankerConfig", "build_preferences", "derive_seed", "pair_stream", "recommend_topk",
-    "train_hyperplane",
-    "SpaceTrainConfig", "build_vsm_space", "load_space", "save_space", "train_space",
-)
+# The numpy-backed layers. A command binds the package's exports of the
+# layers it runs, on first use, so that split and mcnemar never load numpy.
+# Each becomes a module global, and the commands call it through this module,
+# so a wrapper set on it beforehand (as the benchmark's tracer does) is kept
+# and called.
+_LAYERS = ("baselines", "ranker", "spaces")
 
 
-def _bind_numpy_layers(*modules: str) -> None:
-    """Bind the `_NUMPY_LAYERS` names defined in `modules`, importing only those modules."""
+def _bind_layers(*modules: str) -> None:
+    """Bind every name the package exports from `modules`, importing only those modules."""
     package = sys.modules[__package__]  # its lazy exports import each defining module
-    for name in _NUMPY_LAYERS:
-        if _MODULE_OF[name] in modules:
+    for module in modules:
+        for name in _EXPORTS[module]:
             globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
-    if name not in _NUMPY_LAYERS:
+    if _MODULE_OF.get(name) not in _LAYERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_numpy_layers(_MODULE_OF[name])
+    _bind_layers(_MODULE_OF[name])
     return globals()[name]
 
 
@@ -132,7 +127,7 @@ def _training_events(events, split_path, holdout):
 
 
 def cmd_train_space(args) -> int:
-    _bind_numpy_layers("spaces")
+    _bind_layers("spaces")
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, args.holdout)
     profiles = build_profiles(training)
@@ -212,7 +207,7 @@ def _ranking_space(args):
 
 
 def cmd_recommend(args) -> int:
-    _bind_numpy_layers("baselines", "ranker", "spaces")
+    _bind_layers("baselines", "ranker", "spaces")
     events = load_ratings(args.ratings)
     _, training = _training_events(events, args.split, "test")
     _check_space_provenance(args, "test", _digests(args.ratings, args.split))
@@ -241,7 +236,7 @@ def cmd_evaluate(args) -> int:
     if args.system == "ds":
         if not args.space:
             raise SpaceRankError("--system ds requires --space")
-        _bind_numpy_layers("ranker", "spaces")
+        _bind_layers("ranker", "spaces")
         _check_space_provenance(args, args.holdout, inputs)
         space = _ranking_space(args)
         inputs.update(_digests(args.space))
@@ -250,14 +245,14 @@ def cmd_evaluate(args) -> int:
             return _user_ranker_topk(space, user_events, args)
 
     elif args.system == "pop":
-        _bind_numpy_layers("baselines")
+        _bind_layers("baselines")
         model = build_popularity(training)
 
         def topk(user_events):
             return popularity_topk(model, (e.item_id for e in user_events), args.k)
 
     else:  # knn
-        _bind_numpy_layers("baselines")
+        _bind_layers("baselines")
         model = KnnModel(training, build_profiles(training), args.k_neighbors)
 
         def topk(user_events):

@@ -48,9 +48,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
     def token_id(self, token: str) -> int:
         try:
             return self.index[token]

@@ -20,7 +20,7 @@ import numpy as np
 from . import native
 from .baselines import top_k
 from .corpus import RatingEvent, binarize
-from .errors import CannotRankError
+from .errors import CannotRankError, SpaceRankError
 from .spaces import EmbeddingSpace
 
 
@@ -49,12 +49,12 @@ class RankerConfig:
     def __post_init__(self):
         if self.phi_i < 1:
             raise ValueError(f"phi_i must be >= 1, got {self.phi_i}")
-        if self.phi_d < 1:
+        if not self.phi_d >= 1:  # also refuses NaN
             raise ValueError(f"phi_d must be >= 1, got {self.phi_d}")
         if self.phi_t != "all" and (not isinstance(self.phi_t, int) or self.phi_t < 1):
             raise ValueError(f"phi_t must be a positive integer or 'all', got {self.phi_t!r}")
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be > 0, got {self.alpha0}")
+        if not 0 < self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,8 @@ def train_hyperplane(
     The compiled ``hyperplane_pass`` of `native.kernels` runs the loop in
     one call. Without it the same loop runs here, one pair at a time over
     the stream's rows. Both read the space as float64, which is free for a
-    space already held so.
+    space already held so. Raises SpaceRankError if w ends non-finite
+    (alpha0 too large).
     """
     stream = np.asarray(pairs)
     if not len(stream):
@@ -185,6 +186,8 @@ def train_hyperplane(
         for k, (a, b) in enumerate(stream):
             diff = matrix[b] - matrix[a]
             w += alpha0 * (1.0 - k / total) / (1.0 + math.exp(min(w @ diff, 500.0))) * diff
+    if not np.isfinite(w).all():
+        raise SpaceRankError(f"hyperplane training diverged to a non-finite w at alpha0={alpha0}")
     return HyperplaneModel(user_id, w)
 
 

@@ -11,6 +11,7 @@ tree-node weights by SGD with a linearly decaying learning rate.
 from __future__ import annotations
 
 import copy
+import math
 import zipfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -57,9 +58,6 @@ class EmbeddingSpace:
     def __len__(self) -> int:
         return len(self.item_ids)
 
-    def row(self, item_id: int) -> int:
-        return int(self.rows(item_id))
-
     def rows(self, item_ids) -> np.ndarray:
         """Rows of item ids (an id or an array of them, same shape); KeyError if one is missing."""
         item_ids = np.asarray(item_ids)
@@ -74,7 +72,7 @@ class EmbeddingSpace:
 
     def vector(self, item_id: int) -> np.ndarray:
         """The item's vector (a view into the matrix)."""
-        return self.matrix[self.row(item_id)]
+        return self.matrix[self.rows(item_id)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -99,8 +97,8 @@ class SpaceTrainConfig:
             raise ValueError(f"dimensions must be positive, got {self.dimensions}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be > 0, got {self.alpha0}")
+        if not 0 < self.alpha0 < math.inf:  # also refuses NaN
+            raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

@@ -11,7 +11,8 @@ proportional to each user's rating volume.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import Counter
+from typing import NamedTuple, Sequence
 
 from .corpus import RatingEvent
 from .errors import FormatError, ParseError
@@ -39,20 +40,6 @@ class EvalSplit(NamedTuple):
         raise ValueError(f"holdout must be 'test' or 'validation', got {holdout!r}")
 
 
-def _user_event_order(events: Iterable[RatingEvent]) -> dict[int, list[RatingEvent]]:
-    per_user: dict[int, list[RatingEvent]] = {}
-    for e in events:
-        per_user.setdefault(e.user_id, []).append(e)
-    for user_events in per_user.values():
-        user_events.sort(key=lambda e: (e.timestamp, e.item_id))
-    return per_user
-
-
-def _global_user_order(per_user: dict[int, list[RatingEvent]]) -> list[int]:
-    # Most active users first; ties by ascending user id for determinism.
-    return sorted(per_user, key=lambda uid: (-len(per_user[uid]), uid))
-
-
 def mark_counts(events: Sequence[RatingEvent], every: int = 25) -> dict[int, int]:
     """Number of marked (held-out) ratings per user.
 
@@ -62,11 +49,11 @@ def mark_counts(events: Sequence[RatingEvent], every: int = 25) -> dict[int, int
     """
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
-    per_user = _user_event_order(events)
-    counts = {uid: 0 for uid in per_user}
+    volume = Counter(e.user_id for e in events)
+    counts = dict.fromkeys(volume, 0)
     position = 0
-    for uid in _global_user_order(per_user):
-        block = len(per_user[uid])
+    # Most active users first; ties by ascending user id for determinism.
+    for uid, block in sorted(volume.items(), key=lambda kv: (-kv[1], kv[0])):
         # Marks in (position, position + block] are multiples of `every`.
         counts[uid] = (position + block) // every - position // every
         position += block
@@ -77,10 +64,13 @@ def build_split(events: Sequence[RatingEvent], counts: dict[int, int]) -> EvalSp
     """Hold out validation and test events per the marked counts.
 
     A user with n > 0 marked ratings holds out her n temporally-latest
-    events: the earlier ceil(n/2) go to validation, the later floor(n/2) to
-    test (an odd leftover goes to validation). All other events are train.
+    events (ties by item id): the earlier ceil(n/2) go to validation, the
+    later floor(n/2) to test (an odd leftover goes to validation). All other
+    events are train.
     """
-    per_user = _user_event_order(events)
+    per_user: dict[int, list[RatingEvent]] = {}
+    for e in events:
+        per_user.setdefault(e.user_id, []).append(e)
     validation: set[Pair] = set()
     test: set[Pair] = set()
     for uid, user_events in per_user.items():
@@ -89,6 +79,7 @@ def build_split(events: Sequence[RatingEvent], counts: dict[int, int]) -> EvalSp
             raise ValueError(
                 f"user {uid}: {n} marked ratings but only {len(user_events)} events"
             )
+        user_events.sort(key=lambda e: (e.timestamp, e.item_id))
         held = user_events[len(user_events) - n:]
         n_validation = (n + 1) // 2
         validation.update((e.user_id, e.item_id) for e in held[:n_validation])

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import spacerank
 from spacerank import baselines, cli, spaces
 from spacerank.cli import main
+from spacerank.minicorpus import generate_minicorpus
 
 
 class TestSplitCommand:
@@ -358,6 +360,56 @@ class TestEvaluateCommand:
         assert not space.exists() and not results.exists()
 
 
+class TestNonFiniteParameters:
+    """A NaN or infinite rate, a NaN phi_d, or a hyperplane that overflows is a data
+    error (exit 2) that writes no results file and no score line."""
+
+    def ranker_argv(self, pipeline, space, *options):
+        return ["--space", str(space), "--ratings", str(pipeline["ratings"]),
+                "--split", str(pipeline["split"]), *options]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--alpha", "nan", "alpha0 must be finite and > 0, got nan"),
+        ("--alpha", "inf", "alpha0 must be finite and > 0, got inf"),
+        ("--phi-d", "nan", "phi_d must be >= 1, got nan"),
+    ])
+    def test_evaluate_ds_refuses(self, pipeline, tmp_path, capsys, option, value, message):
+        out = tmp_path / "ds.results"
+        argv = self.ranker_argv(pipeline, pipeline["space"], option, value)
+        assert main(["evaluate", "--system", "ds", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_recommend_refuses_infinite_alpha(self, pipeline, capsys):
+        argv = self.ranker_argv(pipeline, pipeline["space"], "--alpha", "inf")
+        assert main(["recommend", *argv, "--user", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "alpha0 must be finite and > 0, got inf" in captured.err
+
+    def test_overflowing_hyperplane_refused(self, pipeline, tmp_path, capsys):
+        vsm, out = tmp_path / "vsm.space", tmp_path / "ds.results"
+        assert main(["train-space", "--mode", "vsm", "--ratings", str(pipeline["ratings"]),
+                     "--split", str(pipeline["split"]), "--out", str(vsm)]) == 0
+        capsys.readouterr()
+        argv = self.ranker_argv(pipeline, vsm, "--alpha", "1e308", "--phi-t", "all", "--phi-d", "1")
+        with np.errstate(all="ignore"):  # the numpy loop overflows on its way to NaN
+            assert main(["evaluate", "--system", "ds", *argv, "--out", str(out)]) == 2
+            assert main(["recommend", *argv, "--user", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("diverged to a non-finite w") == 2
+        assert not out.exists()
+
+    def test_train_space_refuses_nan_alpha_before_any_pass(self, pipeline, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(vars(cli), "train_space", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "nan.space"
+        assert main(["train-space", "--mode", "cf", "--ratings", str(pipeline["ratings"]),
+                     "--split", str(pipeline["split"]), "--dims", "8", "--alpha", "nan",
+                     "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert "alpha0 must be finite and > 0, got nan" in capsys.readouterr().err
+
+
 class TestMcnemarCommand:
     def make_results(self, pipeline, tmp_path):
         a = tmp_path / "a.results"
@@ -485,7 +537,7 @@ class TestStartUp:
         (spaces, "load_space", "ds"), (baselines, "build_popularity", "pop"),
     ])
     def test_wrapper_set_before_main_is_called(self, pipeline, tmp_path, monkeypatch, module, name, system):
-        for unbound in cli._NUMPY_LAYERS:  # as in a fresh process: no layer bound yet
+        for unbound in (n for layer in cli._LAYERS for n in EXPORTS[layer]):  # as in a fresh process
             monkeypatch.delitem(vars(cli), unbound, raising=False)
         calls = []
 
@@ -498,3 +550,24 @@ class TestStartUp:
                      "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
                      "--out", str(tmp_path / "results")]) == 0
         assert calls == [name] and getattr(cli, name) is wrapper
+
+
+class TestGoldenBytes:
+    # sha256 of the deterministic mini-corpus artifacts, none of which goes
+    # through a BLAS product (knn and ds results may differ between BLAS builds)
+    DIGESTS = {
+        "data/ratings.dat": "bc29a6bbe5df6f8d397be62e666d697ce8a15f432de1a6b7a88fc39b7f9f9782",
+        "data/reviews.tsv": "2807cbde7eef7194b0ccb0d438a194434858b7eea607e1e5fe9db6dee4bbe437",
+        "split.tsv": "11d3b8b639d57a446c9600818fbe14336a7f2b97ad8329f7f8023cdf22554498",
+        "vsm.space": "497a6c36680e7df5b1abdf0ad2cfe7d75049aa9ea616d71cf5c814d4db971e61",
+        "pop.results": "afca3551cee0d14daa335b658003cd2e8f072cab0cd96d0c395eec60dbc2ece4",
+    }
+
+    def test_mini_corpus_pipeline_bytes(self, tmp_path):
+        ratings, _ = generate_minicorpus(tmp_path / "data")
+        common = ["--ratings", str(ratings), "--split", str(tmp_path / "split.tsv")]
+        assert main(["split", "--ratings", str(ratings), "--out", str(tmp_path)]) == 0
+        assert main(["train-space", "--mode", "vsm", *common, "--out", str(tmp_path / "vsm.space")]) == 0
+        assert main(["evaluate", "--system", "pop", *common, "--out", str(tmp_path / "pop.results")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.DIGESTS}
+        assert digests == self.DIGESTS

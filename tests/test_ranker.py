@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spacerank import native
 from spacerank.corpus import RatingEvent, binarize
-from spacerank.errors import CannotRankError
+from spacerank.errors import CannotRankError, SpaceRankError
 from spacerank.hsoftmax import sigmoid
 from spacerank.ranker import (
     HyperplaneModel,
@@ -262,6 +262,14 @@ class TestTrainHyperplane:
         with pytest.raises(ValueError):
             score_items(model, space)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha0", float("nan")), ("alpha0", float("inf")), ("alpha0", 0.0), ("phi_d", float("nan")),
+    ])
+    def test_config_refuses_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RankerConfig(**{field: value})
+        RankerConfig(phi_d=float("inf"))  # keeps no rated-versus-unrated pair, as a huge phi_d does
+
     def test_empty_stream(self):
         for empty in ([], np.empty((0, 2), dtype=np.uint8)):
             with pytest.raises(CannotRankError):
@@ -344,6 +352,14 @@ class TestTrainHyperplanes:
             finally:
                 tracemalloc.stop()
         assert peak <= 16 * 1024  # w, one pair's rows and difference, the seeded generator
+
+    def test_overflowing_w_refused_on_both_paths(self):
+        space = EmbeddingSpace(2, [1, 2], np.array([[10.0, 0.0], [0.0, 10.0]]))
+        stream = np.array([[0, 1], [1, 0]] * 4)
+        for kernels in (native.kernels, no_kernels):
+            with mock.patch.object(native, "kernels", kernels), np.errstate(all="ignore"):
+                with pytest.raises(SpaceRankError, match="non-finite w"):
+                    train_hyperplane(stream, space, RankerConfig(alpha0=1e308), 1)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3), (2, 2, 2)])
     def test_misshapen_stream_refused(self, shape):

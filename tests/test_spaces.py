@@ -58,7 +58,7 @@ class TestEmbeddingSpace:
         rows = space.rows(queries)
         assert rows.shape == queries.shape
         assert rows.tolist() == [[item_ids.index(i) for i in pair] for pair in queries]
-        assert [space.row(i) for i in item_ids] == list(range(5))
+        assert [int(space.rows(i)) for i in item_ids] == list(range(5))
 
     def test_rows_missing_item(self):
         space = EmbeddingSpace(1, [40, 3], np.zeros((2, 1)))
@@ -66,7 +66,7 @@ class TestEmbeddingSpace:
             with pytest.raises(KeyError):
                 space.rows([3, missing])
             with pytest.raises(KeyError):
-                space.row(missing)
+                space.rows(missing)
         with pytest.raises(KeyError):
             EmbeddingSpace(1, [], np.zeros((0, 1))).rows([1])
 
@@ -164,6 +164,11 @@ class TestTrainSpace:
     def test_diverged_training_raises(self):
         with np.errstate(all="ignore"), pytest.raises(SpaceRankError):
             train_space(shared_token_corpus(), SpaceTrainConfig(8, iterations=2, alpha0=1e4))
+
+    @pytest.mark.parametrize("alpha0", [float("nan"), float("inf"), 0.0])
+    def test_config_refuses_nan_and_infinite_alpha0(self, alpha0):
+        with pytest.raises(ValueError, match="alpha0"):
+            SpaceTrainConfig(8, alpha0=alpha0)
 
 
 class TestVsmSpace:
