@@ -16,8 +16,8 @@ _EXPORTS = {
         "popularity_topk", "top_k",
     ),
     "corpus": (
-        "Observation", "RatingEvent", "ReviewDocument", "UserProfile", "binarize",
-        "build_profiles", "load_ratings", "load_reviews", "rating_levels",
+        "Observation", "RatingEvent", "Ratings", "ReviewDocument", "UserProfile", "binarize",
+        "build_profiles", "load_rating_columns", "load_ratings", "load_reviews", "rating_levels",
         "ratings_to_observations", "reviews_to_observations",
     ),
     "errors": (

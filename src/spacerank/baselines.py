@@ -1,6 +1,6 @@
 """Reference recommenders: popularity ranking and user-based KNN.
 
-Both operate on the same training events as the learned spaces. `top_k`,
+Both operate on the same training ratings as the learned spaces. `top_k`,
 their deterministic top-k selection, lives here; the ranker imports it.
 """
 
@@ -11,29 +11,33 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import RatingEvent, UserProfile, rating_levels
+from .corpus import RatingEvent, Ratings, UserProfile, as_ratings, rating_levels
 from .errors import NoSuchUserError
 
 
 def top_k(
     item_ids: np.ndarray,
     scores: np.ndarray,
-    exclude: Iterable[int],
+    exclude: Iterable[int] | np.ndarray,
     k: int,
 ) -> list[int]:
     """Highest-scoring items, ties by ascending item id, `exclude` removed.
 
-    Returns fewer than k items when not enough candidates exist.
+    Returns fewer than k items when not enough candidates exist. Only the
+    items scoring at least the k-th best score are sorted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    item_ids = np.asarray(item_ids)
-    exclude = np.fromiter(exclude, dtype=np.int64)
-    if len(exclude):
-        keep = ~np.isin(item_ids, exclude)
-        item_ids, scores = item_ids[keep], np.asarray(scores)[keep]
-    order = np.lexsort((item_ids, -np.asarray(scores, dtype=np.float64)))
-    return [int(i) for i in item_ids[order[:k]]]
+    item_ids, negated = np.asarray(item_ids), -np.asarray(scores, dtype=np.float64)
+    if not isinstance(exclude, np.ndarray):
+        exclude = np.fromiter(exclude, dtype=np.int64)
+    keep = ~np.isin(item_ids, exclude)
+    item_ids, negated = item_ids[keep], negated[keep]
+    if k < len(negated):  # keep every item tied with the k-th score; NaN scores stay, as in a sort
+        keep = ~(negated > np.partition(negated, k - 1)[k - 1])
+        item_ids, negated = item_ids[keep], negated[keep]
+    order = np.lexsort((item_ids, negated))
+    return item_ids[order[:k]].tolist()
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,11 @@ class PopularityModel:
     counts: np.ndarray
 
 
-def build_popularity(events: Iterable[RatingEvent]) -> PopularityModel:
-    items = np.fromiter((e.item_id for e in events), np.int64)
-    return PopularityModel(*np.unique(items, return_counts=True))
+def build_popularity(ratings: Ratings | Iterable[RatingEvent]) -> PopularityModel:
+    return PopularityModel(*np.unique(as_ratings(ratings).item, return_counts=True))
 
 
-def popularity_topk(model: PopularityModel, exclude: Iterable[int], k: int) -> list[int]:
+def popularity_topk(model: PopularityModel, exclude: Iterable[int] | np.ndarray, k: int) -> list[int]:
     """Most-rated items first, ties by ascending item id."""
     return top_k(model.item_ids, model.counts, exclude, k)
 
@@ -63,11 +66,11 @@ class KnnModel:
     cosine-similar other users, similarity ties broken by ascending user id.
     """
 
-    def __init__(self, events: Sequence[RatingEvent], profiles: dict[int, UserProfile], k: int):
+    def __init__(self, ratings: Ratings | Sequence[RatingEvent], profiles: dict[int, UserProfile], k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        users, items, levels = rating_levels(events, profiles)
+        users, items, levels = rating_levels(ratings, profiles)
         self.user_ids, rows = np.unique(users, return_inverse=True)
         self.item_ids, cols = np.unique(items, return_inverse=True)
         self.matrix = np.zeros((len(self.user_ids), len(self.item_ids)), dtype=np.float32)
@@ -92,5 +95,5 @@ def knn_scores(model: KnnModel, user_id: int) -> np.ndarray:
     return sims[neighbours] @ rated
 
 
-def knn_topk(model: KnnModel, user_id: int, exclude: Iterable[int], k: int) -> list[int]:
+def knn_topk(model: KnnModel, user_id: int, exclude: Iterable[int] | np.ndarray, k: int) -> list[int]:
     return top_k(model.item_ids, knn_scores(model, user_id), exclude, k)

@@ -19,6 +19,8 @@ from pathlib import Path
 from . import _EXPORTS, _MODULE_OF, __version__
 from .corpus import (
     build_profiles,
+    held_mask,
+    load_rating_columns,
     load_ratings,
     load_reviews,
     ratings_to_observations,
@@ -119,17 +121,15 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _training_events(events, split_path, holdout):
-    split = load_split(split_path, events)
-    held = split.held_out(holdout)
-    training = [e for e in events if (e.user_id, e.item_id) not in held]
-    return split, training
+def _training_ratings(ratings, split_path, holdout):
+    """The split, and the ratings it does not hold out under `holdout`."""
+    split = load_split(split_path, ratings)
+    return split, ratings.select(~held_mask(ratings, split.held_out(holdout)))
 
 
 def cmd_train_space(args) -> int:
     _bind_layers("spaces")
-    events = load_ratings(args.ratings)
-    _, training = _training_events(events, args.split, args.holdout)
+    _, training = _training_ratings(load_rating_columns(args.ratings), args.split, args.holdout)
     profiles = build_profiles(training)
     inputs = [args.ratings, args.split]
 
@@ -169,25 +169,25 @@ def cmd_train_space(args) -> int:
     return 0
 
 
-def _fit_user(space, user_events, args):
-    """The hyperplane of the user whose training events these are; CannotRankError if unrankable."""
-    user_id = user_events[0].user_id
+def _fit_user(space, user_ratings, args):
+    """The hyperplane of the user whose training ratings these are; CannotRankError if unrankable."""
+    user_id = int(user_ratings.user[0])
     config = RankerConfig(
         phi_i=args.phi_i, phi_t=args.phi_t, phi_d=args.phi_d,
         alpha0=args.alpha, seed=derive_seed(args.seed, user_id),
     )
-    preferences = build_preferences(user_events, space, config.phi_t)
+    preferences = build_preferences(user_ratings, space, config.phi_t)
     stream = pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
     return train_hyperplane(stream, space, config, user_id)
 
 
-def _user_ranker_topk(space, user_events, args):
+def _user_ranker_topk(space, user_ratings, args):
     """One user's top-k list, or None if they cannot be ranked (no usable ratings, no pairs)."""
     try:
-        model = _fit_user(space, user_events, args)
+        model = _fit_user(space, user_ratings, args)
     except CannotRankError:
         return None
-    return recommend_topk(model, space, (e.item_id for e in user_events), args.k)
+    return recommend_topk(model, space, user_ratings.item, args.k)
 
 
 def _ranking_space(args):
@@ -208,29 +208,31 @@ def _ranking_space(args):
 
 def cmd_recommend(args) -> int:
     _bind_layers("baselines", "ranker", "spaces")
-    events = load_ratings(args.ratings)
-    _, training = _training_events(events, args.split, "test")
+    _, training = _training_ratings(load_rating_columns(args.ratings), args.split, "test")
     _check_space_provenance(args, "test", _digests(args.ratings, args.split))
     space = _ranking_space(args)
-    user_events = [e for e in training if e.user_id == args.user]
-    if not user_events:
+    user_ratings = training.select(training.user == args.user)
+    if not len(user_ratings.user):
         raise CannotRankError(f"user {args.user} has no training ratings")
-    scores = space.matrix @ _fit_user(space, user_events, args).w
-    top = top_k(space.item_ids, scores, (e.item_id for e in user_events), args.k)
+    scores = space.matrix @ _fit_user(space, user_ratings, args).w
+    top = top_k(space.item_ids, scores, user_ratings.item, args.k)
     for item_id, score in zip(top, scores[space.rows(top)].tolist()):
         print(f"{item_id}\t{score!r}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    events = load_ratings(args.ratings)
-    split, training = _training_events(events, args.split, args.holdout)
-    targets = test_targets(split, events, which=args.holdout)
+    import numpy as np
+
+    ratings = load_rating_columns(args.ratings)
+    split, training = _training_ratings(ratings, args.split, args.holdout)
+    targets = test_targets(split, ratings, which=args.holdout)
     if not targets:
         raise SpaceRankError(f"no rated-4-or-5 targets in the {args.holdout} set")
-    events_by_user: dict[int, list] = {}
-    for e in training:
-        events_by_user.setdefault(e.user_id, []).append(e)
+    by_user = training.select(np.argsort(training.user, kind="stable"))  # each user in file order
+    users, starts = np.unique(by_user.user, return_index=True)
+    ends = [*starts[1:].tolist(), len(by_user.user)]
+    ratings_of = {u: by_user.select(slice(a, b)) for u, a, b in zip(users.tolist(), starts.tolist(), ends)}
 
     inputs = _digests(args.ratings, args.split)
     if args.system == "ds":
@@ -241,25 +243,25 @@ def cmd_evaluate(args) -> int:
         space = _ranking_space(args)
         inputs.update(_digests(args.space))
 
-        def topk(user_events):
-            return _user_ranker_topk(space, user_events, args)
+        def topk(user_ratings):
+            return _user_ranker_topk(space, user_ratings, args)
 
     elif args.system == "pop":
         _bind_layers("baselines")
         model = build_popularity(training)
 
-        def topk(user_events):
-            return popularity_topk(model, (e.item_id for e in user_events), args.k)
+        def topk(user_ratings):
+            return popularity_topk(model, user_ratings.item, args.k)
 
     else:  # knn
         _bind_layers("baselines")
         model = KnnModel(training, build_profiles(training), args.k_neighbors)
 
-        def topk(user_events):
-            return knn_topk(model, user_events[0].user_id, (e.item_id for e in user_events), args.k)
+        def topk(user_ratings):
+            return knn_topk(model, int(user_ratings.user[0]), user_ratings.item, args.k)
 
     def provider(user_id):  # a user without training ratings cannot be ranked
-        return topk(events_by_user[user_id]) if user_id in events_by_user else None
+        return topk(ratings_of[user_id]) if user_id in ratings_of else None
 
     result = evaluate_system(provider, targets, k=args.k, workers=args.workers)
     save_results(result.records, args.out, k=args.k)

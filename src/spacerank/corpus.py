@@ -10,6 +10,8 @@ against the user's mean, and review text becomes one token per word.
 from __future__ import annotations
 
 import re
+import sys
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NoSuchUserError, ParseError, ValidationError
@@ -18,6 +20,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# A canonical ratings file (see load_rating_columns). The repeat is possessive
+# where Python has that (3.11+), which halves the match time.
+_RATING_LINE = rb"[0-9]{1,18}::[0-9]{1,18}::[1-5]::[0-9]{1,18}"
+_CANONICAL_RATINGS = re.compile(rb"(?:(?:%s)?\r?\n)*%s(?:%s)?" % (
+    _RATING_LINE, b"+" if sys.version_info >= (3, 11) else b"", _RATING_LINE))
 
 
 class RatingEvent(NamedTuple):
@@ -27,6 +34,30 @@ class RatingEvent(NamedTuple):
     item_id: int
     rating: int
     timestamp: int
+
+
+class Ratings(NamedTuple):
+    """Aligned int64 columns of rating events, one row per event in file order."""
+
+    user: np.ndarray
+    item: np.ndarray
+    rating: np.ndarray
+    timestamp: np.ndarray
+
+    def select(self, rows) -> Ratings:
+        """The rows at `rows` (a mask, index array or slice), columns kept aligned."""
+        return Ratings(*(column[rows] for column in self))
+
+
+def as_ratings(events: Ratings | Iterable[RatingEvent]) -> Ratings:
+    """`events` as columns: a `Ratings` as is, RatingEvents in their order."""
+    if isinstance(events, Ratings):
+        return events
+    import numpy as np
+
+    events = list(events)
+    flat = np.fromiter(chain.from_iterable(events), np.int64, 4 * len(events))
+    return Ratings(*np.ascontiguousarray(flat.reshape(-1, 4).T))
 
 
 class UserProfile(NamedTuple):
@@ -83,6 +114,50 @@ def load_ratings(path) -> list[RatingEvent]:
     return events
 
 
+def load_rating_columns(path) -> Ratings:
+    """`load_ratings` as columns, parsed in one numpy call if the file is canonical.
+
+    Canonical means ASCII-digit fields of at most 18 digits, ratings 1-5, LF
+    or CRLF line ends (blank lines allowed) and no repeated (user, item)
+    pair. Any other file goes through `load_ratings`, the reference, which
+    raises its error or reads the lenient forms ``int`` accepts; a value
+    outside int64 then raises ValidationError.
+    """
+    import numpy as np
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _CANONICAL_RATINGS.fullmatch(data):  # stripped: numpy reads blank-only text as [0]
+        values = np.fromstring(data.replace(b":", b" ").decode().strip(), dtype=np.int64, sep=" ")
+        ratings = Ratings(*np.ascontiguousarray(values.reshape(-1, 4).T))
+        if np.all(np.diff(np.sort(pair_codes(ratings.user, ratings.item)))):  # no repeated pair
+            return ratings
+    try:
+        return as_ratings(load_ratings(path))
+    except OverflowError:
+        raise ValidationError(f"{path}: a field is outside the 64-bit integer range") from None
+
+
+def pair_codes(user: np.ndarray, item: np.ndarray) -> np.ndarray:
+    """One non-negative int64 per (user, item) pair, equal exactly where the pairs are equal."""
+    import numpy as np
+
+    if not (len(user) and min(user.min(), item.min()) >= 0 and user.max() < 2**32 and item.max() < 2**31):
+        user, item = (np.unique(ids, return_inverse=True)[1] for ids in (user, item))  # number densely
+    return user << 31 | item
+
+
+def held_mask(ratings: Ratings, pairs) -> np.ndarray:
+    """Mask of the ratings whose (user, item) pair is one of `pairs`, a collection of pairs."""
+    import numpy as np
+
+    held = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+    n = len(ratings.user)
+    codes = pair_codes(np.concatenate([ratings.user, held[:, 0]]), np.concatenate([ratings.item, held[:, 1]]))
+    ours, held = codes[:n], np.sort(codes[n:])
+    return np.append(held, -1)[np.searchsorted(held, ours)] == ours  # -1 is no pair's code
+
+
 def load_reviews(path) -> list[ReviewDocument]:
     """Parse an ``item_id<TAB>text`` reviews file, one document per item.
 
@@ -106,53 +181,48 @@ def load_reviews(path) -> list[ReviewDocument]:
     return [ReviewDocument(item_id, " ".join(parts)) for item_id, parts in texts.items()]
 
 
-def build_profiles(events: Iterable[RatingEvent]) -> dict[int, UserProfile]:
-    """UserProfile per user over the supplied (training) events."""
-    totals: dict[int, list[int]] = {}
-    for e in events:
-        acc = totals.setdefault(e.user_id, [0, 0])
-        acc[0] += e.rating
-        acc[1] += 1
+def build_profiles(ratings: Ratings | Iterable[RatingEvent]) -> dict[int, UserProfile]:
+    """UserProfile per user over the supplied (training) ratings, users ascending."""
+    import numpy as np
+
+    ratings = as_ratings(ratings)
+    users, rows, counts = np.unique(ratings.user, return_inverse=True, return_counts=True)
+    totals = np.bincount(rows, weights=ratings.rating, minlength=len(users))  # exact below 2**53
     return {
         uid: UserProfile(uid, total / count, count)
-        for uid, (total, count) in totals.items()
+        for uid, total, count in zip(users.tolist(), totals.tolist(), counts.tolist())
     }
 
 
-def binarize(rating: int, mean: float) -> int:
-    """Map a raw rating to 1 (below the user's mean) or 2 (equal or above)."""
-    return 2 if rating >= mean else 1
-
-
-def _level(event: RatingEvent, profiles: dict[int, UserProfile]) -> int:
-    if event.user_id not in profiles:
-        raise NoSuchUserError(f"no profile for user {event.user_id}")
-    return binarize(event.rating, profiles[event.user_id].mean_rating)
+def binarize(rating, mean):
+    """Map a raw rating to 1 (below the user's mean) or 2 (equal or above), elementwise on arrays."""
+    return 1 + (rating >= mean)
 
 
 def rating_levels(
-    events: Iterable[RatingEvent], profiles: dict[int, UserProfile]
+    ratings: Ratings | Iterable[RatingEvent], profiles: dict[int, UserProfile]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """User ids, item ids and binarize levels of the events, as aligned arrays.
+    """User ids, item ids and binarize levels of the ratings, as aligned arrays.
 
-    Raises NoSuchUserError for an event whose user has no profile.
+    Raises NoSuchUserError for the first rating whose user has no profile.
     """
-    import numpy as np  # the only numpy use here: split and mcnemar never load it
+    import numpy as np
 
-    events = list(events)
-    n = len(events)
-    return (
-        np.fromiter((e.user_id for e in events), np.int64, n),
-        np.fromiter((e.item_id for e in events), np.int64, n),
-        np.fromiter((_level(e, profiles) for e in events), np.int8, n),
-    )
+    ratings = as_ratings(ratings)
+    users, rows = np.unique(ratings.user, return_inverse=True)
+    unknown = [u for u in users.tolist() if u not in profiles]
+    if unknown:
+        raise NoSuchUserError(f"no profile for user {ratings.user[np.isin(ratings.user, unknown)][0]}")
+    means = np.array([profiles[u].mean_rating for u in users.tolist()], dtype=np.float64)
+    return ratings.user, ratings.item, binarize(ratings.rating, means[rows]).astype(np.int8)
 
 
 def ratings_to_observations(
-    events: Iterable[RatingEvent], profiles: dict[int, UserProfile]
+    ratings: Ratings | Iterable[RatingEvent], profiles: dict[int, UserProfile]
 ) -> list[Observation]:
-    """One ``user{uid}_rating{1|2}`` observation per rating event."""
-    return [Observation(e.item_id, f"user{e.user_id}_rating{_level(e, profiles)}") for e in events]
+    """One ``user{uid}_rating{1|2}`` observation per rating, in order."""
+    users, items, levels = (a.tolist() for a in rating_levels(ratings, profiles))
+    return list(map(Observation, items, [f"user{u}_rating{level}" for u, level in zip(users, levels)]))
 
 
 def reviews_to_observations(docs: Iterable[ReviewDocument]) -> list[Observation]:

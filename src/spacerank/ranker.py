@@ -19,7 +19,7 @@ import numpy as np
 
 from . import native
 from .baselines import top_k
-from .corpus import RatingEvent, binarize
+from .corpus import RatingEvent, Ratings, as_ratings, binarize
 from .errors import CannotRankError, SpaceRankError
 from .spaces import EmbeddingSpace
 
@@ -66,7 +66,7 @@ class HyperplaneModel:
 
 
 def build_preferences(
-    user_events: Sequence[RatingEvent],
+    user_ratings: Ratings | Sequence[RatingEvent],
     space: EmbeddingSpace,
     phi_t: int | str = "all",
 ) -> np.recarray:
@@ -75,19 +75,17 @@ def build_preferences(
     A record array with fields ``row`` (space row) and ``level`` (0 unrated,
     1 below the user's mean, 2 at or above it). Ratings on items missing from
     the space are unusable. The user's mean is taken over all their supplied
-    (training) events; only the phi_t most recently rated usable items keep
+    (training) ratings; only the phi_t most recently rated usable items keep
     their rated level, oldest first (ties by item id), and every other space
     row follows, in order, at level 0.
     """
-    if not user_events:
+    ids, ratings, times = as_ratings(user_ratings)[1:]
+    if not len(ids):
         raise CannotRankError("user has no training events")
-    ids, ratings, times = np.array(
-        [(e.item_id, e.rating, e.timestamp) for e in user_events], dtype=np.int64
-    ).T
     usable = np.flatnonzero(np.isin(ids, space.item_ids))
     if not len(usable):
         raise CannotRankError("none of the user's rated items are in the space")
-    mean = sum(e.rating for e in user_events) / len(user_events)
+    mean = int(ratings.sum()) / len(ratings)
     kept = usable[np.lexsort((ids[usable], times[usable]))]
     if phi_t != "all":
         kept = kept[-int(phi_t):]
@@ -96,7 +94,7 @@ def build_preferences(
     unrated[rated] = False
     rows = np.concatenate([rated, np.flatnonzero(unrated)])
     levels = np.zeros(len(rows), dtype=np.int8)
-    levels[:len(rated)] = [binarize(r, mean) for r in ratings[kept]]
+    levels[:len(rated)] = binarize(ratings[kept], mean)
     return np.rec.fromarrays([rows, levels], names="row,level")
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import native
-from .corpus import Observation, RatingEvent, UserProfile, rating_levels
+from .corpus import Observation, RatingEvent, Ratings, UserProfile, rating_levels
 from .errors import FormatError, SpaceRankError
 from .hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
 
@@ -181,7 +181,9 @@ def train_space(
     return EmbeddingSpace(d, item_ids, matrix, provenance)
 
 
-def build_vsm_space(events: Iterable[RatingEvent], profiles: dict[int, UserProfile]) -> EmbeddingSpace:
+def build_vsm_space(
+    ratings: Ratings | Iterable[RatingEvent], profiles: dict[int, UserProfile]
+) -> EmbeddingSpace:
     """Normalized vector space with one dimension per user, over the rated items.
 
     Each item's coordinate for user u is binarize(rating, u's mean) where u
@@ -189,7 +191,7 @@ def build_vsm_space(events: Iterable[RatingEvent], profiles: dict[int, UserProfi
     norm. Unlike trained spaces, the matrix is double precision so the unit
     norms are exact to working precision.
     """
-    users, items, levels = rating_levels(events, profiles)
+    users, items, levels = rating_levels(ratings, profiles)
     user_axis = np.sort(np.fromiter(profiles, np.int64, len(profiles)))
     item_ids = np.unique(items)
     matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.float64)

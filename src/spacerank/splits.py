@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .corpus import RatingEvent
+from .corpus import RatingEvent, Ratings, as_ratings, held_mask
 from .errors import FormatError, ParseError
 
 Pair = tuple[int, int]
@@ -88,7 +88,7 @@ def build_split(events: Sequence[RatingEvent], counts: dict[int, int]) -> EvalSp
 
 
 def test_targets(
-    split: EvalSplit, events: Sequence[RatingEvent], which: str = "test"
+    split: EvalSplit, ratings: Ratings | Sequence[RatingEvent], which: str = "test"
 ) -> list[Pair]:
     """Held-out pairs whose raw rating is a 4 or a 5, each an evaluation target.
 
@@ -101,13 +101,9 @@ def test_targets(
         held = split.validation
     else:
         raise ValueError(f"which must be 'test' or 'validation', got {which!r}")
-    targets = [
-        (e.user_id, e.item_id)
-        for e in events
-        if e.rating >= 4 and (e.user_id, e.item_id) in held
-    ]
-    targets.sort()
-    return targets
+    ratings = as_ratings(ratings)
+    targets = ratings.select((ratings.rating >= 4) & held_mask(ratings, held))
+    return sorted(zip(targets.user.tolist(), targets.item.tolist()))
 
 
 def save_split(split: EvalSplit, path) -> None:
@@ -124,14 +120,14 @@ def save_split(split: EvalSplit, path) -> None:
             fh.write(f"{user_id}\t{item_id}\t{kind}\n")
 
 
-def load_split(path, events: Sequence[RatingEvent]) -> EvalSplit:
+def load_split(path, ratings: Ratings | Sequence[RatingEvent]) -> EvalSplit:
     """Rebuild an EvalSplit from an exported file plus the corpus it covers.
 
     A pair listed twice, as the same kind or as both, raises ParseError at
-    its second line: the sets must stay disjoint.
+    its second line: the sets must stay disjoint. A pair the corpus does
+    not hold raises FormatError naming the first such pair in file order.
     """
-    validation: set[Pair] = set()
-    test: set[Pair] = set()
+    kinds: dict[Pair, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -144,10 +140,17 @@ def load_split(path, events: Sequence[RatingEvent]) -> EvalSplit:
                 pair = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer ids in {line!r}") from None
-            if pair in validation or pair in test:
+            if pair in kinds:
                 raise ParseError(path, line_no, f"pair {pair} is listed twice")
-            (validation if parts[2] == "validation" else test).add(pair)
-    missing = (validation | test).difference((e.user_id, e.item_id) for e in events)
-    if missing:
-        raise FormatError(f"{path}: held-out pair {next(iter(missing))} not present in the corpus")
-    return EvalSplit(frozenset(validation), frozenset(test))
+            kinds[pair] = parts[2]
+    ratings = as_ratings(ratings)
+    try:
+        complete = held_mask(ratings, kinds).sum() == len(kinds)  # a corpus holds each pair once
+    except OverflowError:  # an id outside int64, which no corpus holds
+        complete = False
+    if not complete:
+        corpus = set(zip(ratings.user.tolist(), ratings.item.tolist()))
+        missing = next(pair for pair in kinds if pair not in corpus)
+        raise FormatError(f"{path}: held-out pair {missing} not present in the corpus")
+    validation = frozenset(p for p, kind in kinds.items() if kind == "validation")
+    return EvalSplit(validation, frozenset(kinds.keys() - validation))

@@ -90,6 +90,32 @@ def test_traced_evaluate_baseline_has_topk_spans(pipeline, tmp_path, monkeypatch
     assert span in _traced_evaluate_span_names(pipeline, tmp_path, monkeypatch, system)
 
 
+@pytest.mark.parametrize("command, spans", [
+    (["train-space", "--mode", "vsm"], {"splits.load_split", "spaces.build_vsm"}),
+    (["evaluate", "--system", "pop"], {"splits.load_split", "splits.test_targets", "baselines.pop_topk"}),
+    (["evaluate", "--system", "knn"], {"splits.load_split", "splits.test_targets", "baselines.knn_build",
+                                       "baselines.knn_topk"}),
+], ids=["vsm", "pop", "knn"])
+def test_traced_columnar_commands_keep_their_layer_spans(pipeline, tmp_path, monkeypatch, command, spans):
+    # run.py takes the median of load_split, pop_topk and knn_topk spans, which raises when there are none
+    traced_cli = _import("traced_cli", monkeypatch)
+    for module, attr, _, _ in traced_cli.LAYERS:
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    spans_path = tmp_path / "spans.json"
+    assert traced_cli.main([str(spans_path), *command, "--ratings", str(pipeline["ratings"]),
+                            "--split", str(pipeline["split"]), "--out", str(tmp_path / "out")]) == 0
+    assert spans <= {span["name"] for span in json.loads(spans_path.read_text())}
+
+
+def test_probe_own_events_runs_on_an_event_list(monkeypatch):
+    from spacerank.corpus import RatingEvent
+
+    events = [RatingEvent(u, i, 1 + (u + i) % 5, i) for u in range(1, 5) for i in range(1, 9)]
+    values = _import("probes", monkeypatch).probe_own_events(events)
+    assert set(values) == {"corpus.observations_s", "spaces.build_vsm_s"}
+    assert all(math.isfinite(v) for v in values.values())
+
+
 def test_probe_space_io_cheap_and_leaves_no_file(monkeypatch, tmp_path):
     # the probe stats and unlinks exactly the path it passes to save_space
     values = _import("probes", monkeypatch).probe_space_io(1, tmp_path)

@@ -137,9 +137,8 @@ class TestRecommendCommand:
         recommended = [int(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()]
 
         args = cli.build_parser().parse_args(["evaluate", "--system", "ds", *common, "--out", "unused"])
-        _, training = cli._training_events(cli.load_ratings(args.ratings), args.split, args.holdout)
-        user_events = [e for e in training if e.user_id == 2]
-        top = cli._user_ranker_topk(cli.load_space(args.space), user_events, args)
+        _, training = cli._training_ratings(cli.load_rating_columns(args.ratings), args.split, args.holdout)
+        top = cli._user_ranker_topk(cli.load_space(args.space), training.select(training.user == 2), args)
         assert len(recommended) == 10
         assert top == recommended
 
@@ -154,8 +153,9 @@ class TestRecommendCommand:
         args = cli.build_parser().parse_args(argv)
         space = spacerank.load_space(args.space)
         space.matrix = space.matrix.astype(np.float64)
-        _, training = cli._training_events(spacerank.load_ratings(args.ratings), args.split, "test")
-        user_events = [e for e in training if e.user_id == 2]
+        events = spacerank.load_ratings(args.ratings)
+        held = spacerank.load_split(args.split, events).test
+        user_events = [e for e in events if e.user_id == 2 and (2, e.item_id) not in held]
         config = spacerank.RankerConfig(phi_i=args.phi_i, phi_t=args.phi_t, phi_d=args.phi_d,
                                         alpha0=args.alpha, seed=spacerank.derive_seed(args.seed, 2))
         preferences = spacerank.build_preferences(user_events, space, config.phi_t)
@@ -254,7 +254,8 @@ class TestEvaluateCommand:
         summary = capsys.readouterr().out
 
         events = cli.load_ratings(pipeline["ratings"])
-        split, training = cli._training_events(events, pipeline["split"], "test")
+        split = cli.load_split(pipeline["split"], events)
+        training = [e for e in events if (e.user_id, e.item_id) not in split.test]
         space = cli.load_space(pipeline["space"])
         events_by_user = {}
         for e in training:
@@ -300,6 +301,19 @@ class TestEvaluateCommand:
         skipped = len(targets) - len(lines)
         assert skipped >= 2
         assert f"over {len(lines)} targets ({skipped} skipped)" in capsys.readouterr().out
+
+    def test_value_outside_int64_is_data_error(self, tmp_path, capsys):
+        # split reads any integer; the commands that hold int64 columns refuse it by name
+        ratings = tmp_path / "ratings.dat"
+        ratings.write_text("".join(f"{u}::{i}::{1 + (u + i) % 5}::{10**20 if i == 1 else i}\n"
+                                   for u in (1, 2) for i in range(1, 5)))
+        assert main(["split", "--ratings", str(ratings), "--every", "2", "--out", str(tmp_path)]) == 0
+        common = ["--ratings", str(ratings), "--split", str(tmp_path / "split.tsv")]
+        capsys.readouterr()
+        assert main(["evaluate", "--system", "pop", *common, "--out", str(tmp_path / "pop.results")]) == 2
+        assert main(["train-space", "--mode", "vsm", *common, "--out", str(tmp_path / "vsm.space")]) == 2
+        assert capsys.readouterr().err.count(f"{ratings}: a field is outside the 64-bit integer range") == 2
+        assert not (tmp_path / "pop.results").exists() and not (tmp_path / "vsm.space").exists()
 
     def assert_refused_by_ds_and_recommend(self, pipeline, space, capsys):
         """Both readers of a space exit 2 on `space` and name it on stderr; returns that stderr."""
@@ -454,8 +468,8 @@ class TestUsage:
 EXPORTS = {
     "baselines": ["KnnModel", "PopularityModel", "build_popularity", "knn_scores", "knn_topk",
                   "popularity_topk", "top_k"],
-    "corpus": ["Observation", "RatingEvent", "ReviewDocument", "UserProfile", "binarize",
-               "build_profiles", "load_ratings", "load_reviews", "rating_levels",
+    "corpus": ["Observation", "RatingEvent", "Ratings", "ReviewDocument", "UserProfile", "binarize",
+               "build_profiles", "load_rating_columns", "load_ratings", "load_reviews", "rating_levels",
                "ratings_to_observations", "reviews_to_observations"],
     "errors": ["CannotRankError", "FormatError", "NoSuchTokenError", "NoSuchUserError",
                "ParseError", "SpaceRankError", "UndefinedTestError", "ValidationError"],
@@ -571,3 +585,42 @@ class TestGoldenBytes:
         assert main(["evaluate", "--system", "pop", *common, "--out", str(tmp_path / "pop.results")]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.DIGESTS}
         assert digests == self.DIGESTS
+
+    # the same for a corpus written by formula, recorded with the per-line loader
+    FORMULA_DIGESTS = {
+        "split.tsv": "44d7c5cf931b24ffa467dfc97a9978b56c624f7096d9bc44125201709fbb4ced",
+        "vsm.space": "9fcc2d23d33e85f2e53bcf17aa8a823555f2b52af6a5b1723dbd476a77aac75e",
+        "pop.results": "261767736695a4d7bd83ca5134cbdcc2eb2a60be36cbcb6b8c50eb094f2624e4",
+    }
+
+    @staticmethod
+    def formula_corpus(path, plus_line):
+        """Ratings with heavy users, timestamp ties and items rated once, CRLF line ends.
+
+        With `plus_line`, one rating of 5 is written ``+5``, which only the
+        per-line parser reads.
+        """
+        lines = []
+        for user in range(1, 41):
+            count = 150 if user % 10 == 0 else 12 + user * user % 37
+            for j in range(count):
+                item = (user * 7 + j * 13) % 151 + 1  # distinct for j < 151
+                rating = 1 + (user * 3 + j * 5 + j * j % 7) % 5
+                lines.append(f"{user}::{item}::{rating}::{1000 + j // 3 * 60 + user % 4}")
+            lines.append(f"{user}::{1000 + user}::{1 + user % 5}::{5000 + user % 3}")  # rated once
+        if plus_line:
+            at = next(i for i, line in enumerate(lines) if "::5::" in line)
+            lines[at] = lines[at].replace("::5::", "::+5::")
+        path.write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+        return path
+
+    @pytest.mark.parametrize("plus_line", [False, True], ids=["bulk", "per-line"])
+    def test_formula_corpus_pipeline_bytes(self, tmp_path, plus_line):
+        ratings = self.formula_corpus(tmp_path / "ratings.dat", plus_line)
+        common = ["--ratings", str(ratings), "--split", str(tmp_path / "split.tsv")]
+        assert main(["split", "--ratings", str(ratings), "--out", str(tmp_path)]) == 0
+        assert main(["train-space", "--mode", "vsm", *common, "--out", str(tmp_path / "vsm.space")]) == 0
+        assert main(["evaluate", "--system", "pop", *common, "--out", str(tmp_path / "pop.results")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.FORMULA_DIGESTS}
+        assert digests == self.FORMULA_DIGESTS

@@ -3,15 +3,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spacerank import corpus
 from spacerank.baselines import KnnModel
 from spacerank.corpus import (
     Observation,
     RatingEvent,
+    Ratings,
     ReviewDocument,
     binarize,
     build_profiles,
+    load_rating_columns,
     load_ratings,
     load_reviews,
+    pair_codes,
     rating_levels,
     ratings_to_observations,
     reviews_to_observations,
@@ -116,6 +120,122 @@ def test_load_ratings_matches_the_per_field_parser(tmp_path, lines, odd):
     assert got == expected
     if isinstance(got, list):
         assert all(type(e) is RatingEvent for e in got)
+
+
+def _rows(ratings):
+    assert isinstance(ratings, Ratings) and all(c.dtype == np.int64 for c in ratings)
+    return [tuple(row) for row in zip(*(c.tolist() for c in ratings))]
+
+
+# All-digit lines near the canonical form's edges: zero-padded ids, ratings
+# 0-9, timestamps of up to 21 digits.
+_DIGIT_LINE = st.tuples(
+    st.integers(1, 3).map(str), st.integers(0, 3).map(lambda i: f"{i:0{i + 1}d}"),
+    st.integers(0, 9).map(str), st.integers(0, 10**21).map(str),
+).map("::".join)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(st.tuples(st.one_of(_LINE, _DIGIT_LINE), st.sampled_from(["\n", "\r\n", "\r"])),
+                   max_size=8),
+    odd=st.one_of(st.none(), st.tuples(st.integers(0, 8), _ODD_LINE)),
+)
+def test_load_rating_columns_matches_the_per_field_parser(tmp_path, lines, odd):
+    # the bulk parse of a canonical file, or load_ratings on any other: the same values or error
+    if odd is not None:
+        lines.insert(odd[0], (odd[1], "\n"))
+    path = tmp_path / "r.dat"
+    path.write_bytes("".join(line + end for line, end in lines).encode("utf-8"))
+    expected = _outcome(per_field_load_ratings, path)
+    if isinstance(expected, list) and any(v >= 2**63 for row in expected for v in row):
+        expected = ValidationError, f"{path}: a field is outside the 64-bit integer range"
+    got = _outcome(load_rating_columns, path)
+    assert (_rows(got) if isinstance(got, Ratings) else got) == expected
+
+
+class TestLoadRatingColumns:
+    @pytest.fixture
+    def per_line_calls(self, monkeypatch):
+        calls = []
+
+        def recording(path):
+            calls.append(path)
+            return load_ratings(path)
+
+        monkeypatch.setattr(corpus, "load_ratings", recording)
+        return calls
+
+    def test_canonical_file_parses_in_bulk(self, tmp_path, per_line_calls):
+        text = "\r\n1::10::5::300\r\n\n2::10::1::0\n1::007::3::999999999999999999\n\n"
+        path = write(tmp_path, "r.dat", text)
+        expected = [(1, 10, 5, 300), (2, 10, 1, 0), (1, 7, 3, 999999999999999999)]
+        assert _rows(load_rating_columns(path)) == expected
+        assert per_line_calls == []
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "\r\n\r\n", "1::2::3::4", "1::2::3::4\n\n",
+    ], ids=["empty", "blank", "blank crlf", "no final newline", "final blank line"])
+    def test_canonical_edge_files_parse_in_bulk(self, tmp_path, per_line_calls, text):
+        path = write(tmp_path, "r.dat", text)
+        assert _rows(load_rating_columns(path)) == per_field_load_ratings(path)
+        assert per_line_calls == []
+
+    @pytest.mark.parametrize("line", [
+        "1::11::+5::30", "1::11:: 5::30", "1::11::5::1234567890123456789", "1::11::05::30",
+    ], ids=["plus", "space", "19 digits", "leading zero rating"])
+    def test_lenient_line_goes_through_load_ratings(self, tmp_path, per_line_calls, line):
+        path = write(tmp_path, "r.dat", f"1::10::4::20\n{line}\n")
+        assert _rows(load_rating_columns(path)) == per_field_load_ratings(path)
+        assert per_line_calls == [path]
+
+    @pytest.mark.parametrize("text, error", [
+        ("1::2::3::4\n1::2::5::9\n", ValidationError),
+        ("1::2::3::4\n1::3::6::4\n", ParseError),
+        ("1::2::3::4\n1::3::0::4\n", ParseError),
+        ("1::2::3::4\r1::2::3\n", ParseError),
+    ], ids=["duplicate", "rating 6", "rating 0", "three fields after a CR"])
+    def test_errors_are_load_ratings_errors(self, tmp_path, per_line_calls, text, error):
+        path = write(tmp_path, "r.dat", text)
+        with pytest.raises(error) as refused:
+            load_rating_columns(path)
+        assert _outcome(per_field_load_ratings, path) == (error, str(refused.value))
+        assert per_line_calls == [path]
+
+
+@given(st.lists(st.tuples(st.sampled_from([0, 1, 7, -3, 2**31 - 1, 2**31, 2**40, -2**63, 2**63 - 1]),
+                          st.sampled_from([0, 2, 5, -1, 2**31 - 1, 2**31, -2**63, 2**63 - 1])), max_size=12))
+def test_pair_codes_equal_exactly_where_pairs_are(pairs):
+    users, items = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    codes = pair_codes(users, items).tolist()
+    assert all(code >= 0 for code in codes)
+    for (a, code_a) in zip(pairs, codes):
+        for (b, code_b) in zip(pairs, codes):
+            assert (a == b) == (code_a == code_b)
+
+
+def reference_profiles(events):
+    """`build_profiles` written out as a loop over the events."""
+    totals = {}
+    for e in events:
+        totals.setdefault(e.user_id, []).append(e.rating)
+    return {uid: (uid, sum(r) / len(r), len(r)) for uid, r in totals.items()}
+
+
+@given(events=st.lists(
+    st.builds(RatingEvent, st.integers(-2, 5), st.integers(0, 40), st.integers(1, 5), st.integers(0, 9)),
+    max_size=60, unique_by=lambda e: (e.user_id, e.item_id)))
+@settings(max_examples=150, deadline=None)
+def test_profiles_and_levels_match_their_loops(events):
+    profiles = build_profiles(events)
+    assert profiles == reference_profiles(events)
+    _, _, levels = rating_levels(events, profiles)
+    assert levels.dtype == np.int8
+    assert levels.tolist() == [binarize(e.rating, profiles[e.user_id].mean_rating) for e in events]
+    assert ratings_to_observations(corpus.as_ratings(events), profiles) == [
+        Observation(e.item_id, f"user{e.user_id}_rating{binarize(e.rating, profiles[e.user_id].mean_rating)}")
+        for e in events
+    ]
 
 
 class TestBinarize:

@@ -429,6 +429,35 @@ class TestTopK:
                               key=lambda i: (-scores[ids.tolist().index(i)], i))[:k]
             assert top_k(ids, scores, exclude, k) == expected
 
+    @staticmethod
+    def full_sort_top_k(item_ids, scores, exclude, k):
+        """The reference for `top_k`: a lexsort of every candidate."""
+        exclude = np.fromiter(exclude, dtype=np.int64)
+        keep = ~np.isin(item_ids, exclude)
+        item_ids, scores = item_ids[keep], scores[keep]
+        order = np.lexsort((item_ids, -scores))
+        return [int(i) for i in item_ids[order[:k]]]
+
+    @given(
+        n=st.integers(1, 40),
+        values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e-300]), min_size=40, max_size=40),
+        k=st.integers(1, 50),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_partition_matches_the_full_sort(self, n, values, k, data):
+        # few distinct scores: ties at the k-th score on most draws
+        ids = np.array(data.draw(st.permutations(range(100, 100 + n))), dtype=np.int64)
+        scores = np.array(values[:n])
+        exclude = data.draw(st.one_of(
+            st.sets(st.integers(95, 145)),
+            st.just(set(ids.tolist())),  # every item excluded
+            st.lists(st.integers(95, 145)).map(lambda v: np.array(v, dtype=np.int64)),
+        ))
+        expected = self.full_sort_top_k(ids, scores, list(exclude), k)
+        assert top_k(ids, scores, exclude, k) == expected
+        assert top_k(ids, scores, iter(list(exclude)), k) == expected
+
 
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(1, 10) == derive_seed(1, 10)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from spacerank.cli import main
@@ -119,6 +121,17 @@ class TestSplitFile:
         path = tmp_path / "s.tsv"
         path.write_text("9\t9\ttest\n", encoding="utf-8")
         with pytest.raises(FormatError):
+            load_split(path, user_events(1, 3))
+
+    @pytest.mark.parametrize("lines, named", [
+        (["9\t900\ttest", "1\t100\ttest", "3\t7\tvalidation"], (9, 900)),
+        (["3\t7\tvalidation", "1\t100\ttest", "9\t900\ttest"], (3, 7)),
+        (["1\t100\ttest", f"{2**64}\t1\ttest", "3\t7\tvalidation"], (2**64, 1)),  # outside int64
+    ])
+    def test_first_unknown_pair_in_file_order_named(self, tmp_path, lines, named):
+        path = tmp_path / "s.tsv"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"held-out pair {named} not present")):
             load_split(path, user_events(1, 3))
 
 
