@@ -10,7 +10,6 @@ against the user's mean, and review text becomes one token per word.
 from __future__ import annotations
 
 import re
-import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -20,11 +19,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# A canonical ratings file (see load_rating_columns). The repeat is possessive
-# where Python has that (3.11+), which halves the match time.
-_RATING_LINE = rb"[0-9]{1,18}::[0-9]{1,18}::[1-5]::[0-9]{1,18}"
-_CANONICAL_RATINGS = re.compile(rb"(?:(?:%s)?\r?\n)*%s(?:%s)?" % (
-    _RATING_LINE, b"+" if sys.version_info >= (3, 11) else b"", _RATING_LINE))
+# After a newline, a line neither blank nor canonical (see load_rating_columns);
+# one line at a time, so no backtracking state builds up over the file.
+_NON_CANONICAL_LINE = re.compile(rb"\n(?!(?:[0-9]{1,18}::[0-9]{1,18}::[1-5]::[0-9]{1,18})?(?:\r?\n|\Z))")
 
 
 class RatingEvent(NamedTuple):
@@ -127,7 +124,7 @@ def load_rating_columns(path) -> Ratings:
 
     with open(path, "rb") as fh:
         data = fh.read()
-    if _CANONICAL_RATINGS.fullmatch(data):  # stripped: numpy reads blank-only text as [0]
+    if not _NON_CANONICAL_LINE.search(b"\n" + data):  # stripped: numpy reads blank-only text as [0]
         values = np.fromstring(data.replace(b":", b" ").decode().strip(), dtype=np.int64, sep=" ")
         ratings = Ratings(*np.ascontiguousarray(values.reshape(-1, 4).T))
         if np.all(np.diff(np.sort(pair_codes(ratings.user, ratings.item)))):  # no repeated pair

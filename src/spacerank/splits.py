@@ -144,13 +144,11 @@ def load_split(path, ratings: Ratings | Sequence[RatingEvent]) -> EvalSplit:
                 raise ParseError(path, line_no, f"pair {pair} is listed twice")
             kinds[pair] = parts[2]
     ratings = as_ratings(ratings)
-    try:
-        complete = held_mask(ratings, kinds).sum() == len(kinds)  # a corpus holds each pair once
-    except OverflowError:  # an id outside int64, which no corpus holds
-        complete = False
-    if not complete:
-        corpus = set(zip(ratings.user.tolist(), ratings.item.tolist()))
-        missing = next(pair for pair in kinds if pair not in corpus)
+    int64 = [(u, i) for u, i in kinds if -2**63 <= u < 2**63 and -2**63 <= i < 2**63]  # no corpus holds the rest
+    found = ratings.select(held_mask(ratings, int64))
+    found = set(zip(found.user.tolist(), found.item.tolist()))
+    missing = next((pair for pair in kinds if pair not in found), None)
+    if missing is not None:
         raise FormatError(f"{path}: held-out pair {missing} not present in the corpus")
     validation = frozenset(p for p, kind in kinds.items() if kind == "validation")
     return EvalSplit(validation, frozenset(kinds.keys() - validation))

@@ -127,13 +127,14 @@ class TestSplitFile:
         (["9\t900\ttest", "1\t100\ttest", "3\t7\tvalidation"], (9, 900)),
         (["3\t7\tvalidation", "1\t100\ttest", "9\t900\ttest"], (3, 7)),
         (["1\t100\ttest", f"{2**64}\t1\ttest", "3\t7\tvalidation"], (2**64, 1)),  # outside int64
+        (["1\t100\ttest", "1\t999\tvalidation"], (1, 999)),  # as many corpus rows match as pairs are held
     ])
     def test_first_unknown_pair_in_file_order_named(self, tmp_path, lines, named):
         path = tmp_path / "s.tsv"
         path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        corpus = [*user_events(1, 3), RatingEvent(1, 100, 5, 9)]  # holds (1, 100) twice
         with pytest.raises(FormatError, match=re.escape(f"held-out pair {named} not present")):
-            load_split(path, user_events(1, 3))
-
+            load_split(path, corpus)
 
     @pytest.mark.parametrize("kinds", [("validation", "test"), ("test", "test")], ids=["both kinds", "same kind"])
     def test_pair_listed_twice_rejected_at_second_line(self, tmp_path, kinds):
