@@ -89,8 +89,7 @@ def knn_scores(model: KnnModel, user_id: int) -> np.ndarray:
     if row == len(model.user_ids) or model.user_ids[row] != user_id:
         raise NoSuchUserError(f"user {user_id} has no training ratings")
     sims = model.matrix @ model.matrix[row]
-    order = np.lexsort((model.user_ids, -sims))
-    neighbours = order[order != row][: model.k]
+    neighbours = np.searchsorted(model.user_ids, top_k(model.user_ids, sims, [user_id], model.k))
     rated = (model.matrix[neighbours] > 0).astype(np.float64)
     return sims[neighbours] @ rated
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,16 +74,18 @@ def _digests(*paths) -> dict[str, str]:
 
 def _write_manifest(command: str, args: argparse.Namespace, inputs: dict, artifact_path) -> None:
     """Write ``<artifact_path>.manifest.json``: the command, every resolved
-    parameter, the input sha256 digests (path -> hex), the seed and the version."""
+    parameter (a non-finite float as its repr, "nan" or "inf", so the file is
+    strict JSON), the input sha256 digests (path -> hex), the seed and the version."""
     skip = ("out", "func", "command")
     payload = {
         "command": command,
-        "parameters": {k: v for k, v in vars(args).items() if k not in skip and not callable(v)},
+        "parameters": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in vars(args).items() if k not in skip and not callable(v)},
         "inputs": inputs,
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     Path(f"{artifact_path}.manifest.json").write_text(text, encoding="utf-8")
 
 
@@ -190,16 +193,35 @@ def _user_ranker_topk(space, user_ratings, args):
     return recommend_topk(model, space, user_ratings.item, args.k)
 
 
-def _ranking_space(args):
-    """The space for hyperplane ranking, held as float64 (an exact cast) for the ranker pass.
+def _ranking_space(args, holdout, inputs):
+    """The space at ``args.space`` for hyperplane ranking, once its manifest matches this run.
 
-    Also resolves the compiled kernels before any thread starts, and
-    records which ranker path runs in ``args.kernel``.
+    Refuses a space whose manifest records another holdout, or other ratings
+    or split sha256 digests than `inputs` (this run's path -> digest); a
+    missing manifest only warns. Holds the matrix as float64 (an exact cast)
+    for the ranker pass, and resolves the compiled kernels before any thread
+    starts, recording which ranker path runs in ``args.kernel``.
     """
     import numpy as np
 
     from . import native
 
+    manifest_path = Path(f"{args.space}.manifest.json")
+    if manifest_path.exists():
+        recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
+        params, digests = recorded.get("parameters", {}), recorded.get("inputs", {})
+        checks = [("holdout", params.get("holdout"), holdout)] + [
+            (f"{name} sha256", digests.get(params.get(name)), inputs[str(getattr(args, name))])
+            for name in ("ratings", "split")
+        ]
+        for what, trained, ours in checks:
+            if trained != ours:
+                raise SpaceRankError(
+                    f"space {args.space} was trained with {what} {trained!r} but this run has "
+                    f"{ours!r}; retrain the space on this run's inputs and --holdout"
+                )
+    else:
+        _warn(f"no manifest next to {args.space}; cannot verify what it was trained on")
     space = load_space(args.space)
     space.matrix = np.asarray(space.matrix, np.float64)
     args.kernel = native.kernels()[1]
@@ -209,8 +231,7 @@ def _ranking_space(args):
 def cmd_recommend(args) -> int:
     _bind_layers("baselines", "ranker", "spaces")
     _, training = _training_ratings(load_rating_columns(args.ratings), args.split, "test")
-    _check_space_provenance(args, "test", _digests(args.ratings, args.split))
-    space = _ranking_space(args)
+    space = _ranking_space(args, "test", _digests(args.ratings, args.split))
     user_ratings = training.select(training.user == args.user)
     if not len(user_ratings.user):
         raise CannotRankError(f"user {args.user} has no training ratings")
@@ -239,8 +260,7 @@ def cmd_evaluate(args) -> int:
         if not args.space:
             raise SpaceRankError("--system ds requires --space")
         _bind_layers("ranker", "spaces")
-        _check_space_provenance(args, args.holdout, inputs)
-        space = _ranking_space(args)
+        space = _ranking_space(args, args.holdout, inputs)
         inputs.update(_digests(args.space))
 
         def topk(user_ratings):
@@ -271,31 +291,6 @@ def cmd_evaluate(args) -> int:
         f"over {len(result.records)} targets ({len(result.skipped)} skipped) -> {args.out}"
     )
     return 0
-
-
-def _check_space_provenance(args, holdout, inputs) -> None:
-    """Refuse a space trained with another holdout, ratings file or split.
-
-    Compares the holdout and input sha256 digests recorded in the space's
-    manifest with this run's; `inputs` maps this run's paths to digests.
-    A missing manifest only warns.
-    """
-    manifest_path = Path(f"{args.space}.manifest.json")
-    if not manifest_path.exists():
-        _warn(f"no manifest next to {args.space}; cannot verify what it was trained on")
-        return
-    recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
-    params, digests = recorded.get("parameters", {}), recorded.get("inputs", {})
-    checks = [("holdout", params.get("holdout"), holdout)] + [
-        (f"{name} sha256", digests.get(params.get(name)), inputs[str(getattr(args, name))])
-        for name in ("ratings", "split")
-    ]
-    for what, trained, ours in checks:
-        if trained != ours:
-            raise SpaceRankError(
-                f"space {args.space} was trained with {what} {trained!r} but this run has "
-                f"{ours!r}; retrain the space on this run's inputs and --holdout"
-            )
 
 
 def cmd_mcnemar(args) -> int:

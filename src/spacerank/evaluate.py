@@ -47,6 +47,19 @@ def recall_at_k(hits: Sequence[HitRecord]) -> float:
     return sum(1 for h in hits if h.hit) / len(hits)
 
 
+def map_on_workers(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(x) for x in items]``, on the calling thread at one worker, else on a pool of
+    `workers` threads (``concurrent.futures`` loads only then). A call's exception propagates."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return list(map(fn, items))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def evaluate_system(
     topk_for_user: Callable[[int], Sequence[int] | None],
     targets: Sequence[Target],
@@ -58,24 +71,15 @@ def evaluate_system(
     `topk_for_user` takes one user and returns their top-k item list, or
     None for a user it cannot rank (no training ratings, nothing usable in
     the space). It is called once per user, for the users in ascending
-    order: on the calling thread at one worker, else on `workers` threads;
-    users are ranked in parallel only while the provider releases the GIL,
-    as the compiled ranker pass does.
+    order, by `map_on_workers`; users are ranked in parallel only while the
+    provider releases the GIL, as the compiled ranker pass does.
     A user's list depends on the user alone, so the results do not depend
     on the worker count. The list is reused across the user's targets; an
     unranked user's targets are skipped and reported rather than counted
     as misses.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     users = sorted({user_id for user_id, _ in targets})
-    if workers == 1:
-        ranked = map(topk_for_user, users)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-        with ThreadPoolExecutor(workers) as pool:
-            ranked = list(pool.map(topk_for_user, users))
+    ranked = map_on_workers(topk_for_user, users, workers)
     tops = {u: None if top is None else list(top)[:k] for u, top in zip(users, ranked)}
     records: list[HitRecord] = []
     skipped: list[Target] = []

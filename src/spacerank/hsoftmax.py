@@ -98,10 +98,6 @@ def build_huffman(vocab: Vocabulary) -> HuffmanTree:
     size = len(vocab)
     if size == 0:
         raise ValueError("cannot build a Huffman tree over an empty vocabulary")
-    if size == 1:
-        empty_code = np.zeros(0, dtype=np.uint8)
-        empty_path = np.zeros(0, dtype=np.int32)
-        return HuffmanTree((empty_code,), (empty_path,), 0)
 
     # Heap entries are (frequency, creation_index); children[i] exists only
     # for internal nodes (creation index >= size).

@@ -21,6 +21,7 @@ import numpy as np
 from . import native
 from .corpus import Observation, RatingEvent, Ratings, UserProfile, rating_levels
 from .errors import FormatError, SpaceRankError
+from .evaluate import map_on_workers
 from .hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
 
 PROVENANCES = ("cf", "cb", "vsm")
@@ -124,10 +125,10 @@ def train_space(
     permutation. One thread per shard runs every pass over its shard, with
     no barrier between passes, updating the shared item and node matrices
     without locking (Hogwild): races are tolerated and the result is not
-    reproducible. workers=1 trains the single shard and is deterministic.
-    The numpy step holds the GIL, so without the kernel more workers only
-    interleave. Raises SpaceRankError if training ends with non-finite
-    item vectors (alpha0 too large).
+    reproducible. workers=1 trains the single shard on the calling thread,
+    deterministically. The numpy step holds the GIL, so without the kernel
+    more workers only interleave. Raises SpaceRankError if training ends
+    with non-finite item vectors (alpha0 too large).
     """
     observations = list(observations)
     if not observations:
@@ -171,10 +172,7 @@ def train_space(
                     alpha = max(alpha0 * (1.0 - (pass_base + k) / total_steps), alpha_min)
                     hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
 
-    from concurrent.futures import ThreadPoolExecutor  # vsm and the space readers never start a pool
-
-    with ThreadPoolExecutor(config.workers) as pool:
-        list(pool.map(train_shard, shards))  # list() re-raises a shard's exception
+    map_on_workers(train_shard, shards, config.workers)
 
     if not np.isfinite(matrix).all():
         raise SpaceRankError(f"training diverged to non-finite item vectors at alpha0={alpha0}")

@@ -1,8 +1,9 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spacerank.baselines import (
@@ -104,3 +105,40 @@ class TestKnn:
         model = KnnModel(events, build_profiles(events), k=1)
         scores = by_item(model.item_ids, knn_scores(model, 1))
         assert scores[21] > 0 and scores[31] == 0
+
+
+def lexsort_knn_scores(model, user_id):
+    """knn_scores with its neighbours picked by one full lexsort, the user filtered out."""
+    row = np.searchsorted(model.user_ids, user_id)
+    sims = model.matrix @ model.matrix[row]
+    order = np.lexsort((model.user_ids, -sims))
+    neighbours = order[order != row][: model.k]
+    rated = (model.matrix[neighbours] > 0).astype(np.float64)
+    return sims[neighbours] @ rated
+
+
+@st.composite
+def knn_corpora(draw):
+    """Up to 12 users in unsorted id order over at most 4 items, so that many
+    similarities tie, with k from 1 to past the number of other users."""
+    user_ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    n_items = draw(st.integers(1, 4))
+    events = [
+        RatingEvent(user_id, 100 + item, draw(st.integers(1, 5)), 0)
+        for user_id in user_ids
+        for item in draw(st.lists(st.integers(0, n_items - 1), min_size=1, unique=True))
+    ]
+    return draw(st.permutations(events)), draw(st.integers(1, len(user_ids) + 2))
+
+
+@given(knn_corpora())
+@example(([RatingEvent(7, 100, 4, 0)], 1))  # one user: no neighbours, every score 0
+@example(([RatingEvent(u, 100, 4, 0) for u in (5, 3, 9, 1)], 2))  # all tied, ids out of order
+def test_knn_scores_equal_the_lexsort_selection_bit_for_bit(corpus):
+    events, k = corpus
+    model = KnnModel(events, build_profiles(events), k)
+    for user_id in model.user_ids.tolist():
+        scores = knn_scores(model, user_id)
+        expected = lexsort_knn_scores(model, user_id)
+        assert scores.dtype == expected.dtype == np.float64
+        assert scores.tobytes() == expected.tobytes()

@@ -424,6 +424,26 @@ class TestNonFiniteParameters:
         assert "alpha0 must be finite and > 0, got nan" in capsys.readouterr().err
 
 
+def refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("command, recorded", [
+    (["evaluate", "--system", "pop", "--alpha", "nan", "--phi-d", "inf"], {"alpha": "nan", "phi_d": "inf"}),
+    (["train-space", "--mode", "vsm", "--alpha", "nan"], {"alpha": "nan"}),
+    (["evaluate", "--system", "ds", "--phi-d", "inf"], {"alpha": 0.025, "phi_d": "inf"}),
+], ids=["pop", "vsm", "ds"])
+def test_manifest_records_a_non_finite_option_as_strict_json(pipeline, tmp_path, command, recorded):
+    out = tmp_path / "out"
+    argv = [*command, "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]), "--out", str(out)]
+    if "ds" in command:
+        argv += ["--space", str(pipeline["space"])]
+    assert main(argv) == 0
+    text = Path(f"{out}.manifest.json").read_text(encoding="utf-8")
+    parameters = json.loads(text, parse_constant=refuse_constant)["parameters"]
+    assert {name: parameters[name] for name in recorded} == recorded
+
+
 class TestMcnemarCommand:
     def make_results(self, pipeline, tmp_path):
         a = tmp_path / "a.results"
@@ -531,12 +551,16 @@ class TestStartUp:
         (["evaluate", "--system", "knn"], ["ranker", "spaces", "hsoftmax", "native"]),
         (["train-space", "--mode", "vsm"], ["baselines", "ranker"]),
         (["evaluate", "--system", "ds", "--workers", "1"], []),
-    ], ids=["pop", "knn", "vsm", "ds"])
+        (["train-space", "--mode", "cf", "--dims", "4", "--iters", "1", "--workers", "1"], ["baselines", "ranker"]),
+        (["train-space", "--mode", "cb", "--dims", "4", "--iters", "1", "--workers", "1"], ["baselines", "ranker"]),
+    ], ids=["pop", "knn", "vsm", "ds", "cf", "cb"])
     def test_command_loads_only_the_layers_it_runs(self, pipeline, tmp_path, command, unloaded):
         argv = [*command, "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
                 "--out", str(tmp_path / "out")]
         if command[0] == "evaluate":  # pop and knn ignore the space
             argv += ["--space", str(pipeline["space"])]
+        if "cb" in command:
+            argv += ["--reviews", str(pipeline["reviews"])]
         # and none of these commands starts a thread pool
         modules = ["concurrent.futures", *(f"spacerank.{m}" for m in unloaded)]
         script = (

@@ -83,6 +83,7 @@ class TestHuffman:
         tree = build_huffman(vocab)
         assert tree.internal_count == 0
         assert len(tree.codes[0]) == 0 and len(tree.paths[0]) == 0
+        assert tree.codes[0].dtype == np.uint8 and tree.paths[0].dtype == np.int32
 
     def test_two_equal_tokens(self):
         vocab = build_vocabulary([Observation(1, "a"), Observation(1, "b")])

@@ -329,7 +329,7 @@ def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipelin
         assert main([*argv, str(tmp_path / "a.results")]) == 0
         assert main([*argv, str(tmp_path / "b.results")]) == 0
 
-    def as_loaded(args):
+    def as_loaded(args, holdout, inputs):
         args.kernel = native.kernels()[1]
         return load_space(args.space)
 
