@@ -44,19 +44,44 @@ void hs_pass(float *matrix, float *nodes, int64_t d, const int64_t *perm, int64_
     }
 }
 
-/* One user's hyperplane: train_hyperplanes for one stream of T row pairs
- * (a, b) of the float64 matrix (items x d), updating w (d) in place. */
-void hyperplane_pass(double *w, int64_t d, const double *matrix, const int32_t *rows, int64_t T,
-                     double alpha0)
+/* One user's hyperplane: ranker.train_hyperplane's per-pair loop over a stream of T row pairs
+ * (a, b) of the float64 matrix (items x d), updating w (d, apart from the matrix) in place. Dots
+ * sum in eight lanes, as in hs_pass, and pair k's update shares one sweep over w with pair k + 1's
+ * dot: each block of w is updated before it enters that dot, so the sums are those of the update
+ * and then the dot. */
+void hyperplane_pass(double *restrict w, int64_t d, const double *matrix, const int32_t *rows,
+                     int64_t T, double alpha0)
 {
+    if (T < 1)
+        return;
+    const double *a = matrix + (int64_t)rows[0] * d, *b = matrix + (int64_t)rows[1] * d;
+    double part[8] = {0}, dot = 0.0;  /* pair 0's dot, summed as the sweeps sum the others */
+    int64_t c = 0;
+    for (; c + 8 <= d; c += 8)
+        for (int j = 0; j < 8; j++)
+            part[j] += w[c + j] * (b[c + j] - a[c + j]);
+    for (int j = 0; j < 8; j++)
+        dot += part[j];
+    for (; c < d; c++)
+        dot += w[c] * (b[c] - a[c]);
     for (int64_t k = 0; k < T; k++) {
-        const double *a = matrix + (int64_t)rows[2 * k] * d, *b = matrix + (int64_t)rows[2 * k + 1] * d;
-        double dot = 0.0;
-        for (int64_t c = 0; c < d; c++)
-            dot += w[c] * (b[c] - a[c]);
         double rate = alpha0 * (1.0 - (double)k / (double)T);
         double step = rate / (1.0 + exp(dot > 500.0 ? 500.0 : dot));  /* NaN stays NaN */
-        for (int64_t c = 0; c < d; c++)
+        int64_t n = k + 1 < T ? k + 1 : k;  /* the last sweep's dot goes unused */
+        const double *na = matrix + (int64_t)rows[2 * n] * d, *nb = matrix + (int64_t)rows[2 * n + 1] * d;
+        double lane[8] = {0};
+        dot = 0.0;
+        for (c = 0; c + 8 <= d; c += 8)
+            for (int j = 0; j < 8; j++) {
+                w[c + j] += step * (b[c + j] - a[c + j]);
+                lane[j] += w[c + j] * (nb[c + j] - na[c + j]);
+            }
+        for (int j = 0; j < 8; j++)
+            dot += lane[j];
+        for (; c < d; c++) {
             w[c] += step * (b[c] - a[c]);
+            dot += w[c] * (nb[c] - na[c]);
+        }
+        a = na, b = nb;
     }
 }

@@ -31,8 +31,9 @@ def top_k(
     item_ids, negated = np.asarray(item_ids), -np.asarray(scores, dtype=np.float64)
     if not isinstance(exclude, np.ndarray):
         exclude = np.fromiter(exclude, dtype=np.int64)
-    keep = ~np.isin(item_ids, exclude)
-    item_ids, negated = item_ids[keep], negated[keep]
+    if len(exclude):
+        keep = ~np.isin(item_ids, exclude)
+        item_ids, negated = item_ids[keep], negated[keep]
     if k < len(negated):  # keep every item tied with the k-th score; NaN scores stay, as in a sort
         keep = ~(negated > np.partition(negated, k - 1)[k - 1])
         item_ids, negated = item_ids[keep], negated[keep]
@@ -89,7 +90,8 @@ def knn_scores(model: KnnModel, user_id: int) -> np.ndarray:
     if row == len(model.user_ids) or model.user_ids[row] != user_id:
         raise NoSuchUserError(f"user {user_id} has no training ratings")
     sims = model.matrix @ model.matrix[row]
-    neighbours = np.searchsorted(model.user_ids, top_k(model.user_ids, sims, [user_id], model.k))
+    others = np.arange(len(sims)) != row  # every row but the user's own, by position
+    neighbours = np.searchsorted(model.user_ids, top_k(model.user_ids[others], sims[others], (), model.k))
     rated = (model.matrix[neighbours] > 0).astype(np.float64)
     return sims[neighbours] @ rated
 

@@ -340,6 +340,14 @@ def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipelin
     assert results == [results[0]] * len(names)
 
 
+def unit_space(n_items, d, seed, dtype=np.float64):
+    """n_items random vectors of at most unit length in d dimensions, ids unsorted."""
+    rng = np.random.default_rng(seed)
+    item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
+    matrix = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
+    return EmbeddingSpace(d, item_ids, matrix.astype(dtype)), rng
+
+
 @st.composite
 def hyperplane_cases(draw):
     """A random space (float32 or float64, d 1-64), one user's row stream and config.
@@ -350,22 +358,16 @@ def hyperplane_cases(draw):
     fixed relative tolerance.
     """
     n_items, d = draw(st.integers(2, 30)), draw(st.integers(1, 64))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
-    matrix = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
-    space = EmbeddingSpace(d, item_ids, matrix.astype(dtype))
+    space, rng = unit_space(n_items, d, draw(st.integers(0, 2**32 - 1)), dtype)
     length = draw(st.one_of(st.just(1), st.integers(1, 400)))
     stream = rng.integers(n_items, size=(length, 2))
     config = RankerConfig(alpha0=draw(st.floats(0.001, 1.0)), seed=draw(st.integers(0, 2**63)))
     return space, stream, config
 
 
-@requires_cc
-@given(hyperplane_cases())
-@settings(max_examples=60, deadline=None)
-def test_hyperplane_kernel_matches_the_numpy_loop(case):
-    space, stream, config = case
+def assert_hyperplane_paths_match(space, stream, config):
+    """The kernel and the numpy loop each within 1e-12 relative of the oracle and of each other."""
     assert native.kernels()[0] is not None
     model = train_hyperplane(stream, space, config, user_id=4)
     with mock.patch.object(native, "kernels", lambda: (None, "numpy")):
@@ -375,3 +377,35 @@ def test_hyperplane_kernel_matches_the_numpy_loop(case):
     for w in (model.w, fallback.w):
         assert np.linalg.norm(w - oracle) <= 1e-12 * np.linalg.norm(oracle)
     assert np.linalg.norm(model.w - fallback.w) <= 1e-12 * np.linalg.norm(fallback.w)
+
+
+@requires_cc
+@given(hyperplane_cases())
+@settings(max_examples=60, deadline=None)
+def test_hyperplane_kernel_matches_the_numpy_loop(case):
+    assert_hyperplane_paths_match(*case)
+
+
+@requires_cc
+@pytest.mark.parametrize("d", [1, 7, 8, 9])
+@pytest.mark.parametrize("length", [1, 2])
+def test_hyperplane_kernel_at_the_lane_edges(d, length):
+    # d below, at and just past one eight-lane block; one pair has no next
+    # pair to share its sweep with, two pairs share exactly one.
+    space, _ = unit_space(4, d, seed=100 * d + length)
+    stream = np.array([[0, 1], [3, 2]])[:length]
+    assert_hyperplane_paths_match(space, stream, RankerConfig(alpha0=0.5, seed=d))
+
+
+@requires_cc
+def test_hyperplane_kernel_at_the_papers_dimension():
+    space, rng = unit_space(300, 1000, seed=1000)
+    assert_hyperplane_paths_match(space, rng.integers(300, size=(3000, 2)), RankerConfig(seed=7))
+
+
+@requires_cc
+@pytest.mark.parametrize("length", [0, -1])
+def test_hyperplane_kernel_leaves_w_alone_without_pairs(length):
+    w = np.arange(3, dtype=np.float64)
+    native.kernels()[0].hyperplane_pass(w, 3, np.ones((2, 3)), np.zeros(0, np.int32), length, 0.5)
+    assert w.tolist() == [0.0, 1.0, 2.0]
