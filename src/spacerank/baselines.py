@@ -90,8 +90,8 @@ def knn_scores(model: KnnModel, user_id: int) -> np.ndarray:
     if row == len(model.user_ids) or model.user_ids[row] != user_id:
         raise NoSuchUserError(f"user {user_id} has no training ratings")
     sims = model.matrix @ model.matrix[row]
-    others = np.arange(len(sims)) != row  # every row but the user's own, by position
-    neighbours = np.searchsorted(model.user_ids, top_k(model.user_ids[others], sims[others], (), model.k))
+    others = np.flatnonzero(model.user_ids != user_id)  # rows ascend with user ids, so ties go by id
+    neighbours = top_k(others, sims[others], (), model.k)
     rated = (model.matrix[neighbours] > 0).astype(np.float64)
     return sims[neighbours] @ rated
 

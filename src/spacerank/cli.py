@@ -133,7 +133,6 @@ def _training_ratings(ratings, split_path, holdout):
 def cmd_train_space(args) -> int:
     _bind_layers("spaces")
     _, training = _training_ratings(load_rating_columns(args.ratings), args.split, args.holdout)
-    profiles = build_profiles(training)
     inputs = [args.ratings, args.split]
 
     if args.mode == "vsm":
@@ -141,7 +140,7 @@ def cmd_train_space(args) -> int:
             _warn("--dims is ignored for vsm spaces: dimensionality is the user count")
         if args.iters is not None:
             _warn("--iters is ignored for vsm spaces: nothing is trained iteratively")
-        space = build_vsm_space(training, profiles)
+        space = build_vsm_space(training, build_profiles(training))
     else:
         if args.dims is None:
             raise SpaceRankError("--dims is required for cf and cb spaces")
@@ -152,7 +151,7 @@ def cmd_train_space(args) -> int:
             iterations = args.iters if args.iters is not None else 10
             inputs.append(args.reviews)
         else:
-            observations = ratings_to_observations(training, profiles)
+            observations = ratings_to_observations(training, build_profiles(training))
             iterations = args.iters if args.iters is not None else 20
         config = SpaceTrainConfig(
             dimensions=args.dims,
@@ -229,16 +228,16 @@ def _ranking_space(args, holdout, inputs):
 
 
 def cmd_recommend(args) -> int:
-    _bind_layers("baselines", "ranker", "spaces")
+    _bind_layers("ranker", "spaces")
     _, training = _training_ratings(load_rating_columns(args.ratings), args.split, "test")
     space = _ranking_space(args, "test", _digests(args.ratings, args.split))
     user_ratings = training.select(training.user == args.user)
     if not len(user_ratings.user):
         raise CannotRankError(f"user {args.user} has no training ratings")
-    scores = space.matrix @ _fit_user(space, user_ratings, args).w
-    top = top_k(space.item_ids, scores, user_ratings.item, args.k)
-    for item_id, score in zip(top, scores[space.rows(top)].tolist()):
-        print(f"{item_id}\t{score!r}")
+    model = _fit_user(space, user_ratings, args)
+    scores = score_items(model, space)
+    for item_id in recommend_topk(model, space, user_ratings.item, args.k):
+        print(f"{item_id}\t{scores[item_id]!r}")
     return 0
 
 

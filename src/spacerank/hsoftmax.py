@@ -15,6 +15,7 @@ portable.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,19 +72,12 @@ class HuffmanTree:
 
 def build_vocabulary(observations) -> Vocabulary:
     """Count token occurrences over a stream of ``(item, token)`` observations."""
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for _, token in observations:
-        if token in counts:
-            counts[token] += 1
-        else:
-            counts[token] = 1
-            first_seen[token] = len(first_seen)
-    ordered = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    # most_common sorts stably, so equal counts keep the Counter's first-appearance order
+    ordered = Counter(token for _, token in observations).most_common()
     return Vocabulary(
-        tokens=tuple(ordered),
-        counts=np.array([counts[t] for t in ordered], dtype=np.int64),
-        index={t: i for i, t in enumerate(ordered)},
+        tokens=tuple(t for t, _ in ordered),
+        counts=np.array([c for _, c in ordered], dtype=np.int64),
+        index={t: i for i, (t, _) in enumerate(ordered)},
     )
 
 
@@ -144,12 +138,10 @@ def hs_probability(
     """Probability of observing `token` given item vector `v`.
 
     The product of sigmoid branch decisions along the token's path;
-    1.0 for the degenerate one-token vocabulary (empty path).
+    1.0, the empty product, for the degenerate one-token vocabulary (empty path).
     """
     t = vocab.token_id(token)
     path, code = tree.paths[t], tree.codes[t]
-    if len(path) == 0:
-        return 1.0
     x = nodes[path].astype(np.float64) @ np.asarray(v, dtype=np.float64)
     signs = 1.0 - 2.0 * code  # bit 0 -> +1, bit 1 -> -1
     return float(np.prod(sigmoid(signs * x)))
@@ -171,12 +163,10 @@ def hs_train_step(
     `v` are updated: n_j -= alpha * e_j * v and v -= alpha * sum_j e_j n_j.
 
     `v` must be a writable array (a row view of the embedding matrix is
-    fine); `nodes` rows along the path are modified.
+    fine); `nodes` rows along the path are modified. An empty path changes nothing.
     """
     t = vocab.token_id(token)
     path, code = tree.paths[t], tree.codes[t]
-    if len(path) == 0:
-        return
     l2 = nodes[path]  # fancy indexing copies: these stay the pre-update vectors
     e = (sigmoid(l2 @ v) - (1.0 - code)).astype(np.float32)
     scaled = np.float32(alpha) * e

@@ -133,7 +133,7 @@ def pair_stream(
     passes = []
     for _ in range(phi_i):
         batch = candidates
-        if n_downsampled and phi_d != 1.0:
+        if phi_d != 1.0:
             keep = rng.random(n_downsampled) < 1.0 / phi_d
             batch = np.concatenate([candidates[:n_rated_pairs], candidates[n_rated_pairs:][keep]])
         passes.append(batch[rng.permutation(len(batch))])
@@ -189,14 +189,18 @@ def train_hyperplane(
     return HyperplaneModel(user_id, w)
 
 
-def score_items(model: HyperplaneModel, space: EmbeddingSpace) -> dict[int, float]:
-    """Project every item onto the user's direction: score = w . v."""
+def _scores(model: HyperplaneModel, space: EmbeddingSpace) -> np.ndarray:
+    """w . v for every row of the space, after checking the dimensionality."""
     if len(model.w) != space.dimensions:
         raise ValueError(
             f"hyperplane dimensionality {len(model.w)} != space {space.dimensions}"
         )
-    scores = space.matrix @ model.w
-    return {int(item): float(s) for item, s in zip(space.item_ids, scores)}
+    return space.matrix @ model.w
+
+
+def score_items(model: HyperplaneModel, space: EmbeddingSpace) -> dict[int, float]:
+    """Project every item onto the user's direction: score = w . v."""
+    return {int(item): float(s) for item, s in zip(space.item_ids, _scores(model, space))}
 
 
 def recommend_topk(
@@ -206,9 +210,4 @@ def recommend_topk(
     k: int,
 ) -> list[int]:
     """The user's top-k recommendation list over the space."""
-    if len(model.w) != space.dimensions:
-        raise ValueError(
-            f"hyperplane dimensionality {len(model.w)} != space {space.dimensions}"
-        )
-    return top_k(space.item_ids, space.matrix @ model.w, exclude, k)
-
+    return top_k(space.item_ids, _scores(model, space), exclude, k)

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spacerank.corpus import Observation
@@ -62,9 +62,15 @@ class TestVocabulary:
     def test_empty_stream(self):
         assert len(build_vocabulary([])) == 0
 
-    def test_tie_broken_by_first_appearance(self):
-        obs = [Observation(1, t) for t in ("z", "m", "z", "m", "q")]
-        assert build_vocabulary(obs).tokens == ("z", "m", "q")
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from("zmqab"), max_size=30))  # five tokens: counts tie often
+    @example(list("zmzmq"))
+    def test_tie_broken_by_first_appearance(self, stream):
+        vocab = build_vocabulary([Observation(1, t) for t in stream])
+        expected = sorted(set(stream), key=lambda t: (-stream.count(t), stream.index(t)))
+        assert vocab.tokens == tuple(expected)
+        assert vocab.counts.tolist() == [stream.count(t) for t in expected]
+        assert vocab.index == {t: i for i, t in enumerate(expected)}
 
 
 class TestHuffman:
@@ -175,9 +181,10 @@ class TestTrainStep:
         vocab = build_vocabulary([Observation(1, "x")])
         tree = build_huffman(vocab)
         nodes = new_node_matrix(tree, 3)
-        v = np.ones(3, np.float32)
+        v = np.array([1.0, -0.0, 2.5], np.float32)  # the empty path's zero step must keep -0.0
+        before = v.tobytes(), nodes.tobytes()
         hs_train_step(v, "x", vocab, tree, nodes, 0.5)
-        assert np.array_equal(v, np.ones(3, np.float32))
+        assert (v.tobytes(), nodes.tobytes()) == before
 
     def test_step_decreases_loss(self):
         rng = np.random.default_rng(7)

@@ -216,6 +216,17 @@ class TestPairStream:
         assert stream.shape == (2 * (l1 * l2 + l0 * (l1 + l2)), 2)
         assert peak < 3 * stream.nbytes
 
+    def test_user_who_rated_every_item_ignores_phi_d(self):
+        # No unrated item: nothing is downsampled, so phi_d must leave every draw alone.
+        events = [RatingEvent(1, i, r, i) for i, r in zip(range(1, 7), (1, 5, 2, 4, 5, 1))]
+        prefs = build_preferences(events, grid_space(6), phi_t="all")
+        assert np.count_nonzero(prefs.level == 0) == 0
+        streams = [pair_stream(prefs, phi_i=3, phi_d=phi_d, seed=5) for phi_d in (1.0, 20.0, 1e9)]
+        assert streams[0].shape == (3 * 9, 2)  # 3 disliked x 3 liked pairs in each pass
+        for stream in streams[1:]:
+            assert stream.dtype == streams[0].dtype and np.array_equal(stream, streams[0])
+        assert not np.array_equal(pair_stream(prefs, phi_i=3, phi_d=1.0, seed=6), streams[0])
+
     def test_seeded_determinism(self):
         prefs = self.prefs(n_unrated=30)
         a = pair_stream(prefs, phi_i=4, phi_d=3.0, seed=9)
@@ -340,10 +351,10 @@ class TestTrainHyperplanes:
 
     def test_numpy_loop_keeps_no_per_pair_objects(self):
         # The loop walks the stream's rows: a list of the stream (stream.tolist())
-        # would hold two Python ints per pair, megabytes for this stream.
+        # would hold two Python ints per pair, about 1.6 MB for this stream.
         rng = np.random.default_rng(7)
         space = EmbeddingSpace(4, np.arange(50), rng.normal(size=(50, 4)))  # float64, as the CLI holds it
-        stream = rng.integers(50, size=(200_000, 2)).astype(np.uint16)  # as pair_stream emits it
+        stream = rng.integers(50, size=(20_000, 2)).astype(np.uint16)  # as pair_stream emits it
         with mock.patch.object(native, "kernels", no_kernels):
             tracemalloc.start()
             try:
