@@ -46,32 +46,20 @@ void hs_pass(float *matrix, float *nodes, int64_t d, const int64_t *perm, int64_
 
 /* One user's hyperplane: ranker.train_hyperplane's per-pair loop over a stream of T row pairs
  * (a, b) of the float64 matrix (items x d), updating w (d, apart from the matrix) in place. Dots
- * sum in eight lanes, as in hs_pass, and pair k's update shares one sweep over w with pair k + 1's
- * dot: each block of w is updated before it enters that dot, so the sums are those of the update
- * and then the dot. */
+ * sum in eight lanes, as in hs_pass. Sweep k applies pair k - 1's update and takes pair k's dot,
+ * each block of w updated before it enters that dot; a last loop applies pair T - 1's update. */
 void hyperplane_pass(double *restrict w, int64_t d, const double *matrix, const int32_t *rows,
                      int64_t T, double alpha0)
 {
     if (T < 1)
         return;
-    const double *a = matrix + (int64_t)rows[0] * d, *b = matrix + (int64_t)rows[1] * d;
-    double part[8] = {0}, dot = 0.0;  /* pair 0's dot, summed as the sweeps sum the others */
-    int64_t c = 0;
-    for (; c + 8 <= d; c += 8)
-        for (int j = 0; j < 8; j++)
-            part[j] += w[c + j] * (b[c + j] - a[c + j]);
-    for (int j = 0; j < 8; j++)
-        dot += part[j];
-    for (; c < d; c++)
-        dot += w[c] * (b[c] - a[c]);
+    const double *a = matrix + (int64_t)rows[0] * d, *b = a;
+    double step = -0.0;  /* sweep 0's update: w + -0.0 * (b - a) is w, a -0.0 entry too */
     for (int64_t k = 0; k < T; k++) {
-        double rate = alpha0 * (1.0 - (double)k / (double)T);
-        double step = rate / (1.0 + exp(dot > 500.0 ? 500.0 : dot));  /* NaN stays NaN */
-        int64_t n = k + 1 < T ? k + 1 : k;  /* the last sweep's dot goes unused */
-        const double *na = matrix + (int64_t)rows[2 * n] * d, *nb = matrix + (int64_t)rows[2 * n + 1] * d;
-        double lane[8] = {0};
-        dot = 0.0;
-        for (c = 0; c + 8 <= d; c += 8)
+        const double *na = matrix + (int64_t)rows[2 * k] * d, *nb = matrix + (int64_t)rows[2 * k + 1] * d;
+        double lane[8] = {0}, dot = 0.0;
+        int64_t c = 0;
+        for (; c + 8 <= d; c += 8)
             for (int j = 0; j < 8; j++) {
                 w[c + j] += step * (b[c + j] - a[c + j]);
                 lane[j] += w[c + j] * (nb[c + j] - na[c + j]);
@@ -82,6 +70,10 @@ void hyperplane_pass(double *restrict w, int64_t d, const double *matrix, const 
             w[c] += step * (b[c] - a[c]);
             dot += w[c] * (nb[c] - na[c]);
         }
+        double rate = alpha0 * (1.0 - (double)k / (double)T);
+        step = rate / (1.0 + exp(dot > 500.0 ? 500.0 : dot));  /* NaN stays NaN */
         a = na, b = nb;
     }
+    for (int64_t c = 0; c < d; c++)
+        w[c] += step * (b[c] - a[c]);
 }

@@ -295,10 +295,7 @@ def cmd_evaluate(args) -> int:
 def cmd_mcnemar(args) -> int:
     records_a = load_results(args.results_a)
     records_b = load_results(args.results_b)
-    try:
-        table = contingency(records_a, records_b)
-    except ValueError as exc:
-        raise SpaceRankError(str(exc)) from None
+    table = contingency(records_a, records_b)
     print(f"targets: {table.total}")
     print(f"  both hit:      {table.n11}")
     print(f"  only A hit:    {table.n10}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import NoSuchUserError, ParseError, ValidationError
 
@@ -79,6 +79,14 @@ class Observation(NamedTuple):
     token: str
 
 
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """``(line_no, line)`` for each non-blank line of a UTF-8 file; LF, CRLF and CR end lines alike."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line := line.rstrip("\n"):
+                yield line_no, line
+
+
 def load_ratings(path) -> list[RatingEvent]:
     """Parse a ``::``-separated ratings file into events, in file order.
 
@@ -87,27 +95,23 @@ def load_ratings(path) -> list[RatingEvent]:
     """
     events: list[RatingEvent] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise ParseError(path, line_no, f"expected 4 '::'-separated fields, got {len(parts)}")
-            try:
-                event = RatingEvent._make(map(int, parts))
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-            if not 1 <= event.rating <= 5:
-                raise ParseError(path, line_no, f"rating {event.rating} outside [1,5]")
-            pair = (event.user_id, event.item_id)
-            if pair in seen:
-                raise ValidationError(
-                    f"{path}:{line_no}: duplicate rating for user {event.user_id}, item {event.item_id}"
-                )
-            seen.add(pair)
-            events.append(event)
+    for line_no, line in _lines(path):
+        parts = line.split("::")
+        if len(parts) != 4:
+            raise ParseError(path, line_no, f"expected 4 '::'-separated fields, got {len(parts)}")
+        try:
+            event = RatingEvent._make(map(int, parts))
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
+        if not 1 <= event.rating <= 5:
+            raise ParseError(path, line_no, f"rating {event.rating} outside [1,5]")
+        pair = (event.user_id, event.item_id)
+        if pair in seen:
+            raise ValidationError(
+                f"{path}:{line_no}: duplicate rating for user {event.user_id}, item {event.item_id}"
+            )
+        seen.add(pair)
+        events.append(event)
     return events
 
 
@@ -162,19 +166,15 @@ def load_reviews(path) -> list[ReviewDocument]:
     preserving first-appearance order of items.
     """
     texts: dict[int, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            item_field, sep, text = line.partition("\t")
-            if not sep:
-                raise ParseError(path, line_no, "expected 'item_id<TAB>text'")
-            try:
-                item_id = int(item_field)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer item id {item_field!r}") from None
-            texts.setdefault(item_id, []).append(text)
+    for line_no, line in _lines(path):
+        item_field, sep, text = line.partition("\t")
+        if not sep:
+            raise ParseError(path, line_no, "expected 'item_id<TAB>text'")
+        try:
+            item_id = int(item_field)
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer item id {item_field!r}") from None
+        texts.setdefault(item_id, []).append(text)
     return [ReviewDocument(item_id, " ".join(parts)) for item_id, parts in texts.items()]
 
 

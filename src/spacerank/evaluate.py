@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, NamedTuple, Sequence
 
+from .corpus import _lines
 from .errors import FormatError, UndefinedTestError
 
 Target = tuple[int, int]
@@ -138,22 +139,18 @@ def save_results(records: Sequence[HitRecord], path, k: int = 10) -> None:
 def load_results(path) -> list[HitRecord]:
     records: list[HitRecord] = []
     saw_summary = False
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if parts[0].startswith("recall@"):
-                saw_summary = True
-                continue
-            if saw_summary or len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise FormatError(f"{path}:{line_no}: bad results line {line!r}")
-            try:
-                target = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: bad results line {line!r}") from None
-            records.append(HitRecord(target, parts[2] == "1"))
+    for line_no, line in _lines(path):
+        parts = line.split("\t")
+        if parts[0].startswith("recall@"):
+            saw_summary = True
+            continue
+        if saw_summary or len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise FormatError(f"{path}:{line_no}: bad results line {line!r}")
+        try:
+            target = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise FormatError(f"{path}:{line_no}: bad results line {line!r}") from None
+        records.append(HitRecord(target, parts[2] == "1"))
     if not saw_summary:
         raise FormatError(f"{path}: missing recall summary line")
     return records

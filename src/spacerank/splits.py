@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .corpus import RatingEvent, Ratings, as_ratings, held_mask
+from .corpus import RatingEvent, Ratings, _lines, as_ratings, held_mask
 from .errors import FormatError, ParseError
 
 Pair = tuple[int, int]
@@ -128,21 +128,17 @@ def load_split(path, ratings: Ratings | Sequence[RatingEvent]) -> EvalSplit:
     not hold raises FormatError naming the first such pair in file order.
     """
     kinds: dict[Pair, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("validation", "test"):
-                raise ParseError(path, line_no, f"bad split line {line!r}")
-            try:
-                pair = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer ids in {line!r}") from None
-            if pair in kinds:
-                raise ParseError(path, line_no, f"pair {pair} is listed twice")
-            kinds[pair] = parts[2]
+    for line_no, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("validation", "test"):
+            raise ParseError(path, line_no, f"bad split line {line!r}")
+        try:
+            pair = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer ids in {line!r}") from None
+        if pair in kinds:
+            raise ParseError(path, line_no, f"pair {pair} is listed twice")
+        kinds[pair] = parts[2]
     ratings = as_ratings(ratings)
     int64 = [(u, i) for u, i in kinds if -2**63 <= u < 2**63 and -2**63 <= i < 2**63]  # no corpus holds the rest
     found = ratings.select(held_mask(ratings, int64))

@@ -469,11 +469,13 @@ class TestMcnemarCommand:
         a, _ = self.make_results(pipeline, tmp_path)
         assert main(["mcnemar", str(a), str(a)]) == 2
 
-    def test_target_mismatch_refused(self, pipeline, tmp_path):
+    def test_target_mismatch_refused(self, pipeline, tmp_path, capsys):
         a, _ = self.make_results(pipeline, tmp_path)
         other = tmp_path / "other.results"
         other.write_text("1\t1\t1\nrecall@10\t1.0\n")
+        capsys.readouterr()
         assert main(["mcnemar", str(a), str(other)]) == 2
+        assert capsys.readouterr() == ("", "error: systems were evaluated on different target sequences\n")
 
 
 class TestUsage:

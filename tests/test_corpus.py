@@ -396,3 +396,14 @@ class TestLoadReviews:
     def test_missing_tab(self, tmp_path):
         with pytest.raises(ParseError):
             load_reviews(write(tmp_path, "rev.tsv", "no tab here\n"))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_and_blank_lines(self, tmp_path, end):
+        # Every line end reads as LF; blank lines are skipped but counted.
+        path = tmp_path / "rev.tsv"
+        path.write_bytes(f"{end}7\tgreat film{end}{end}9\tmeh{end}7\tloved it{end}{end}".encode())
+        assert load_reviews(path) == [ReviewDocument(7, "great film loved it"), ReviewDocument(9, "meh")]
+        path.write_bytes(f"{end}7\tgreat film{end}{end}no tab here{end}".encode())
+        with pytest.raises(ParseError) as refused:
+            load_reviews(path)
+        assert refused.value.line_no == 4

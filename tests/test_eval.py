@@ -191,6 +191,17 @@ class TestResultsFile:
         with pytest.raises(FormatError):
             load_results(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_and_blank_lines(self, tmp_path, end):
+        # Every line end reads as LF; blank lines are skipped but counted.
+        path = tmp_path / "r.tsv"
+        path.write_bytes(f"{end}1\t7\t1{end}{end}2\t9\t0{end}recall@10\t0.5{end}{end}".encode())
+        assert load_results(path) == [HitRecord((1, 7), True), HitRecord((2, 9), False)]
+        bad = "2\t9"
+        path.write_bytes(f"{end}1\t7\t1{end}{end}{bad}{end}recall@10\t0.5{end}".encode())
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: bad results line {bad!r}')}$"):
+            load_results(path)
+
     @pytest.mark.parametrize("line", ["x\t3\t0", "1\t3.5\t1"])
     def test_non_integer_id_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "r.tsv"

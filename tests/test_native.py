@@ -6,11 +6,13 @@ another order, so it is held to a float32 tolerance: every matrix and node
 entry within 1e-5 of the reference, relative to the largest magnitude in
 that reference array. The hyperplane kernel and `train_hyperplane`'s
 numpy loop, which runs without a compiler, are both held to 1e-12 relative
-of the per-pair oracle of test_ranker, and to each other. The HS fallback
-must equal its reference bit for bit.
+of the per-pair oracle of test_ranker, and to each other; the kernel also
+equals, bit for bit, a Python transcription that sums in its order. The HS
+fallback must equal its reference bit for bit.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -409,3 +411,58 @@ def test_hyperplane_kernel_leaves_w_alone_without_pairs(length):
     w = np.arange(3, dtype=np.float64)
     native.kernels()[0].hyperplane_pass(w, 3, np.ones((2, 3)), np.zeros(0, np.int32), length, 0.5)
     assert w.tolist() == [0.0, 1.0, 2.0]
+
+
+def transcribed_hyperplane_pass(w, matrix, stream, alpha0):
+    """`hyperplane_pass` in Python floats, each sum taken in the kernel's order.
+
+    A pair's dot sums eight lanes over the whole eight-element blocks, then
+    the lanes in order, then the tail; the pair's update reaches every
+    element before it enters the next pair's dot. Equal bits rest on Python
+    floats being C doubles, on the kernel's -ffp-contract=off (no fused
+    multiply-add) and on `math.exp` calling the same libm `exp` as the kernel.
+    """
+    w, d, total = w.tolist(), len(w), len(stream)
+    whole = d - d % 8
+    for k, (a, b) in enumerate(stream.tolist()):
+        diff = [y - x for x, y in zip(matrix[a].tolist(), matrix[b].tolist())]
+        lanes = [0.0] * 8
+        for c in range(whole):
+            lanes[c % 8] += w[c] * diff[c]
+        dot = 0.0
+        for c in range(8):
+            dot += lanes[c]
+        for c in range(whole, d):
+            dot += w[c] * diff[c]
+        rate = alpha0 * (1.0 - k / total)
+        step = rate / (1.0 + math.exp(500.0 if dot > 500.0 else dot))
+        w = [x + step * y for x, y in zip(w, diff)]
+    return np.array(w)
+
+
+def assert_kernel_equals_transcription(w, matrix, stream, alpha0):
+    expected = transcribed_hyperplane_pass(w, matrix, stream, alpha0)
+    rows = np.ascontiguousarray(stream, np.int32)
+    native.kernels()[0].hyperplane_pass(w, len(w), matrix, rows, len(stream), alpha0)
+    assert w.tobytes() == expected.tobytes()
+
+
+@requires_cc
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 17, 33])
+@pytest.mark.parametrize("length", [1, 2, 30])
+def test_hyperplane_kernel_sums_in_its_stated_order(d, length):
+    # A tolerance cannot see the summation order; equal bits can.
+    space, rng = unit_space(5, d, seed=10 * d + length)
+    w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
+    assert_kernel_equals_transcription(w, space.matrix, rng.integers(5, size=(length, 2)), 0.7)
+
+
+@requires_cc
+@pytest.mark.parametrize("length", [1, 3])
+def test_hyperplane_kernel_keeps_a_negative_zero(length):
+    # Where every pair's v_b - v_a is -0.0, w's -0.0 entry stays -0.0: each
+    # step adds -0.0 to it, and the kernel adds nothing else.
+    matrix = np.array([[0.0, 0.5, -0.25], [-0.0, -0.5, 0.75]])
+    w = np.array([-0.0, 0.1, -0.2])
+    assert_kernel_equals_transcription(w, matrix, np.array([[0, 1]] * length), 0.5)
+    assert math.copysign(1.0, w[0]) == -1.0

@@ -5,7 +5,7 @@ import pytest
 from spacerank.cli import main
 from spacerank.corpus import RatingEvent, load_ratings
 from spacerank.errors import FormatError, ParseError
-from spacerank.splits import build_split, load_split, mark_counts, save_split
+from spacerank.splits import EvalSplit, build_split, load_split, mark_counts, save_split
 from spacerank.splits import test_targets as targets_of
 
 
@@ -143,6 +143,17 @@ class TestSplitFile:
         with pytest.raises(ParseError) as refused:
             load_split(path, user_events(1, 3))
         assert refused.value.line_no == 3
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_and_blank_lines(self, tmp_path, end):
+        # Every line end reads as LF; blank lines are skipped but counted.
+        events, path = user_events(1, 3), tmp_path / "s.tsv"
+        path.write_bytes(f"{end}1\t100\tvalidation{end}{end}1\t101\ttest{end}{end}".encode())
+        assert load_split(path, events) == EvalSplit(frozenset({(1, 100)}), frozenset({(1, 101)}))
+        path.write_bytes(f"{end}1\t100\tvalidation{end}{end}1\t101{end}".encode())
+        with pytest.raises(ParseError) as refused:
+            load_split(path, events)
+        assert refused.value.line_no == 4
 
     def test_evaluate_exits_two_on_a_pair_listed_twice(self, pipeline, tmp_path, capsys):
         lines = pipeline["split"].read_text(encoding="utf-8").splitlines()
