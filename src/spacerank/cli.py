@@ -207,12 +207,15 @@ def _ranking_space(args, holdout, inputs):
 
     manifest_path = Path(f"{args.space}.manifest.json")
     if manifest_path.exists():
-        recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
-        params, digests = recorded.get("parameters", {}), recorded.get("inputs", {})
-        checks = [("holdout", params.get("holdout"), holdout)] + [
-            (f"{name} sha256", digests.get(params.get(name)), inputs[str(getattr(args, name))])
-            for name in ("ratings", "split")
-        ]
+        try:
+            recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
+            params, digests = recorded.get("parameters", {}), recorded.get("inputs", {})
+            checks = [("holdout", params.get("holdout"), holdout)] + [
+                (f"{name} sha256", digests.get(params.get(name)), inputs[str(getattr(args, name))])
+                for name in ("ratings", "split")
+            ]
+        except (ValueError, AttributeError, TypeError) as exc:  # not JSON, or not a manifest's shape
+            raise SpaceRankError(f"{manifest_path}: unreadable space manifest: {exc}") from None
         for what, trained, ours in checks:
             if trained != ours:
                 raise SpaceRankError(

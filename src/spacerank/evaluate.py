@@ -8,6 +8,7 @@ targets where exactly one of them hit.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 from typing import Callable, NamedTuple, Sequence
 
@@ -101,17 +102,8 @@ def contingency(
     """Pair two systems' hit records over the identical target sequence."""
     if [r.target for r in records_a] != [r.target for r in records_b]:
         raise ValueError("systems were evaluated on different target sequences")
-    n00 = n01 = n10 = n11 = 0
-    for ra, rb in zip(records_a, records_b):
-        if ra.hit and rb.hit:
-            n11 += 1
-        elif ra.hit:
-            n10 += 1
-        elif rb.hit:
-            n01 += 1
-        else:
-            n00 += 1
-    return ContingencyTable(n00, n01, n10, n11)
+    tally = Counter((bool(ra.hit), bool(rb.hit)) for ra, rb in zip(records_a, records_b))
+    return ContingencyTable(tally[False, False], tally[False, True], tally[True, False], tally[True, True])
 
 
 def mcnemar_one_tailed(table: ContingencyTable) -> float:

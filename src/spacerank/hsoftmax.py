@@ -93,33 +93,26 @@ def build_huffman(vocab: Vocabulary) -> HuffmanTree:
     if size == 0:
         raise ValueError("cannot build a Huffman tree over an empty vocabulary")
 
-    # Heap entries are (frequency, creation_index); children[i] exists only
-    # for internal nodes (creation index >= size).
+    # Heap entries are (frequency, creation_index). Internal nodes are created as size,
+    # size + 1, ..., so the last is the root; up[node] is (parent, branch bit), None at the root.
     heap = [(int(vocab.counts[i]), i) for i in range(size)]
     heapq.heapify(heap)
-    children: dict[int, tuple[int, int]] = {}
-    next_index = size
-    while len(heap) > 1:
+    up: list[tuple[int, int] | None] = [None] * (2 * size - 1)
+    for parent in range(size, 2 * size - 1):
         freq_left, left = heapq.heappop(heap)
         freq_right, right = heapq.heappop(heap)
-        children[next_index] = (left, right)
-        heapq.heappush(heap, (freq_left + freq_right, next_index))
-        next_index += 1
+        up[left], up[right] = (parent, 0), (parent, 1)
+        heapq.heappush(heap, (freq_left + freq_right, parent))
 
-    codes: list[np.ndarray] = [None] * size  # type: ignore[list-item]
-    paths: list[np.ndarray] = [None] * size  # type: ignore[list-item]
-    root = heap[0][1]
-    stack: list[tuple[int, list[int], list[int]]] = [(root, [], [])]
-    while stack:
-        node, code, path = stack.pop()
-        if node < size:
-            codes[node] = np.array(code, dtype=np.uint8)
-            paths[node] = np.array(path, dtype=np.int32)
-        else:
-            left, right = children[node]
-            path_here = path + [node - size]
-            stack.append((left, code + [0], path_here))
-            stack.append((right, code + [1], path_here))
+    codes, paths = [], []
+    for leaf in range(size):  # walk up to the root, then read the code root first
+        code, path, node = [], [], leaf
+        while (step := up[node]) is not None:
+            node, bit = step
+            code.append(bit)
+            path.append(node - size)
+        codes.append(np.array(code[::-1], dtype=np.uint8))
+        paths.append(np.array(path[::-1], dtype=np.int32))
     return HuffmanTree(tuple(codes), tuple(paths), size - 1)
 
 

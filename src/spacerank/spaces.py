@@ -39,6 +39,8 @@ class EmbeddingSpace:
         if matrix.dtype not in (np.float32, np.float64):
             matrix = matrix.astype(np.float32)
         item_ids = np.asarray(item_ids, dtype=np.int64)
+        if dimensions < 1:
+            raise ValueError(f"a space needs at least one dimension, got {dimensions}")
         if matrix.shape != (len(item_ids), dimensions):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match "
@@ -249,7 +251,7 @@ def load_space(path) -> EmbeddingSpace:
         raise FormatError(f"{path}: space holds non-finite values")
     try:
         return EmbeddingSpace(matrix.shape[1], item_ids, matrix, str(provenance) or None)
-    except ValueError as exc:  # ids and rows differ in count, unknown provenance, repeated ids
+    except ValueError as exc:  # no columns, ids and rows differ in count, unknown provenance, repeated ids
         raise FormatError(f"{path}: {exc}") from None
 
 

@@ -201,13 +201,14 @@ class TestEvaluateCommand:
         read = lambda p: {tuple(l.split("\t")[:2]) for l in p.read_text().splitlines()[:-1]}
         assert not read(test_out) & read(val_out)
 
-    def test_ds_provenance_mismatch_refused(self, pipeline, tmp_path):
+    def test_ds_provenance_mismatch_refused(self, pipeline, tmp_path, capsys):
         code = main([
             "evaluate", "--system", "ds", "--space", str(pipeline["space"]),
             "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
             "--holdout", "validation", "--out", str(tmp_path / "x.results"),
         ])
         assert code == 2
+        assert "was trained with holdout 'test' but this run has 'validation'" in capsys.readouterr().err
 
     def test_knn_evaluates(self, pipeline, tmp_path):
         out = tmp_path / "knn.results"
@@ -339,6 +340,32 @@ class TestEvaluateCommand:
         with open(tmp_path / "dup.space", "wb") as fh:
             np.savez(fh, **entries)
         self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "dup.space", capsys)
+
+    def test_space_without_dimensions_is_data_error(self, pipeline, tmp_path, capsys):
+        with np.load(pipeline["space"], allow_pickle=False) as npz:
+            entries = dict(npz)
+        entries["matrix"] = entries["matrix"][:, :0]
+        with open(tmp_path / "flat.space", "wb") as fh:
+            np.savez(fh, **entries)
+        err = self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "flat.space", capsys)
+        assert err.count("at least one dimension, got 0") == 2
+
+    @pytest.mark.parametrize("body", ["[]", '{"parameters": []}', '{"parameters": {"ratings": [1]}}',
+                                      "{not json"])
+    def test_malformed_space_manifest_is_data_error(self, pipeline, tmp_path, capsys, body):
+        space = tmp_path / "cf.space"
+        space.write_bytes(pipeline["space"].read_bytes())
+        manifest = Path(f"{space}.manifest.json")
+        manifest.write_text(body)
+        common = ["--space", str(space), "--ratings", str(pipeline["ratings"]),
+                  "--split", str(pipeline["split"])]
+        results = tmp_path / "x.results"
+        capsys.readouterr()
+        assert main(["evaluate", "--system", "ds", *common, "--out", str(results)]) == 2
+        assert main(["recommend", *common, "--user", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: {manifest}: unreadable space manifest") == 2
+        assert len(err.splitlines()) == 2 and not results.exists()
 
     def test_truncated_space_is_data_error(self, pipeline, tmp_path, capsys):
         data = pipeline["space"].read_bytes()

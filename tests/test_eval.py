@@ -4,6 +4,8 @@ import threading
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spacerank.errors import FormatError, UndefinedTestError
 from spacerank.evaluate import (
@@ -92,6 +94,26 @@ class TestContingency:
         table = contingency(hits_a, hits_b)
         assert (table.n11, table.n10, table.n01, table.n00) == (1, 1, 1, 1)
         assert table.total == 4
+
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    @example([])
+    def test_matches_four_branch_tally(self, hits):
+        n00 = n01 = n10 = n11 = 0
+        for hit_a, hit_b in hits:
+            if hit_a and hit_b:
+                n11 += 1
+            elif hit_a:
+                n10 += 1
+            elif hit_b:
+                n01 += 1
+            else:
+                n00 += 1
+        targets = [(u, 3) for u in range(len(hits))]
+        table = contingency([HitRecord(t, a) for t, (a, _) in zip(targets, hits)],
+                            [HitRecord(t, b) for t, (_, b) in zip(targets, hits)])
+        assert table == ContingencyTable(n00, n01, n10, n11)
+        assert all(type(n) is int for n in table) and table.total == len(hits)
 
     def test_target_mismatch_rejected(self):
         a = [HitRecord((1, 1), True)]

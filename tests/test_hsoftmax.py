@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spacerank.corpus import Observation
+from spacerank.corpus import Observation, build_profiles, load_rating_columns, ratings_to_observations
 from spacerank.errors import NoSuchTokenError
 from spacerank.hsoftmax import (
     build_huffman,
@@ -36,6 +37,47 @@ def min_prefix_code_cost(freqs: tuple) -> int:
             if best is None or cost < best:
                 best = cost
     return best
+
+
+def children_map_huffman(counts):
+    """Huffman codes and paths read top-down: record each merge's children, then a DFS.
+
+    The same tie rule as `build_huffman` (frequency, then creation index; the
+    lower node is branch 0), built the other way round, as the reference
+    `build_huffman` must match byte for byte.
+    """
+    size = len(counts)
+    heap = [(int(c), i) for i, c in enumerate(counts)]
+    heapq.heapify(heap)
+    children = {}
+    next_index = size
+    while len(heap) > 1:
+        freq_left, left = heapq.heappop(heap)
+        freq_right, right = heapq.heappop(heap)
+        children[next_index] = (left, right)
+        heapq.heappush(heap, (freq_left + freq_right, next_index))
+        next_index += 1
+    codes, paths = [None] * size, [None] * size
+    stack = [(heap[0][1], [], [])]
+    while stack:
+        node, code, path = stack.pop()
+        if node < size:
+            codes[node] = np.array(code, dtype=np.uint8)
+            paths[node] = np.array(path, dtype=np.int32)
+        else:
+            left, right = children[node]
+            stack.append((left, code + [0], path + [node - size]))
+            stack.append((right, code + [1], path + [node - size]))
+    return codes, paths
+
+
+def assert_matches_children_map(vocab):
+    tree = build_huffman(vocab)
+    codes, paths = children_map_huffman(vocab.counts)
+    assert tree.internal_count == len(vocab) - 1
+    assert len(tree.codes) == len(tree.paths) == len(vocab)
+    for got, want in zip(tree.codes + tree.paths, codes + paths):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def random_instance(rng, max_vocab=64, max_dim=16):
@@ -127,6 +169,21 @@ class TestHuffman:
         assert tree.internal_count == len(freqs) - 1
         for code, path in zip(tree.codes, tree.paths):
             assert len(code) == len(path)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=200))  # few distinct counts: many ties
+    @settings(max_examples=150, deadline=None)
+    @example([7])
+    @example([3, 3])
+    @example([5, 2])
+    def test_codes_and_paths_match_children_map(self, freqs):
+        obs = [Observation(1, f"t{i}") for i, f in enumerate(freqs) for _ in range(f)]
+        assert_matches_children_map(build_vocabulary(obs))
+
+    def test_mini_corpus_cf_vocabulary_matches_children_map(self, mini_corpus):
+        ratings = load_rating_columns(mini_corpus[0])
+        vocab = build_vocabulary(ratings_to_observations(ratings, build_profiles(ratings)))
+        assert len(vocab) > 100
+        assert_matches_children_map(vocab)
 
 
 class TestProbability:
