@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import _EXPORTS, _MODULE_OF, __version__
@@ -197,9 +198,9 @@ def _ranking_space(args, holdout, inputs):
 
     Refuses a space whose manifest records another holdout, or other ratings
     or split sha256 digests than `inputs` (this run's path -> digest); a
-    missing manifest only warns. Holds the matrix as float64 (an exact cast)
-    for the ranker pass, and resolves the compiled kernels before any thread
-    starts, recording which ranker path runs in ``args.kernel``.
+    missing manifest only warns. Reads the matrix straight into float64, the
+    one copy the ranker pass reads, and resolves the compiled kernels before
+    any thread starts, recording which ranker path runs in ``args.kernel``.
     """
     import numpy as np
 
@@ -224,8 +225,7 @@ def _ranking_space(args, holdout, inputs):
                 )
     else:
         _warn(f"no manifest next to {args.space}; cannot verify what it was trained on")
-    space = load_space(args.space)
-    space.matrix = np.asarray(space.matrix, np.float64)
+    space = load_space(args.space, np.float64)
     args.kernel = native.kernels()[1]
     return space
 
@@ -385,6 +385,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # library warnings print as `_warn`'s do, with no source path or line
+    default_format, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except CannotRankError as exc:
@@ -393,6 +395,8 @@ def main(argv=None) -> int:
     except (SpaceRankError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

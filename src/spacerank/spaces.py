@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib import format as npy
 
 from . import native
 from .corpus import Observation, RatingEvent, Ratings, UserProfile, rating_levels
@@ -29,6 +30,14 @@ PROVENANCES = ("cf", "cb", "vsm")
 # Learning-rate floor as a fraction of alpha0: the schedule is "linear to
 # zero" but the very last steps keep a tiny positive rate.
 ALPHA_FLOOR = 1e-4
+
+_BLOCK_VALUES = 1 << 17  # space matrices are made, checked, saved and loaded this many values at a time
+
+
+def _row_blocks(matrix) -> list[np.ndarray]:
+    """Views of consecutive rows of a 2-D `matrix`, each of about _BLOCK_VALUES values."""
+    step = max(1, _BLOCK_VALUES // max(matrix.shape[1], 1))
+    return [matrix[start:start + step] for start in range(0, len(matrix), step)]
 
 
 class EmbeddingSpace:
@@ -144,7 +153,9 @@ def train_space(
 
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / d
-    matrix = rng.uniform(-bound, bound, size=(len(item_ids), d)).astype(np.float32)
+    matrix = np.empty((len(item_ids), d), np.float32)
+    for block in _row_blocks(matrix):  # the draws of one whole-matrix uniform, in order
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
     nodes = new_node_matrix(tree, d)
 
     obs_tokens = [obs.token for obs in observations]
@@ -176,7 +187,7 @@ def train_space(
 
     map_on_workers(train_shard, shards, config.workers)
 
-    if not np.isfinite(matrix).all():
+    if not all(np.isfinite(block).all() for block in _row_blocks(matrix)):
         raise SpaceRankError(f"training diverged to non-finite item vectors at alpha0={alpha0}")
     return EmbeddingSpace(d, item_ids, matrix, provenance)
 
@@ -196,12 +207,13 @@ def build_vsm_space(
     item_ids = np.unique(items)
     matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.float64)
     matrix[np.searchsorted(item_ids, items), np.searchsorted(user_axis, users)] = levels
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)  # every row holds a level 1 or 2
+    for block in _row_blocks(matrix):  # np.linalg.norm's bits; every row holds a level 1 or 2
+        block /= np.sqrt(np.square(block).sum(axis=1, keepdims=True))
     return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
 
 
 def _refuse_non_finite(space: EmbeddingSpace, path) -> None:
-    if not np.isfinite(space.matrix).all():
+    if not all(np.isfinite(block).all() for block in _row_blocks(space.matrix)):
         raise FormatError(f"{path}: refusing to write a space with non-finite values")
 
 
@@ -210,22 +222,28 @@ def save_space(space: EmbeddingSpace, path) -> None:
 
     Its entries are ``item_ids`` (int64), ``matrix`` (as held: float32 for
     trained spaces, float64 for vsm) and ``provenance`` (a 0-d string, ""
-    for none). Raises FormatError, writing nothing, if any value is
-    non-finite.
+    for none), in `np.savez`'s bytes, the matrix written a row block at a
+    time. Raises FormatError, writing nothing, if any value is non-finite.
     """
     _refuse_non_finite(space, path)
-    with open(path, "wb") as fh:  # np.savez would append ".npz" to a path
-        np.savez(fh, item_ids=space.item_ids, matrix=space.matrix,
-                 provenance=np.array(space.provenance or ""))
+    entries = {"item_ids": space.item_ids, "matrix": space.matrix, "provenance": np.array(space.provenance or "")}
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as container:  # np.savez would add ".npz"
+        for name, array in entries.items():
+            with container.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(member, header := npy.header_data_from_array_1_0(array))
+                for block in _row_blocks(np.atleast_2d(array.T if header["fortran_order"] else array)):
+                    member.write(np.ascontiguousarray(block))
 
 
-def load_space(path) -> EmbeddingSpace:
-    """Read a `save_space` container back, bit-exact and with its dtypes.
+def load_space(path, dtype=None) -> EmbeddingSpace:
+    """Read a `save_space` container back bit-exact, its matrix as `dtype` (default: as saved).
 
-    Raises FormatError on any other file (text spaces written by earlier
-    versions included: retrain them), a truncated or damaged container, a
-    missing entry, wrong dtypes or shapes, an unknown provenance, repeated
-    item ids or non-finite values.
+    The matrix is read in row blocks straight into one C-ordered array, so
+    float32 read as float64 is the exact cast, with no float32 copy. Raises
+    FormatError on any other file (text spaces from earlier versions too:
+    retrain them), a damaged container, a missing entry, wrong dtypes or
+    shapes, a matrix header that does not fit its entry's size, an unknown
+    provenance, repeated item ids or non-finite values.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
@@ -234,21 +252,28 @@ def load_space(path) -> EmbeddingSpace:
             )
         fh.seek(0)
         try:
-            with np.load(fh, allow_pickle=False) as npz:
-                item_ids, matrix, provenance = (npz[k] for k in ("item_ids", "matrix", "provenance"))
+            with np.load(fh, allow_pickle=False) as npz, npz.zip.open("matrix.npy") as member:
+                # np.load hands back the raw bytes of an entry that is not an array
+                item_ids, provenance = np.asarray(npz["item_ids"]), np.asarray(npz["provenance"])
+                header = npy.read_array_header_1_0 if npy.read_magic(member) == (1, 0) else npy.read_array_header_2_0
+                shape, fortran_order, stored = header(member)
+                if not (item_ids.dtype == np.int64 and item_ids.ndim == 1
+                        and stored in (np.float32, np.float64) and len(shape) == 2
+                        and provenance.dtype.kind == "U" and provenance.ndim == 0):
+                    raise FormatError(f"{path}: entries must be 1-D int64 item_ids, a 2-D float32 or "
+                                      "float64 matrix and a 0-d string provenance")
+                size = npz.zip.getinfo("matrix.npy").file_size - member.tell()
+                if math.prod(shape) * stored.itemsize != size:
+                    raise FormatError(f"{path}: a {shape} {stored} matrix cannot fill its {size}-byte entry")
+                matrix = np.empty(shape, stored if dtype is None else dtype)
+                for block in _row_blocks(matrix.T if fortran_order else matrix):
+                    block[...] = np.frombuffer(member.read(block.size * stored.itemsize), stored).reshape(block.shape)
+                    if not np.isfinite(block).all():
+                        raise FormatError(f"{path}: space holds non-finite values")
         except KeyError as exc:
             raise FormatError(f"{path}: space container misses an entry: {exc}") from None
         except (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError) as exc:
             raise FormatError(f"{path}: unreadable space container: {exc}") from None
-    if not (item_ids.dtype == np.int64 and item_ids.ndim == 1
-            and matrix.dtype in (np.float32, np.float64) and matrix.ndim == 2
-            and provenance.dtype.kind == "U" and provenance.ndim == 0):
-        raise FormatError(
-            f"{path}: entries must be 1-D int64 item_ids, a 2-D float32 or float64 "
-            "matrix and a 0-d string provenance"
-        )
-    if not np.isfinite(matrix).all():
-        raise FormatError(f"{path}: space holds non-finite values")
     try:
         return EmbeddingSpace(matrix.shape[1], item_ids, matrix, str(provenance) or None)
     except ValueError as exc:  # no columns, ids and rows differ in count, unknown provenance, repeated ids

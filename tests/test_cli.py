@@ -13,6 +13,7 @@ import spacerank
 from spacerank import baselines, cli, spaces
 from spacerank.cli import main
 from spacerank.minicorpus import generate_minicorpus
+from test_spaces import write_forged_container
 
 
 class TestSplitCommand:
@@ -372,6 +373,12 @@ class TestEvaluateCommand:
         (tmp_path / "cut.space").write_bytes(data[: len(data) // 2])
         self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "cut.space", capsys)
 
+    def test_space_header_claiming_terabytes_is_data_error(self, pipeline, tmp_path, capsys):
+        # a matrix header of 10^7 x 10^6 float32 values over 48 bytes: refused before allocating
+        write_forged_container(tmp_path / "forged.space", (10**7, 10**6), bytes(48))
+        err = self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "forged.space", capsys)
+        assert err.count("cannot fill its 48-byte entry") == 2
+
     def test_text_space_of_an_earlier_version_is_data_error(self, pipeline, tmp_path, capsys):
         # the text format spaces had before the container: header, then one row per item
         space = cli.load_space(pipeline["space"])
@@ -540,6 +547,22 @@ def run_fresh(script: str) -> list:
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           check=True, timeout=120)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_library_warnings_print_as_cli_warnings(pipeline, tmp_path):
+    # No cc on PATH: the kernel's RuntimeWarning reads as the CLI's own
+    # warnings do, with no source path or line, so stderr is the same in any
+    # checkout. Callers of `main` still catch the RuntimeWarning itself (see
+    # test_native's pytest.warns around `main`).
+    (tmp_path / "empty").mkdir()
+    env = dict(os.environ, PATH=str(tmp_path / "empty"), PYTHONPATH=str(Path(spacerank.__file__).parent.parent))
+    common = ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+    warning = "warning: the compiled kernels are unavailable (no cc on PATH); the numpy passes run\n"
+    for argv in (["train-space", "--mode", "cf", "--dims", "4", "--iters", "1", "--out", str(tmp_path / "s")],
+                 ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), "--out", str(tmp_path / "r")]):
+        done = subprocess.run([sys.executable, "-m", "spacerank.cli", *argv, *common], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, warning)
 
 
 class TestStartUp:

@@ -1,3 +1,5 @@
+import tracemalloc
+import zipfile
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spacerank.corpus import Observation, RatingEvent, build_profiles
+from spacerank import native
+from spacerank.corpus import Observation, RatingEvent, build_profiles, rating_levels
 from spacerank.errors import FormatError, SpaceRankError
 from spacerank.hsoftmax import build_huffman, build_vocabulary, hs_probability, new_node_matrix
 from spacerank import spaces
@@ -208,6 +211,26 @@ def write_container(path, **entries):
         np.savez(fh, **entries)
 
 
+def write_forged_container(path, shape, data):
+    """A container whose matrix entry is a float32 header claiming `shape`, then `data`."""
+    with zipfile.ZipFile(path, "w") as container:
+        for name, array in good_entries().items():
+            if name != "matrix":
+                with container.open(f"{name}.npy", "w") as member:
+                    np.lib.format.write_array(member, array)
+        with container.open("matrix.npy", "w") as member:
+            header = {"descr": "<f4", "fortran_order": False, "shape": shape}
+            np.lib.format.write_array_header_1_0(member, header)
+            member.write(data)
+
+
+def several_blocks_space(dtype, d=1024, blocks=8, provenance="cf"):
+    """A space of `blocks` row blocks of d columns, the last one partial."""
+    n = blocks * spaces._BLOCK_VALUES // d - 3
+    matrix = np.random.default_rng(d).normal(size=(n, d)).astype(dtype)
+    return EmbeddingSpace(d, np.arange(n) * 7, matrix, provenance)
+
+
 def good_entries():
     return {
         "item_ids": np.array([240, 7], dtype=np.int64),
@@ -339,6 +362,44 @@ class TestSpaceFiles:
         with pytest.raises(FormatError, match="CRC"):
             load_space(path)
 
+    def test_forged_matrix_header_is_a_format_error(self, tmp_path):
+        # the header claims 10^7 x 10^6 float32 values (36 TiB) over 48 bytes
+        path = tmp_path / "s.space"
+        write_forged_container(path, (10**7, 10**6), bytes(48))
+        with pytest.raises(FormatError, match="cannot fill its 48-byte entry"):
+            load_space(path)
+
+    def test_matrix_entry_longer_than_its_header_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        write_forged_container(path, (2, 3), bytes(28))  # 2 x 3 float32 values take 24 bytes
+        with pytest.raises(FormatError, match="cannot fill its 28-byte entry"):
+            load_space(path)
+
+    def test_non_finite_value_in_the_last_block_refused(self, tmp_path):
+        path = tmp_path / "s.space"
+        space = several_blocks_space(np.float32)
+        space.matrix[-1, -1] = np.nan
+        write_container(path, item_ids=space.item_ids, matrix=space.matrix, provenance=np.array("cf"))
+        for dtype in (None, np.float64):
+            with pytest.raises(FormatError, match="non-finite"):
+                load_space(path, dtype)
+
+    def test_truncated_inside_the_matrix_after_its_first_block(self, tmp_path):
+        path = tmp_path / "s.space"
+        space = several_blocks_space(np.float32)
+        save_space(space, path)
+        data = path.read_bytes()
+        first = spaces._row_blocks(space.matrix)[0]
+        second_block = data.index(space.matrix[len(first)].tobytes())
+        for cut in (second_block, second_block + 1000):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                load_space(path)
+        # a whole container whose matrix entry holds the first block only
+        write_forged_container(path, space.matrix.shape, first.tobytes())
+        with pytest.raises(FormatError, match="cannot fill"):
+            load_space(path)
+
     def test_header_without_provenance_accepted(self, tmp_path):
         path = tmp_path / "s.space"
         write_container(path, **{**good_entries(), "provenance": np.array("")})
@@ -411,6 +472,17 @@ class TestSpaceFiles:
         with pytest.raises(FormatError, match=entry):
             load_space(path)
 
+    @pytest.mark.parametrize("entry", ["item_ids", "provenance"])
+    def test_entry_that_is_not_an_array_refused(self, tmp_path, entry):
+        path = tmp_path / "s.space"
+        entries = good_entries()
+        del entries[entry]
+        write_container(path, **entries)
+        with zipfile.ZipFile(path, "a") as container:
+            container.writestr(f"{entry}.npy", b"not an array")
+        with pytest.raises(FormatError, match="entries must be"):
+            load_space(path)
+
     def test_object_array_refused(self, tmp_path):
         path = tmp_path / "s.space"
         matrix = np.empty((2, 3), dtype=object)
@@ -462,3 +534,119 @@ class TestSpaceFiles:
         loaded = load_space(path)
         assert loaded == space
         assert loaded.matrix.dtype == np.float64
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the peak bytes tracemalloc saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The widest block, in bytes: _BLOCK_VALUES float64 values.
+BLOCK_BYTES = 8 * spaces._BLOCK_VALUES
+
+
+class TestRowBlocks:
+    """Each space matrix is made, written and read a row block at a time,
+    with the bits the whole-matrix operations they replace produced."""
+
+    @pytest.mark.parametrize("space", [
+        pytest.param(edge_space(dtype, provenance, n_items=4, d=3), id=f"{dtype.__name__}-{provenance}")
+        for dtype in (np.float32, np.float64) for provenance in (None, "cf", "vsm")
+    ] + [
+        pytest.param(edge_space(np.float32, "cf", n_items=0, d=5), id="zero-rows"),
+        pytest.param(edge_space(np.float64, "vsm", n_items=9, d=1), id="one-column"),
+        pytest.param(several_blocks_space(np.float32), id="several-blocks"),
+        pytest.param(several_blocks_space(np.float64, d=700, blocks=3, provenance=None), id="several-blocks-f64"),
+        pytest.param(EmbeddingSpace(300, np.arange(500), np.asfortranarray(
+            np.random.default_rng(3).normal(size=(500, 300)).astype(np.float32)), "cb"), id="f-contiguous"),
+    ])
+    def test_save_writes_the_bytes_of_np_savez(self, tmp_path, space):
+        save_space(space, tmp_path / "new.space")
+        write_container(tmp_path / "savez.space", item_ids=space.item_ids, matrix=space.matrix,
+                        provenance=np.array(space.provenance or ""))
+        assert (tmp_path / "new.space").read_bytes() == (tmp_path / "savez.space").read_bytes()
+        for path in ("new.space", "savez.space"):  # an F-ordered entry loads bit-exact too
+            assert_bit_equal(load_space(tmp_path / path), space)
+
+    @pytest.mark.parametrize("space", [several_blocks_space(np.float32), edge_space(np.float32, "cf"),
+                                       several_blocks_space(np.float64, d=700, blocks=3)],
+                             ids=["several-blocks", "edge-values", "float64"])
+    def test_load_as_float64_is_the_exact_cast(self, tmp_path, space):
+        save_space(space, tmp_path / "s.space")
+        loaded = load_space(tmp_path / "s.space", np.float64)
+        assert loaded.matrix.dtype == np.float64 and loaded.matrix.flags.c_contiguous
+        oracle = load_space(tmp_path / "s.space").matrix.astype(np.float64)
+        assert loaded.matrix.tobytes() == oracle.tobytes()
+        assert np.array_equal(loaded.item_ids, space.item_ids) and loaded.provenance == space.provenance
+
+    @pytest.mark.parametrize("n_items, d", [(3, 8), (1, 1), (700, 1000), (3, 200_000)])
+    def test_initial_vectors_are_the_whole_matrix_draw(self, n_items, d):
+        made, real_rng = [], np.random.default_rng
+
+        def recording_rng(seed):
+            made.append(real_rng(seed))
+            return made[-1]
+
+        obs = [Observation(item, f"t{item % 2}") for item in range(n_items)]
+        with mock.patch.object(spaces, "map_on_workers"), \
+                mock.patch.object(spaces.np.random, "default_rng", recording_rng):
+            space = train_space(obs, SpaceTrainConfig(d, seed=9))  # no pass runs
+        oracle = real_rng(9)
+        init = oracle.uniform(-0.5 / d, 0.5 / d, size=(n_items, d)).astype(np.float32)
+        assert space.matrix.tobytes() == init.tobytes()
+        assert made[0].random() == oracle.random()
+
+    @pytest.mark.parametrize("n_items, n_users", [(3000, 200), (40, 1)])
+    def test_vsm_rows_are_divided_by_the_whole_matrix_norms(self, n_items, n_users):
+        rng = np.random.default_rng(n_users)
+        events = [RatingEvent(int(u), i, int(r), 0) for i in range(n_items)
+                  for u, r in zip(rng.choice(n_users, size=min(n_users, 3), replace=False) + 1,
+                                  rng.integers(1, 6, size=3))]
+        profiles = build_profiles(events)
+        space = build_vsm_space(events, profiles)
+        users, items, levels = rating_levels(events, profiles)
+        raw = np.zeros((n_items, len(profiles)))
+        raw[items, np.searchsorted(sorted(profiles), users)] = levels
+        oracle = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert space.matrix.tobytes() == oracle.tobytes()
+
+    # Each bound: the matrix made, one block of float64 values, the boolean
+    # finiteness mask of a block where the step checks one, and 64 KiB for
+    # the rest. A whole-matrix temporary exceeds it.
+
+    def test_initial_vectors_allocate_one_block_beside_the_matrix(self):
+        native.kernels()  # built, loaded and cached before tracing
+        obs = [Observation(item, f"t{item % 2}") for item in range(1024)]
+        config = SpaceTrainConfig(1024, iterations=1)
+        train_space(obs[:4], config)
+        space, peak = traced_peak(train_space, obs, config)
+        assert space.matrix.nbytes == 4 * 1024 * 1024
+        assert peak <= space.matrix.nbytes + BLOCK_BYTES + spaces._BLOCK_VALUES + 64 * 1024
+
+    def test_vsm_normalization_allocates_one_block_beside_the_matrix(self):
+        events = [RatingEvent(1 + i % 200, i, 1 + i % 5, 0) for i in range(3000)]  # several row blocks
+        profiles = build_profiles(events)
+        build_vsm_space(events[:4], build_profiles(events[:4]))
+        space, peak = traced_peak(build_vsm_space, events, profiles)
+        assert space.matrix.nbytes == 3000 * 200 * 8
+        rest = 64 * len(events)  # the event columns, their matrix rows and columns, the item ids
+        assert peak <= space.matrix.nbytes + BLOCK_BYTES + rest + 64 * 1024
+
+    def test_save_allocates_one_block(self, tmp_path):
+        space = several_blocks_space(np.float32)
+        save_space(space, tmp_path / "warm.space")
+        _, peak = traced_peak(save_space, space, tmp_path / "s.space")
+        assert space.matrix.nbytes == 4 * 1024 * 1024 - 3 * 4 * 1024
+        assert peak <= BLOCK_BYTES + spaces._BLOCK_VALUES + 64 * 1024
+
+    def test_load_as_float64_allocates_one_block_beside_the_matrix(self, tmp_path):
+        save_space(several_blocks_space(np.float32), tmp_path / "s.space")
+        load_space(tmp_path / "s.space", np.float64)
+        space, peak = traced_peak(load_space, tmp_path / "s.space", np.float64)
+        assert space.matrix.nbytes == 8 * 1024 * 1024 - 3 * 8 * 1024
+        assert peak <= space.matrix.nbytes + BLOCK_BYTES + spaces._BLOCK_VALUES + 64 * 1024
