@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -385,6 +386,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # The N workers are the only pool: the BLAS, not loaded yet, runs one thread unless the user set it
+    if getattr(args, "workers", 1) > 1:
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     # library warnings print as `_warn`'s do, with no source path or line
     default_format, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:

@@ -34,6 +34,18 @@ def kernel_cache(tmp_path_factory):
         yield
 
 
+@pytest.fixture(autouse=True)
+def blas_threads():
+    """Restore OMP_NUM_THREADS after each test: an in-process `main` at
+    `--workers` above 1 sets it, and later subprocesses would inherit it."""
+    saved = os.environ.get("OMP_NUM_THREADS")
+    yield
+    if saved is None:
+        os.environ.pop("OMP_NUM_THREADS", None)
+    else:
+        os.environ["OMP_NUM_THREADS"] = saved
+
+
 @pytest.fixture(scope="session")
 def mini_corpus(tmp_path_factory):
     """Paths of the deterministic bundled mini corpus (ratings, reviews)."""

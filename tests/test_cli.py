@@ -541,9 +541,9 @@ EXPORTS = {
 }
 
 
-def run_fresh(script: str) -> list:
+def run_fresh(script: str, env=None) -> list:
     """Run a script in a new interpreter; returns the JSON on its last stdout line."""
-    env = dict(os.environ, PYTHONPATH=str(Path(spacerank.__file__).parent.parent))
+    env = env or dict(os.environ, PYTHONPATH=str(Path(spacerank.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           check=True, timeout=120)
     return json.loads(done.stdout.splitlines()[-1])
@@ -640,6 +640,63 @@ class TestStartUp:
                      "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
                      "--out", str(tmp_path / "results")]) == 0
         assert calls == [name] and getattr(cli, name) is wrapper
+
+
+class TestBlasThreads:
+    """At `--workers` above 1, `main` sets OMP_NUM_THREADS=1 before numpy
+    loads, so the BLAS starts no thread pool beside the N workers. Each case
+    runs in a fresh interpreter: in this one numpy is loaded already."""
+
+    @staticmethod
+    def env(**blas):
+        unset = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in unset}
+        return dict(env, PYTHONPATH=str(Path(spacerank.__file__).parent.parent), **blas)
+
+    def main_fresh(self, pipeline, tmp_path, workers, blas, count_threads=False) -> list:
+        """[exit code, OMP_NUM_THREADS after main, the process's threads or None].
+
+        Threads are counted once the count falls to 1 or after 10 s: a joined
+        worker's thread leaves /proc a moment after the join, a BLAS thread never.
+        """
+        argv = ["evaluate", "--system", "pop", "--ratings", str(pipeline["ratings"]),
+                "--split", str(pipeline["split"]), "--workers", workers, "--out", str(tmp_path / "pop")]
+        script = (
+            "import json, os, time\n"
+            "from spacerank.cli import main\n"
+            f"code, threads = main({argv!r}), None\n"
+            f"if {count_threads!r}:\n"
+            "    deadline = time.monotonic() + 10\n"
+            "    while (threads := len(os.listdir('/proc/self/task'))) > 1 and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "print(json.dumps([code, os.environ.get('OMP_NUM_THREADS'), threads]))\n"
+        )
+        return run_fresh(script, self.env(**blas))
+
+    def test_workers_above_one_run_one_blas_thread(self, pipeline, tmp_path):
+        count = sys.platform == "linux" and os.cpu_count() >= 2
+        code, omp, threads = self.main_fresh(pipeline, tmp_path, "2", {}, count_threads=count)
+        assert (code, omp) == (0, "1")
+        if count:
+            assert threads == 1
+
+    @pytest.mark.parametrize("workers, blas, omp", [
+        ("1", {}, None), ("2", {"OMP_NUM_THREADS": "3"}, "3"),
+    ], ids=["workers-1", "user-count"])
+    def test_workers_one_and_a_user_count_are_left_alone(self, pipeline, tmp_path, workers, blas, omp):
+        assert self.main_fresh(pipeline, tmp_path, workers, blas) == [0, omp, None]
+
+    @pytest.mark.parametrize("system", ["ds", "knn"])
+    def test_results_identical_at_one_and_two_workers(self, pipeline, tmp_path, system):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{workers}.results"
+            subprocess.run([sys.executable, "-m", "spacerank.cli", "evaluate", "--system", system,
+                            "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
+                            "--split", str(pipeline["split"]), "--workers", workers, "--out", str(out)],
+                           env=self.env(), capture_output=True, check=True, timeout=120)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestGoldenBytes:
