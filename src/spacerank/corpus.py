@@ -129,7 +129,7 @@ def load_rating_columns(path) -> Ratings:
     with open(path, "rb") as fh:
         data = fh.read()
     if not _NON_CANONICAL_LINE.search(b"\n" + data):  # stripped: numpy reads blank-only text as [0]
-        values = np.fromstring(data.replace(b":", b" ").decode().strip(), dtype=np.int64, sep=" ")
+        values = np.fromstring(data.replace(b":", b" ").strip(), dtype=np.int64, sep=" ")
         ratings = Ratings(*np.ascontiguousarray(values.reshape(-1, 4).T))
         if np.all(np.diff(np.sort(pair_codes(ratings.user, ratings.item)))):  # no repeated pair
             return ratings

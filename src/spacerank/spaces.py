@@ -204,11 +204,10 @@ def build_vsm_space(
     """
     users, items, levels = rating_levels(ratings, profiles)
     user_axis = np.sort(np.fromiter(profiles, np.int64, len(profiles)))
-    item_ids = np.unique(items)
+    item_ids, rows = np.unique(items, return_inverse=True)
     matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.float64)
-    matrix[np.searchsorted(item_ids, items), np.searchsorted(user_axis, users)] = levels
-    for block in _row_blocks(matrix):  # np.linalg.norm's bits; every row holds a level 1 or 2
-        block /= np.sqrt(np.square(block).sum(axis=1, keepdims=True))
+    matrix[rows, np.searchsorted(user_axis, users)] = levels
+    matrix /= np.sqrt(np.bincount(rows, np.square(levels)))[:, None]  # the dense rows' norms: exact sums of 1s and 4s
     return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
 
 

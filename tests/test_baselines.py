@@ -13,8 +13,9 @@ from spacerank.baselines import (
     knn_topk,
     popularity_topk,
 )
-from spacerank.corpus import RatingEvent, build_profiles
+from spacerank.corpus import RatingEvent, build_profiles, rating_levels
 from spacerank.errors import NoSuchUserError
+from test_spaces import traced_peak
 
 
 def events_of(spec):
@@ -105,6 +106,31 @@ class TestKnn:
         model = KnnModel(events, build_profiles(events), k=1)
         scores = by_item(model.item_ids, knn_scores(model, 1))
         assert scores[21] > 0 and scores[31] == 0
+
+    @pytest.mark.parametrize("n_users, n_items", [(3, 3000), (200, 40)])
+    def test_rows_are_divided_by_the_whole_matrix_norms(self, n_users, n_items):
+        # rows of up to 3000 ratings, which np.linalg.norm sums pairwise in float32
+        rng = np.random.default_rng(n_users)
+        events = [RatingEvent(user, int(item), int(rating), 0) for user in range(1, n_users + 1)
+                  for item, rating in zip(rng.permutation(n_items)[:rng.integers(1, n_items + 1)],
+                                          rng.integers(1, 6, size=n_items))]
+        profiles = build_profiles(events)
+        model = KnnModel(events, profiles, k=1)
+        users, items, levels = rating_levels(events, profiles)
+        raw = np.zeros((n_users, len(np.unique(items))), dtype=np.float32)
+        raw[users - 1, np.unique(items, return_inverse=True)[1]] = levels
+        oracle = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert model.matrix.tobytes() == oracle.tobytes()
+
+    def test_build_allocates_nothing_beside_the_matrix(self):
+        # the bound of the vsm normalization's: a whole-matrix temporary exceeds it
+        events = [RatingEvent(1 + i % 200, i, 1 + i % 5, 0) for i in range(3000)]
+        profiles = build_profiles(events)
+        KnnModel(events[:4], build_profiles(events[:4]), k=1)
+        model, peak = traced_peak(KnnModel, events, profiles, 5)
+        assert model.matrix.nbytes == 200 * 3000 * 4
+        rest = 64 * len(events)  # the event columns, their matrix rows and columns, the norms' sums
+        assert peak <= model.matrix.nbytes + rest + 64 * 1024
 
 
 def lexsort_knn_scores(model, user_id):

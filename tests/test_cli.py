@@ -219,6 +219,16 @@ class TestEvaluateCommand:
         ])
         assert code == 0
 
+    def test_knn_neighbourhood_below_one_is_named(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "knn.results"
+        code = main([
+            "evaluate", "--system", "knn", "--ratings", str(pipeline["ratings"]),
+            "--split", str(pipeline["split"]), "--k-neighbors", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: neighbourhood size k must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_space_from_another_split_refused(self, pipeline, tmp_path):
         # Under another split some of the space's training pairs are test pairs.
         main(["split", "--ratings", str(pipeline["ratings"]), "--every", "7", "--out", str(tmp_path)])

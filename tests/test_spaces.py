@@ -615,9 +615,10 @@ class TestRowBlocks:
         oracle = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         assert space.matrix.tobytes() == oracle.tobytes()
 
-    # Each bound: the matrix made, one block of float64 values, the boolean
-    # finiteness mask of a block where the step checks one, and 64 KiB for
-    # the rest. A whole-matrix temporary exceeds it.
+    # Each bound: the matrix made, one block of float64 values where the step
+    # works a block at a time, the boolean finiteness mask of a block where
+    # the step checks one, and 64 KiB for the rest. A whole-matrix temporary
+    # exceeds it.
 
     def test_initial_vectors_allocate_one_block_beside_the_matrix(self):
         native.kernels()  # built, loaded and cached before tracing
@@ -628,14 +629,14 @@ class TestRowBlocks:
         assert space.matrix.nbytes == 4 * 1024 * 1024
         assert peak <= space.matrix.nbytes + BLOCK_BYTES + spaces._BLOCK_VALUES + 64 * 1024
 
-    def test_vsm_normalization_allocates_one_block_beside_the_matrix(self):
+    def test_vsm_normalization_allocates_nothing_beside_the_matrix(self):
         events = [RatingEvent(1 + i % 200, i, 1 + i % 5, 0) for i in range(3000)]  # several row blocks
         profiles = build_profiles(events)
         build_vsm_space(events[:4], build_profiles(events[:4]))
         space, peak = traced_peak(build_vsm_space, events, profiles)
         assert space.matrix.nbytes == 3000 * 200 * 8
-        rest = 64 * len(events)  # the event columns, their matrix rows and columns, the item ids
-        assert peak <= space.matrix.nbytes + BLOCK_BYTES + rest + 64 * 1024
+        rest = 64 * len(events)  # the event columns, their matrix rows and columns, the norms' sums
+        assert peak <= space.matrix.nbytes + rest + 64 * 1024
 
     def test_save_allocates_one_block(self, tmp_path):
         space = several_blocks_space(np.float32)
