@@ -2,16 +2,27 @@
 #include <math.h>
 #include <stdint.h>
 
+/* On x86-64 glibc, which supplies ifunc, each pass is built for AVX2 and for the base ISA, and
+ * the loader picks one by CPU. Same bits: each sum keeps its order, -ffp-contract=off bars FMA. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
+
 /* One shard of one hierarchical-softmax training pass: hs_train_step for
  * observations perm[start:end], with train_space's learning-rate schedule.
  *
  * matrix (items x d) and nodes (internal nodes x d) are float32 and updated
  * in place. Token t's path is path[offsets[t]:offsets[t + 1]] with code bits
  * code[...]. grad is d floats of scratch. */
-void hs_pass(float *matrix, float *nodes, int64_t d, const int64_t *perm, int64_t start,
-             int64_t end, const int64_t *rows, const int32_t *tokens, const int64_t *offsets,
-             const int32_t *path, const uint8_t *code, int64_t pass_base, int64_t total_steps,
-             double alpha0, double alpha_min, float *grad)
+CLONED void hs_pass(float *matrix, float *nodes, int64_t d, const int64_t *perm, int64_t start,
+                    int64_t end, const int64_t *rows, const int32_t *tokens, const int64_t *offsets,
+                    const int32_t *path, const uint8_t *code, int64_t pass_base, int64_t total_steps,
+                    double alpha0, double alpha_min, float *grad)
 {
     for (int64_t k = start; k < end; k++) {
         int64_t i = perm[k], t = tokens[i];
@@ -48,8 +59,8 @@ void hs_pass(float *matrix, float *nodes, int64_t d, const int64_t *perm, int64_
  * (a, b) of the float64 matrix (items x d), updating w (d, apart from the matrix) in place. Dots
  * sum in eight lanes, as in hs_pass. Sweep k applies pair k - 1's update and takes pair k's dot,
  * each block of w updated before it enters that dot; a last loop applies pair T - 1's update. */
-void hyperplane_pass(double *restrict w, int64_t d, const double *matrix, const int32_t *rows,
-                     int64_t T, double alpha0)
+CLONED void hyperplane_pass(double *restrict w, int64_t d, const double *matrix,
+                            const int32_t *rows, int64_t T, double alpha0)
 {
     if (T < 1)
         return;

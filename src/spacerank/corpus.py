@@ -201,7 +201,8 @@ def rating_levels(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """User ids, item ids and binarize levels of the ratings, as aligned arrays.
 
-    Raises NoSuchUserError for the first rating whose user has no profile.
+    Raises NoSuchUserError for the first rating whose user has no profile,
+    ValidationError for the first that repeats a (user, item) pair.
     """
     import numpy as np
 
@@ -210,6 +211,10 @@ def rating_levels(
     unknown = [u for u in users.tolist() if u not in profiles]
     if unknown:
         raise NoSuchUserError(f"no profile for user {ratings.user[np.isin(ratings.user, unknown)][0]}")
+    codes = pair_codes(ratings.user, ratings.item)
+    if not np.all(np.diff(np.sort(codes))):
+        i = np.setdiff1d(np.arange(len(codes)), np.unique(codes, return_index=True)[1])[0]
+        raise ValidationError(f"duplicate rating for user {ratings.user[i]}, item {ratings.item[i]}")
     means = np.array([profiles[u].mean_rating for u in users.tolist()], dtype=np.float64)
     return ratings.user, ratings.item, binarize(ratings.rating, means[rows]).astype(np.int8)
 

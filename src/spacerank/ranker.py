@@ -130,14 +130,16 @@ def pair_stream(
 
     rng = np.random.default_rng(seed)
     n_downsampled = len(candidates) - n_rated_pairs
+    # one element a pair: a pass's gathers run on a 1-D array, far faster than on (N, 2) rows
+    flat = candidates.view(np.dtype((np.void, 2 * candidates.itemsize))).ravel()
     passes = []
     for _ in range(phi_i):
-        batch = candidates
+        batch = flat
         if phi_d != 1.0:
             keep = rng.random(n_downsampled) < 1.0 / phi_d
-            batch = np.concatenate([candidates[:n_rated_pairs], candidates[n_rated_pairs:][keep]])
+            batch = np.concatenate([flat[:n_rated_pairs], flat[n_rated_pairs:][keep]])
         passes.append(batch[rng.permutation(len(batch))])
-    stream = np.concatenate(passes)
+    stream = np.concatenate(passes).view(rows.dtype).reshape(-1, 2)
     if not len(stream):
         raise CannotRankError("no differently-leveled item pairs left to learn from")
     return stream

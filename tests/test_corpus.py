@@ -344,6 +344,23 @@ class TestRatingLevels:
         with pytest.raises(NoSuchUserError):
             rating_levels(events, build_profiles(events[:1]))
 
+    def test_repeated_pair_refused_by_every_caller(self):
+        # Two levels for one (user, item) pair define no vector: vsm and knn
+        # would keep one level in the matrix but count both in the norm.
+        events = [RatingEvent(1, 10, 5, 0), RatingEvent(1, 10, 5, 1), RatingEvent(1, 11, 1, 0)]
+        profiles = build_profiles(events)
+        callers = [lambda: rating_levels(events, profiles), lambda: build_vsm_space(events, profiles),
+                   lambda: KnnModel(events, profiles, k=2), lambda: ratings_to_observations(events, profiles)]
+        for call in callers:
+            with pytest.raises(ValidationError, match=r"^duplicate rating for user 1, item 10$"):
+                call()
+
+    def test_repeated_pair_named_at_its_first_repeat(self):
+        # as load_ratings names the first line whose pair it has already seen
+        events = [RatingEvent(u, i, 3, 0) for u, i in [(2, 7), (1, 9), (1, 8), (1, 9), (2, 7)]]
+        with pytest.raises(ValidationError, match=r"^duplicate rating for user 1, item 9$"):
+            rating_levels(corpus.as_ratings(events), build_profiles(events))
+
     @given(events=rating_sets(), idle_user=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_vsm_and_knn_match_their_loops(self, events, idle_user):

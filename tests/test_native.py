@@ -178,6 +178,53 @@ def test_native_path_used_when_cc_exists(pipeline):
     assert_close(trained_nodes, nodes)
 
 
+CLONES = b'__attribute__((target_clones("avx2", "default")))'
+
+
+def has_avx2():
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@requires_cc
+@pytest.mark.skipif(not has_avx2(), reason="no avx2 in /proc/cpuinfo")
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 32, 1000])
+def test_avx2_clone_gives_the_base_clones_bits(d, tmp_path):
+    # The loaded library runs the AVX2 clone here; the same source with the
+    # attribute stripped builds the base-ISA body alone.
+    source = resources.files("spacerank").joinpath("_kernels.c").read_bytes()
+    assert source.count(CLONES) == 1
+    plain = native._load(tmp_path / "plain.so", shutil.which("cc"), source.replace(CLONES, b""), True)
+    libraries = (native.kernels()[0], plain)
+    rng = np.random.default_rng(d)
+
+    space, _ = unit_space(50, d, seed=d)
+    w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
+    rows = rng.integers(50, size=(400, 2)).astype(np.int32)
+    ws = [w.copy() for _ in libraries]
+    for library, fitted in zip(libraries, ws):
+        library.hyperplane_pass(fitted, d, space.matrix, rows, len(rows), 0.7)
+    assert ws[0].tobytes() == ws[1].tobytes()
+
+    observations = [Observation(int(rng.integers(20)), f"t{t}") for t in rng.integers(30, size=300)]
+    vocab = build_vocabulary(observations)
+    tree = build_huffman(vocab)
+    item_rows = np.array([o.item_id for o in observations], dtype=np.int64)
+    tokens = np.array([vocab.token_id(o.token) for o in observations], dtype=np.int32)
+    matrix = rng.uniform(-0.5, 0.5, size=(20, d)).astype(np.float32)
+    nodes = rng.uniform(-0.5, 0.5, size=(tree.internal_count, d)).astype(np.float32)
+    trained = [(matrix.copy(), nodes.copy()) for _ in libraries]
+    for library, (matrix, nodes) in zip(libraries, trained):
+        for iteration in range(2):
+            perm = np.random.default_rng(iteration).permutation(len(observations))
+            library.hs_pass(matrix, nodes, d, perm, 0, len(perm), item_rows, tokens, *native.flat_paths(tree),
+                            iteration * len(perm), 2 * len(perm), 0.05, 0.05 * ALPHA_FLOOR, np.empty(d, np.float32))
+    for first, second in zip(*trained):
+        assert first.tobytes() == second.tobytes()
+
+
 # -- fallback, cache and packaging ---------------------------------------------
 
 

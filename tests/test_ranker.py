@@ -71,6 +71,33 @@ def reference_hyperplane(pairs, space, config):
     return w
 
 
+def reference_pair_stream(preferences, phi_i, phi_d, seed):
+    """`pair_stream` drawing each pass over ``(N, 2)`` candidate rows: the oracle for its flat view."""
+    rows, levels = preferences.row, preferences.level
+    rows = rows.astype(np.min_scalar_type(rows.max(initial=0)))
+    unrated, disliked, liked = (rows[levels == v] for v in (0, 1, 2))
+    rated = np.concatenate([disliked, liked])
+    n_rated_pairs = len(disliked) * len(liked)
+    candidates = np.empty((n_rated_pairs + len(unrated) * len(rated), 2), dtype=rows.dtype)
+    candidates[:n_rated_pairs, 0] = np.repeat(disliked, len(liked))
+    candidates[:n_rated_pairs, 1] = np.tile(liked, len(disliked))
+    candidates[n_rated_pairs:, 0] = np.repeat(unrated, len(rated))
+    candidates[n_rated_pairs:, 1] = np.tile(rated, len(unrated))
+    rng = np.random.default_rng(seed)
+    n_downsampled = len(candidates) - n_rated_pairs
+    passes = []
+    for _ in range(phi_i):
+        batch = candidates
+        if phi_d != 1.0:
+            keep = rng.random(n_downsampled) < 1.0 / phi_d
+            batch = np.concatenate([candidates[:n_rated_pairs], candidates[n_rated_pairs:][keep]])
+        passes.append(batch[rng.permutation(len(batch))])
+    stream = np.concatenate(passes)
+    if not len(stream):
+        raise CannotRankError("no differently-leveled item pairs left to learn from")
+    return stream
+
+
 @st.composite
 def preference_cases(draw):
     """One user's events over a space with unsorted ids; some rated items are
@@ -197,6 +224,24 @@ class TestPairStream:
             assert stream.shape == (count, 2) and stream.dtype == np.uint8
             item_ids = space.item_ids[stream].astype(np.int64)
             assert hashlib.sha256(item_ids.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("phi_d", [1.0, 20.0])
+    @pytest.mark.parametrize("n_items, dtype", [(40, np.uint8), (300, np.uint16), (70_000, np.uint32)])
+    @pytest.mark.parametrize("ratings", [(1, 5, 2, 4, 3, 5), (5, 5)], ids=["two levels", "one level"])
+    def test_stream_equals_the_row_pair_oracle(self, ratings, n_items, dtype, phi_d):
+        # Every row width pair_stream emits, with and without downsampling;
+        # one rated level leaves only rated-versus-unrated candidates.
+        rng = np.random.default_rng(n_items)
+        item_ids = rng.permutation(np.arange(1, n_items + 1))
+        space = EmbeddingSpace(1, item_ids, np.zeros((n_items, 1), dtype=np.float32))
+        rated = rng.choice(item_ids, len(ratings), replace=False)
+        events = [RatingEvent(1, int(i), r, t) for t, (i, r) in enumerate(zip(rated, ratings))]
+        prefs = build_preferences(events, space, phi_t="all")
+        for phi_i, seed in [(3, 0), (1, 11), (2, 12)]:
+            expected = reference_pair_stream(prefs, phi_i, phi_d, seed)
+            stream = pair_stream(prefs, phi_i, phi_d, seed)
+            assert stream.dtype == expected.dtype == dtype and stream.shape == expected.shape
+            assert stream.tobytes() == expected.tobytes()
 
     def test_heavy_user_stream_is_one_compact_array(self):
         # 1000 ratings at phi_t=all on 1500 items: 1.5M pairs at phi_i=2
