@@ -13,6 +13,7 @@ stays in the seconds range.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,20 @@ _GENRE_WORDS = (
     "specimen abyss contagion ritual shadows dread".split(),
 )
 _SHARED_WORDS = "the a film story great plot scene acting ending watch".split()
+
+
+def _cdf(p) -> list[float]:
+    # The cdf Generator.choice(values, p=p) builds on every call. Its draw,
+    # values[cdf.searchsorted(rng.random(), side="right")], is
+    # values[bisect_right(cdf, rng.random())] on the same list.
+    cdf = np.cumsum(p)
+    return (cdf / cdf[-1]).tolist()
+
+
+# (values, cdf) of a user's rating of an item in a liked cluster (True) or in
+# any other (False).
+_RATING_DRAWS = {True: ((3, 4, 5), _cdf((0.1, 0.4, 0.5))),
+                 False: ((1, 2, 3, 4), _cdf((0.25, 0.35, 0.3, 0.1)))}
 
 
 def _cluster_appeal() -> np.ndarray:
@@ -56,7 +71,9 @@ def generate_minicorpus(out_dir, seed: int = 7) -> tuple[Path, Path]:
     for user in range(1, N_USERS + 1):
         liked = rng.choice(N_CLUSTERS, size=2, replace=False, p=appeal)
         liked_pool = np.concatenate([items_in[c] for c in liked])
-        other_pool = np.setdiff1d(np.arange(N_ITEMS), liked_pool)
+        liked_cluster = np.zeros(N_CLUSTERS, dtype=bool)
+        liked_cluster[liked] = True
+        other_pool = np.flatnonzero(~liked_cluster[cluster_of_item])
 
         n_ratings = int(rng.integers(RATINGS_PER_USER - 8, RATINGS_PER_USER + 9))
         n_liked = min(int(round(n_ratings * 0.6)), len(liked_pool) - 4)
@@ -67,16 +84,14 @@ def generate_minicorpus(out_dir, seed: int = 7) -> tuple[Path, Path]:
         chosen = chosen[rng.permutation(n_ratings)]
 
         timestamp = 1_000_000_000 + user * 100_000
-        for item in chosen:
-            if cluster_of_item[item] in liked:
-                rating = int(rng.choice((3, 4, 5), p=(0.1, 0.4, 0.5)))
-            else:
-                rating = int(rng.choice((1, 2, 3, 4), p=(0.25, 0.35, 0.3, 0.1)))
+        for item, in_liked in zip(chosen.tolist(), liked_cluster[cluster_of_item[chosen]].tolist()):
+            values, cdf = _RATING_DRAWS[in_liked]
+            rating = values[bisect_right(cdf, rng.random())]
             timestamp += int(rng.integers(60, 6_000))
-            lines.append(f"{user}::{int(item) + 1}::{rating}::{timestamp}")
+            lines.append(f"{user}::{item + 1}::{rating}::{timestamp}")
 
     ratings_path = out_dir / "ratings.dat"
-    ratings_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ratings_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     review_lines = []
     for item in range(N_ITEMS):
@@ -90,5 +105,5 @@ def generate_minicorpus(out_dir, seed: int = 7) -> tuple[Path, Path]:
         review_lines.append(f"{item + 1}\t{text.capitalize()}.")
 
     reviews_path = out_dir / "reviews.tsv"
-    reviews_path.write_text("\n".join(review_lines) + "\n", encoding="utf-8")
+    reviews_path.write_text("\n".join(review_lines) + "\n", encoding="utf-8", newline="\n")
     return ratings_path, reviews_path
