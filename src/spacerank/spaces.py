@@ -31,7 +31,7 @@ PROVENANCES = ("cf", "cb", "vsm")
 # zero" but the very last steps keep a tiny positive rate.
 ALPHA_FLOOR = 1e-4
 
-_BLOCK_VALUES = 1 << 17  # space matrices are made, checked, saved and loaded this many values at a time
+_BLOCK_VALUES = 1 << 17  # space matrices are made, checked and loaded this many values at a time
 
 
 def _row_blocks(matrix) -> list[np.ndarray]:
@@ -41,13 +41,13 @@ def _row_blocks(matrix) -> list[np.ndarray]:
 
 
 class EmbeddingSpace:
-    """Dense real vector per item, all of one dimensionality."""
+    """Dense real vector per item, all of one dimensionality: C-ordered float32 or float64 rows."""
 
     def __init__(self, dimensions, item_ids, matrix, provenance=None):
-        matrix = np.asarray(matrix)
+        matrix = np.ascontiguousarray(matrix)
+        item_ids = np.ascontiguousarray(item_ids, np.int64)
         if matrix.dtype not in (np.float32, np.float64):
-            matrix = matrix.astype(np.float32)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
+            raise ValueError(f"a space matrix must be float32 or float64, got {matrix.dtype}")
         if dimensions < 1:
             raise ValueError(f"a space needs at least one dimension, got {dimensions}")
         if matrix.shape != (len(item_ids), dimensions):
@@ -62,9 +62,7 @@ class EmbeddingSpace:
         self.matrix = matrix
         self.provenance = provenance
         self._sorted_rows = np.argsort(item_ids)
-        self._sorted_ids = item_ids[self._sorted_rows]
-        repeated = np.count_nonzero(self._sorted_ids[1:] == self._sorted_ids[:-1])
-        if repeated:
+        if repeated := np.count_nonzero(np.diff(item_ids[self._sorted_rows]) == 0):
             raise ValueError(f"{repeated} repeated item ids")
 
     def __len__(self) -> int:
@@ -75,7 +73,7 @@ class EmbeddingSpace:
         item_ids = np.asarray(item_ids)
         if item_ids.size and not len(self):
             raise KeyError(int(item_ids.flat[0]))
-        at = np.searchsorted(self._sorted_ids, item_ids)
+        at = np.searchsorted(self.item_ids, item_ids, sorter=self._sorted_rows)
         rows = self._sorted_rows[np.minimum(at, len(self) - 1)]
         missing = self.item_ids[rows] != item_ids
         if missing.any():
@@ -221,17 +219,16 @@ def save_space(space: EmbeddingSpace, path) -> None:
 
     Its entries are ``item_ids`` (int64), ``matrix`` (as held: float32 for
     trained spaces, float64 for vsm) and ``provenance`` (a 0-d string, ""
-    for none), in `np.savez`'s bytes, the matrix written a row block at a
-    time. Raises FormatError, writing nothing, if any value is non-finite.
+    for none), in `np.savez`'s bytes, each entry's buffer in one write.
+    Raises FormatError, writing nothing, if any value is non-finite.
     """
     _refuse_non_finite(space, path)
     entries = {"item_ids": space.item_ids, "matrix": space.matrix, "provenance": np.array(space.provenance or "")}
     with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as container:  # np.savez would add ".npz"
         for name, array in entries.items():
             with container.open(f"{name}.npy", "w", force_zip64=True) as member:
-                npy.write_array_header_1_0(member, header := npy.header_data_from_array_1_0(array))
-                for block in _row_blocks(np.atleast_2d(array.T if header["fortran_order"] else array)):
-                    member.write(np.ascontiguousarray(block))
+                npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(array))
+                member.write(array)  # C-ordered, as every entry is: the space's own arrays and a 0-d string
 
 
 def load_space(path, dtype=None) -> EmbeddingSpace:
@@ -241,8 +238,8 @@ def load_space(path, dtype=None) -> EmbeddingSpace:
     float32 read as float64 is the exact cast, with no float32 copy. Raises
     FormatError on any other file (text spaces from earlier versions too:
     retrain them), a damaged container, a missing entry, wrong dtypes or
-    shapes, a matrix header that does not fit its entry's size, an unknown
-    provenance, repeated item ids or non-finite values.
+    shapes, a matrix not C-ordered in npy 1.0 or not filling its entry, an
+    unknown provenance, repeated item ids or non-finite values.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
@@ -254,18 +251,18 @@ def load_space(path, dtype=None) -> EmbeddingSpace:
             with np.load(fh, allow_pickle=False) as npz, npz.zip.open("matrix.npy") as member:
                 # np.load hands back the raw bytes of an entry that is not an array
                 item_ids, provenance = np.asarray(npz["item_ids"]), np.asarray(npz["provenance"])
-                header = npy.read_array_header_1_0 if npy.read_magic(member) == (1, 0) else npy.read_array_header_2_0
-                shape, fortran_order, stored = header(member)
-                if not (item_ids.dtype == np.int64 and item_ids.ndim == 1
+                v1 = npy.read_magic(member) == (1, 0)  # the 1.0 reader cannot parse a later header
+                shape, fortran_order, stored = npy.read_array_header_1_0(member) if v1 else ((), True, None)
+                if not (v1 and not fortran_order and item_ids.dtype == np.int64 and item_ids.ndim == 1
                         and stored in (np.float32, np.float64) and len(shape) == 2
                         and provenance.dtype.kind == "U" and provenance.ndim == 0):
-                    raise FormatError(f"{path}: entries must be 1-D int64 item_ids, a 2-D float32 or "
-                                      "float64 matrix and a 0-d string provenance")
+                    raise FormatError(f"{path}: entries must be 1-D int64 item_ids, a 2-D C-ordered float32 or "
+                                      "float64 matrix in npy 1.0 and a 0-d string provenance")
                 size = npz.zip.getinfo("matrix.npy").file_size - member.tell()
                 if math.prod(shape) * stored.itemsize != size:
                     raise FormatError(f"{path}: a {shape} {stored} matrix cannot fill its {size}-byte entry")
                 matrix = np.empty(shape, stored if dtype is None else dtype)
-                for block in _row_blocks(matrix.T if fortran_order else matrix):
+                for block in _row_blocks(matrix):
                     block[...] = np.frombuffer(member.read(block.size * stored.itemsize), stored).reshape(block.shape)
                     if not np.isfinite(block).all():
                         raise FormatError(f"{path}: space holds non-finite values")

@@ -36,7 +36,7 @@ class EvalSplit(NamedTuple):
         if holdout == "test":
             return self.test
         if holdout == "validation":
-            return frozenset(self.validation | self.test)
+            return self.validation | self.test
         raise ValueError(f"holdout must be 'test' or 'validation', got {holdout!r}")
 
 
@@ -95,14 +95,10 @@ def test_targets(
     Returned in a deterministic (user_id, item_id) order. ``which`` selects
     the test (default) or validation side of the split.
     """
-    if which == "test":
-        held = split.test
-    elif which == "validation":
-        held = split.validation
-    else:
+    if which not in EvalSplit._fields:
         raise ValueError(f"which must be 'test' or 'validation', got {which!r}")
     ratings = as_ratings(ratings)
-    targets = ratings.select((ratings.rating >= 4) & held_mask(ratings, held))
+    targets = ratings.select((ratings.rating >= 4) & held_mask(ratings, getattr(split, which)))
     return sorted(zip(targets.user.tolist(), targets.item.tolist()))
 
 

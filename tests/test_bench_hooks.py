@@ -3,9 +3,11 @@
 ``perfbench/traced_cli.py`` swaps names on ``spacerank.cli`` and
 ``spacerank.spaces`` and ``perfbench/probes.py`` imports package functions,
 so a rename in the package must fail here rather than only in the slow
-benchmark self-check. Both files are imported, never modified.
+benchmark self-check. The ML1M-shaped corpus generator is pinned here too.
+Every perfbench file is imported, never modified.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -38,6 +40,21 @@ def test_every_traced_layer_exists(monkeypatch):
 
 def test_probes_import(monkeypatch):
     assert callable(_import("probes", monkeypatch).run_probes)
+
+
+# sha256 of the ML1M-shaped corpora at run.py's default seed 1: ml1m-d1000's
+# 40 users and ml1m-baselines' 300 (recorded under numpy 2.4).
+ML1M_CORPUS_SHA256 = {
+    40: "022774bec8ac045462c9bb19e235a4393cc584fa4119945ea2500d44a3febf5a",
+    300: "d78d2986db449e3c1989f63ead78ed0b0d844d02ff515e09ff12ab810ea82cc3",
+}
+
+
+@pytest.mark.parametrize("users", sorted(ML1M_CORPUS_SHA256))
+def test_ml1m_corpus_bytes_are_pinned(monkeypatch, tmp_path, users):
+    # a change to these bytes changes what the benchmark's ML1M-shaped workloads measure
+    path = _import("ml1m_corpus", monkeypatch).generate_ml1m_corpus(tmp_path, users, 1)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ML1M_CORPUS_SHA256[users]
 
 
 def test_probe_ranker_values_finite(monkeypatch):

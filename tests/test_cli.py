@@ -13,7 +13,7 @@ import spacerank
 from spacerank import baselines, cli, spaces
 from spacerank.cli import main
 from spacerank.minicorpus import generate_minicorpus
-from test_spaces import write_forged_container
+from test_spaces import OTHER_LAYOUTS, write_forged_container, write_other_layout
 
 
 class TestSplitCommand:
@@ -83,10 +83,12 @@ class TestTrainSpaceCommand:
         out = tmp_path / "vsm.space"
         code = main([
             "train-space", "--mode", "vsm", "--ratings", str(pipeline["ratings"]),
-            "--split", str(pipeline["split"]), "--dims", "3", "--out", str(out),
+            "--split", str(pipeline["split"]), "--dims", "3", "--iters", "5", "--out", str(out),
         ])
         assert code == 0
-        assert "ignored" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "warning: --dims is ignored for vsm spaces: dimensionality is the user count\n" in err
+        assert "warning: --iters is ignored for vsm spaces: nothing is trained iteratively\n" in err
         space = cli.load_space(out)
         assert (len(space), space.dimensions, space.provenance) == (300, 200, "vsm")
         assert space.matrix.dtype == np.float64
@@ -210,6 +212,27 @@ class TestEvaluateCommand:
         ])
         assert code == 2
         assert "was trained with holdout 'test' but this run has 'validation'" in capsys.readouterr().err
+
+    def test_space_without_manifest_warns(self, pipeline, tmp_path, capsys):
+        space = tmp_path / "cf.space"
+        space.write_bytes(pipeline["space"].read_bytes())
+        code = main(["recommend", "--space", str(space), "--ratings", str(pipeline["ratings"]),
+                     "--split", str(pipeline["split"]), "--user", "1"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert f"warning: no manifest next to {space}; cannot verify what it was trained on\n" in captured.err
+        assert len(captured.out.splitlines()) == 10
+
+    def test_split_without_liked_targets_is_data_error(self, tmp_path, capsys):
+        ratings, split = tmp_path / "ratings.dat", tmp_path / "split.tsv"
+        ratings.write_text("1::10::2::0\n1::11::5::1\n2::10::3::0\n2::11::4::1\n")
+        split.write_text("1\t10\ttest\n2\t11\tvalidation\n")  # the one test pair is rated 2
+        out = tmp_path / "pop.results"
+        code = main(["evaluate", "--system", "pop", "--ratings", str(ratings), "--split", str(split),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no rated-4-or-5 targets in the test set\n"
+        assert not out.exists()
 
     def test_knn_evaluates(self, pipeline, tmp_path):
         out = tmp_path / "knn.results"
@@ -388,6 +411,14 @@ class TestEvaluateCommand:
         write_forged_container(tmp_path / "forged.space", (10**7, 10**6), bytes(48))
         err = self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "forged.space", capsys)
         assert err.count("cannot fill its 48-byte entry") == 2
+
+    @pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+    def test_space_matrix_layout_no_writer_makes_is_data_error(self, pipeline, tmp_path, capsys, layout):
+        write_other_layout(tmp_path / "other.space", layout)
+        err = self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "other.space", capsys)
+        assert err.splitlines() == [f"error: {tmp_path / 'other.space'}: entries must be 1-D int64 item_ids, "
+                                    "a 2-D C-ordered float32 or float64 matrix in npy 1.0 and a 0-d string "
+                                    "provenance"] * 2
 
     def test_text_space_of_an_earlier_version_is_data_error(self, pipeline, tmp_path, capsys):
         # the text format spaces had before the container: header, then one row per item

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -413,6 +415,11 @@ class TestLoadReviews:
     def test_missing_tab(self, tmp_path):
         with pytest.raises(ParseError):
             load_reviews(write(tmp_path, "rev.tsv", "no tab here\n"))
+
+    def test_non_integer_item_id(self, tmp_path):
+        path = write(tmp_path, "rev.tsv", "7\tgreat film\nx7\tmeh\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: non-integer item id 'x7'$"):
+            load_reviews(path)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_line_ends_and_blank_lines(self, tmp_path, end):

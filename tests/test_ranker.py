@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -326,6 +327,16 @@ class TestTrainHyperplane:
             RankerConfig(**{field: value})
         RankerConfig(phi_d=float("inf"))  # keeps no rated-versus-unrated pair, as a huge phi_d does
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("phi_i", 0, "phi_i must be >= 1, got 0"),
+        ("phi_t", 0, "phi_t must be a positive integer or 'all', got 0"),
+        ("phi_t", 2.5, "phi_t must be a positive integer or 'all', got 2.5"),
+        ("phi_t", "most", "phi_t must be a positive integer or 'all', got 'most'"),
+    ])
+    def test_config_refuses_counts_outside_their_range(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RankerConfig(**{field: value})
+
     def test_empty_stream(self):
         for empty in ([], np.empty((0, 2), dtype=np.uint8)):
             with pytest.raises(CannotRankError):
@@ -473,6 +484,10 @@ class TestTopK:
     def test_k_exceeds_candidates(self):
         ids = np.array([5, 6])
         assert top_k(ids, np.array([1.0, 2.0]), set(), 10) == [6, 5]
+
+    def test_k_below_one_refused(self):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            top_k(np.array([5, 6]), np.array([1.0, 2.0]), set(), 0)
 
     def test_matches_sorted_reference(self):
         rng = np.random.default_rng(8)

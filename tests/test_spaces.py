@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import zipfile
 from types import SimpleNamespace
@@ -76,6 +77,11 @@ class TestEmbeddingSpace:
     def test_repeated_item_ids_refused(self):
         with pytest.raises(ValueError, match="repeated"):
             EmbeddingSpace(2, [1, 2, 1], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+    def test_non_float_matrix_refused(self, dtype):
+        with pytest.raises(ValueError, match=f"a space matrix must be float32 or float64, got {np.dtype(dtype)}$"):
+            EmbeddingSpace(2, [1, 2], np.zeros((2, 2), dtype))
 
 
 class TestTrainSpace:
@@ -173,6 +179,14 @@ class TestTrainSpace:
         with pytest.raises(ValueError, match="alpha0"):
             SpaceTrainConfig(8, alpha0=alpha0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"dimensions": 0}, "dimensions must be positive, got 0"),
+        ({"dimensions": 8, "iterations": 0}, "iterations must be >= 1, got 0"),
+    ])
+    def test_config_refuses_counts_below_one(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpaceTrainConfig(**fields)
+
 
 class TestVsmSpace:
     def test_single_rater_unit_vector(self):
@@ -222,6 +236,23 @@ def write_forged_container(path, shape, data):
             header = {"descr": "<f4", "fortran_order": False, "shape": shape}
             np.lib.format.write_array_header_1_0(member, header)
             member.write(data)
+
+
+def write_other_layout(path, layout):
+    """A container of `good_entries` whose matrix entry has a layout `save_space` never writes."""
+    entries = good_entries()
+    if layout == "int64":
+        write_container(path, **{**entries, "matrix": entries["matrix"].astype(np.int64)})
+    elif layout == "fortran":
+        write_container(path, **{**entries, "matrix": np.asfortranarray(entries["matrix"])})
+    else:  # "npy-2.0": the matrix behind a version 2.0 header
+        with zipfile.ZipFile(path, "w") as container:
+            for name, array in entries.items():
+                with container.open(f"{name}.npy", "w") as member:
+                    np.lib.format.write_array(member, array, version=(2, 0) if name == "matrix" else (1, 0))
+
+
+OTHER_LAYOUTS = ["int64", "fortran", "npy-2.0"]
 
 
 def several_blocks_space(dtype, d=1024, blocks=8, provenance="cf"):
@@ -483,6 +514,15 @@ class TestSpaceFiles:
         with pytest.raises(FormatError, match="entries must be"):
             load_space(path)
 
+    @pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+    def test_matrix_layout_no_writer_makes_refused(self, tmp_path, layout):
+        path = tmp_path / "s.space"
+        write_other_layout(path, layout)
+        message = (f"{path}: entries must be 1-D int64 item_ids, a 2-D C-ordered float32 or float64 matrix "
+                   "in npy 1.0 and a 0-d string provenance")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_space(path)
+
     def test_object_array_refused(self, tmp_path):
         path = tmp_path / "s.space"
         matrix = np.empty((2, 3), dtype=object)
@@ -570,7 +610,8 @@ class TestRowBlocks:
         write_container(tmp_path / "savez.space", item_ids=space.item_ids, matrix=space.matrix,
                         provenance=np.array(space.provenance or ""))
         assert (tmp_path / "new.space").read_bytes() == (tmp_path / "savez.space").read_bytes()
-        for path in ("new.space", "savez.space"):  # an F-ordered entry loads bit-exact too
+        assert space.matrix.flags.c_contiguous  # an F-ordered matrix is held, and so written, in C order
+        for path in ("new.space", "savez.space"):
             assert_bit_equal(load_space(tmp_path / path), space)
 
     @pytest.mark.parametrize("space", [several_blocks_space(np.float32), edge_space(np.float32, "cf"),

@@ -46,6 +46,10 @@ class TestMarkCounts:
     def test_custom_interval(self):
         assert mark_counts(user_events(1, 10), every=3) == {1: 3}
 
+    def test_interval_below_one_refused(self):
+        with pytest.raises(ValueError, match="^every must be >= 1, got 0$"):
+            mark_counts(user_events(1, 10), every=0)
+
 
 class TestBuildSplit:
     def test_two_marked_of_ten(self):
@@ -60,6 +64,10 @@ class TestBuildSplit:
         split = build_split(events, {1: 3})
         assert split.validation == {(1, 107), (1, 108)}
         assert split.test == {(1, 109)}
+
+    def test_more_marks_than_events_refused(self):
+        with pytest.raises(ValueError, match="^user 1: 3 marked ratings but only 2 events$"):
+            build_split(user_events(1, 2), {1: 3})
 
     def test_unmarked_user_all_train(self):
         events = user_events(1, 5)
@@ -104,6 +112,25 @@ class TestTestTargets:
         split = build_split(events, {1: 1})
         assert targets_of(split, events, which="validation") == []
 
+    @pytest.mark.parametrize("which", ["train", "count", "index"])  # the last two are tuple methods
+    def test_unknown_side_refused(self, which):
+        split = build_split(user_events(1, 4), {1: 2})
+        with pytest.raises(ValueError, match=f"^which must be 'test' or 'validation', got '{which}'$"):
+            targets_of(split, user_events(1, 4), which=which)
+
+
+class TestHeldOut:
+    def test_regimes(self):
+        split = EvalSplit(frozenset({(1, 100)}), frozenset({(1, 101)}))
+        assert split.held_out("test") is split.test
+        held = split.held_out("validation")
+        assert type(held) is frozenset and held == {(1, 100), (1, 101)}
+
+    def test_unknown_regime_refused(self):
+        split = EvalSplit(frozenset(), frozenset())
+        with pytest.raises(ValueError, match="^holdout must be 'test' or 'validation', got 'train'$"):
+            split.held_out("train")
+
 
 class TestSplitFile:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -135,6 +162,13 @@ class TestSplitFile:
         corpus = [*user_events(1, 3), RatingEvent(1, 100, 5, 9)]  # holds (1, 100) twice
         with pytest.raises(FormatError, match=re.escape(f"held-out pair {named} not present")):
             load_split(path, corpus)
+
+    @pytest.mark.parametrize("line", ["x\t100\ttest", "1\t1.5\tvalidation"])
+    def test_non_integer_ids_rejected(self, tmp_path, line):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"1\t101\ttest\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:2: non-integer ids in {line!r}')}$"):
+            load_split(path, user_events(1, 3))
 
     @pytest.mark.parametrize("kinds", [("validation", "test"), ("test", "test")], ids=["both kinds", "same kind"])
     def test_pair_listed_twice_rejected_at_second_line(self, tmp_path, kinds):
