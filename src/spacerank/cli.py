@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data or format error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
@@ -63,6 +61,8 @@ def __getattr__(name):
 
 
 def _digest(path) -> str:
+    import hashlib  # here, as json is, so that mcnemar loads neither
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -78,6 +78,8 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs: dict, artifa
     """Write ``<artifact_path>.manifest.json``: the command, every resolved
     parameter (a non-finite float as its repr, "nan" or "inf", so the file is
     strict JSON), the input sha256 digests (path -> hex), the seed and the version."""
+    import json
+
     skip = ("out", "func", "command")
     payload = {
         "command": command,
@@ -203,6 +205,8 @@ def _ranking_space(args, holdout, inputs):
     one copy the ranker pass reads, and resolves the compiled kernels before
     any thread starts, recording which ranker path runs in ``args.kernel``.
     """
+    import json
+
     import numpy as np
 
     from . import native
@@ -233,9 +237,11 @@ def _ranking_space(args, holdout, inputs):
 
 def cmd_recommend(args) -> int:
     _bind_layers("ranker", "spaces")
-    _, training = _training_ratings(load_rating_columns(args.ratings), args.split, "test")
+    ratings = load_rating_columns(args.ratings)
+    split = load_split(args.split, ratings)
+    user_ratings = ratings.select((ratings.user == args.user) & ~held_mask(ratings, split.test))
+    del ratings  # the one user's rows are all that is kept while the space loads
     space = _ranking_space(args, "test", _digests(args.ratings, args.split))
-    user_ratings = training.select(training.user == args.user)
     if not len(user_ratings.user):
         raise CannotRankError(f"user {args.user} has no training ratings")
     model = _fit_user(space, user_ratings, args)
@@ -249,14 +255,19 @@ def cmd_evaluate(args) -> int:
     import numpy as np
 
     ratings = load_rating_columns(args.ratings)
-    split, training = _training_ratings(ratings, args.split, args.holdout)
+    split = load_split(args.split, ratings)
     targets = test_targets(split, ratings, which=args.holdout)
     if not targets:
         raise SpaceRankError(f"no rated-4-or-5 targets in the {args.holdout} set")
-    by_user = training.select(np.argsort(training.user, kind="stable"))  # each user in file order
-    users, starts = np.unique(by_user.user, return_index=True)
-    ends = [*starts[1:].tolist(), len(by_user.user)]
-    ratings_of = {u: by_user.select(slice(a, b)) for u, a, b in zip(users.tolist(), starts.tolist(), ends)}
+    # The one table every system reads: the training rows grouped by user, each user's in file order.
+    # pop's counts, knn's matrix and the profiles do not depend on row order; ds reads each user's slice.
+    rows = np.flatnonzero(~held_mask(ratings, split.held_out(args.holdout)))
+    rows = rows[np.argsort(ratings.user[rows], kind="stable")]
+    training = ratings.select(rows)
+    del ratings, rows  # before any model, space or thread pool exists
+    users, starts = np.unique(training.user, return_index=True)
+    ends = [*starts[1:].tolist(), len(training.user)]
+    ratings_of = {u: training.select(slice(a, b)) for u, a, b in zip(users.tolist(), starts.tolist(), ends)}
 
     inputs = _digests(args.ratings, args.split)
     if args.system == "ds":

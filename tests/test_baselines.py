@@ -13,7 +13,7 @@ from spacerank.baselines import (
     knn_topk,
     popularity_topk,
 )
-from spacerank.corpus import RatingEvent, build_profiles, rating_levels
+from spacerank.corpus import RatingEvent, as_ratings, build_profiles, rating_levels
 from spacerank.errors import NoSuchUserError
 from test_spaces import traced_peak
 
@@ -168,3 +168,36 @@ def test_knn_scores_equal_the_lexsort_selection_bit_for_bit(corpus):
         expected = lexsort_knn_scores(model, user_id)
         assert scores.dtype == expected.dtype == np.float64
         assert scores.tobytes() == expected.tobytes()
+
+
+@st.composite
+def rating_tables(draw):
+    """Ratings in a drawn file order: up to 8 users over at most 4 items, so
+    ratings, means and similarities tie, and users with one rating."""
+    user_ids = draw(st.lists(st.integers(1, 50), min_size=1, max_size=8, unique=True))
+    events = [
+        RatingEvent(user_id, 100 + item, draw(st.integers(1, 5)), t)
+        for user_id in user_ids
+        for t, item in enumerate(draw(st.lists(st.integers(0, 3), min_size=1, unique=True)))
+    ]
+    return as_ratings(draw(st.permutations(events))), draw(st.integers(1, len(user_ids) + 1))
+
+
+@given(rating_tables())
+@example((as_ratings([RatingEvent(u, 100, 4, 0) for u in (5, 3, 9, 1)]), 2))  # all tied, one rating each
+def test_grouping_rows_by_user_changes_no_baseline_and_no_user_slice(table):
+    # `evaluate` builds every system from the training rows grouped by a stable sort on the user
+    file_order, k = table
+    by_user = file_order.select(np.argsort(file_order.user, kind="stable"))
+    assert build_profiles(by_user) == build_profiles(file_order)  # exact integer sums
+    pops = [build_popularity(rows) for rows in (file_order, by_user)]
+    knns = [KnnModel(rows, build_profiles(rows), k) for rows in (file_order, by_user)]
+    assert knns[0].matrix.tobytes() == knns[1].matrix.tobytes()
+    users, starts = np.unique(by_user.user, return_index=True)
+    ends = [*starts[1:].tolist(), len(by_user.user)]
+    for user_id, start, end in zip(users.tolist(), starts.tolist(), ends):
+        own = file_order.select(file_order.user == user_id)
+        # ds ranks a user from this slice alone, so its list is the same too
+        assert all(np.array_equal(a, b) for a, b in zip(by_user.select(slice(start, end)), own, strict=True))
+        assert popularity_topk(pops[0], own.item, 4) == popularity_topk(pops[1], own.item, 4)
+        assert knn_topk(knns[0], user_id, own.item, 4) == knn_topk(knns[1], user_id, own.item, 4)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import spacerank
 from spacerank import baselines, cli, spaces
 from spacerank.cli import main
 from spacerank.minicorpus import generate_minicorpus
+from test_bench_hooks import _import
 from test_spaces import OTHER_LAYOUTS, write_forged_container, write_other_layout
 
 
@@ -278,6 +280,37 @@ class TestEvaluateCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("system", ["pop", "knn"])
+    def test_one_ratings_table_is_held_after_parsing(self, tmp_path, monkeypatch, system):
+        # 49,500 ratings, so a table (32 bytes a rating, 1.5 MB) outweighs _digest's 1 MB read chunks
+        ratings = _import("ml1m_corpus", monkeypatch).generate_ml1m_corpus(tmp_path, 300, 1)
+        assert main(["split", "--ratings", str(ratings), "--out", str(tmp_path)]) == 0
+        parse, tables, models = cli.load_rating_columns, [], []
+
+        def parsed(path):
+            table = parse(path)
+            tables.append(sum(column.nbytes for column in table))
+            tracemalloc.reset_peak()
+            return table
+
+        def knn_model(*args):
+            models.append(baselines.KnnModel(*args))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "load_rating_columns", parsed)
+        monkeypatch.setitem(vars(cli), "KnnModel", knn_model)
+        tracemalloc.start()
+        try:
+            assert main(["evaluate", "--system", system, "--ratings", str(ratings),
+                         "--split", str(tmp_path / "split.tsv"), "--out", str(tmp_path / "results")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The table and its grouped training rows meet once, while the rows are selected, and
+        # the digest's chunks come to 1.3 tables. Two more copies beside the table (the
+        # file-order training rows and a grouped copy of them) reached 4.6 tables for pop.
+        assert peak <= 3.5 * tables[0] + sum(model.matrix.nbytes for model in models)
 
     def test_ds_skips_users_whose_pairs_are_all_downsampled_away(self, pipeline, tmp_path, capsys):
         # --phi-t 2 keeps two rated items per user. When both share a level, only
@@ -638,6 +671,22 @@ class TestStartUp:
         assert run_fresh(script) == [[0, 0], []]
         for name in ("split.tsv", "split.tsv.manifest.json"):
             assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+    def test_mcnemar_loads_neither_hashlib_nor_json(self, pipeline, tmp_path):
+        # it writes no manifest and digests no file; OpenSSL alone costs 3.5 MB of RSS
+        common = ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+        for system in ("pop", "knn"):
+            assert main(["evaluate", "--system", system, *common, "--out", str(tmp_path / system)]) == 0
+        mcnemar = ["mcnemar", str(tmp_path / "knn"), str(tmp_path / "pop")]
+        script = (
+            "import sys\n"
+            "from spacerank.cli import main\n"
+            f"code = main({mcnemar!r})\n"
+            "loaded = [m for m in ('hashlib', '_hashlib', 'json') if m in sys.modules]\n"
+            "import json  # only to report\n"
+            "print(json.dumps([code, loaded]))\n"
+        )
+        assert run_fresh(script) == [0, []]
 
     @pytest.mark.parametrize("command, unloaded", [
         (["evaluate", "--system", "pop"], ["ranker", "spaces", "hsoftmax", "native"]),
