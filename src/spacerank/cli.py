@@ -17,7 +17,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import _EXPORTS, _MODULE_OF, __version__
+from . import _EXPORTS, __version__
 from .corpus import (
     build_profiles,
     held_mask,
@@ -37,36 +37,23 @@ from .evaluate import (
 )
 from .splits import build_split, load_split, mark_counts, save_split, test_targets
 
-# The numpy-backed layers. A command binds the package's exports of the
-# layers it runs, on first use, so that split and mcnemar never load numpy.
-# Each becomes a module global, and the commands call it through this module,
-# so a wrapper set on it beforehand (as the benchmark's tracer does) is kept
-# and called.
-_LAYERS = ("baselines", "ranker", "spaces")
+# Each export of the numpy-backed layers is a global forwarding to the package, whose lazy
+# exports import the defining module on the first call, so split and mcnemar never load numpy;
+# the commands call these globals, so a wrapper set here first (as the tracer does) is called.
+def _layer(name):
+    return lambda *args, **kwargs: getattr(sys.modules[__package__], name)(*args, **kwargs)
 
 
-def _bind_layers(*modules: str) -> None:
-    """Bind every name the package exports from `modules`, importing only those modules."""
-    package = sys.modules[__package__]  # its lazy exports import each defining module
-    for module in modules:
-        for name in _EXPORTS[module]:
-            globals().setdefault(name, getattr(package, name))
-
-
-def __getattr__(name):
-    if _MODULE_OF.get(name) not in _LAYERS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_layers(_MODULE_OF[name])
-    return globals()[name]
+globals().update((name, _layer(name)) for module in ("baselines", "ranker", "spaces") for name in _EXPORTS[module])
 
 
 def _digest(path) -> str:
     import hashlib  # here, as json is, so that mcnemar loads neither
 
-    h = hashlib.sha256()
+    h, buffer = hashlib.sha256(), memoryview(bytearray(1 << 16))  # one buffer, refilled
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while n := fh.readinto(buffer):
+            h.update(buffer[:n])
     return h.hexdigest()
 
 
@@ -135,7 +122,6 @@ def _training_ratings(ratings, split_path, holdout):
 
 
 def cmd_train_space(args) -> int:
-    _bind_layers("spaces")
     _, training = _training_ratings(load_rating_columns(args.ratings), args.split, args.holdout)
     inputs = [args.ratings, args.split]
 
@@ -236,7 +222,6 @@ def _ranking_space(args, holdout, inputs):
 
 
 def cmd_recommend(args) -> int:
-    _bind_layers("ranker", "spaces")
     ratings = load_rating_columns(args.ratings)
     split = load_split(args.split, ratings)
     user_ratings = ratings.select((ratings.user == args.user) & ~held_mask(ratings, split.test))
@@ -273,7 +258,6 @@ def cmd_evaluate(args) -> int:
     if args.system == "ds":
         if not args.space:
             raise SpaceRankError("--system ds requires --space")
-        _bind_layers("ranker", "spaces")
         space = _ranking_space(args, args.holdout, inputs)
         inputs.update(_digests(args.space))
 
@@ -281,14 +265,12 @@ def cmd_evaluate(args) -> int:
             return _user_ranker_topk(space, user_ratings, args)
 
     elif args.system == "pop":
-        _bind_layers("baselines")
         model = build_popularity(training)
 
         def topk(user_ratings):
             return popularity_topk(model, user_ratings.item, args.k)
 
     else:  # knn
-        _bind_layers("baselines")
         model = KnnModel(training, build_profiles(training), args.k_neighbors)
 
         def topk(user_ratings):

@@ -127,10 +127,13 @@ def load_rating_columns(path) -> Ratings:
     import numpy as np
 
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not _NON_CANONICAL_LINE.search(b"\n" + data):  # stripped: numpy reads blank-only text as [0]
-        values = np.fromstring(data.replace(b":", b" ").strip(), dtype=np.int64, sep=" ")
+        text = fh.read()
+    if not _NON_CANONICAL_LINE.search(b"\n" + text):  # stripped: numpy reads blank-only text as [0]
+        text = text.replace(b":", b" ").strip()  # the file's bytes go once this copy is made
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+        del text
         ratings = Ratings(*np.ascontiguousarray(values.reshape(-1, 4).T))
+        del values
         if np.all(np.diff(np.sort(pair_codes(ratings.user, ratings.item)))):  # no repeated pair
             return ratings
     try:

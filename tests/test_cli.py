@@ -283,7 +283,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("system", ["pop", "knn"])
     def test_one_ratings_table_is_held_after_parsing(self, tmp_path, monkeypatch, system):
-        # 49,500 ratings, so a table (32 bytes a rating, 1.5 MB) outweighs _digest's 1 MB read chunks
+        # 49,500 ratings, so a table (32 bytes a rating, 1.5 MB) outweighs _digest's 64 KB read buffer
         ratings = _import("ml1m_corpus", monkeypatch).generate_ml1m_corpus(tmp_path, 300, 1)
         assert main(["split", "--ratings", str(ratings), "--out", str(tmp_path)]) == 0
         parse, tables, models = cli.load_rating_columns, [], []
@@ -307,9 +307,9 @@ class TestEvaluateCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The table and its grouped training rows meet once, while the rows are selected, and
-        # the digest's chunks come to 1.3 tables. Two more copies beside the table (the
-        # file-order training rows and a grouped copy of them) reached 4.6 tables for pop.
+        # The table and its grouped training rows meet once, while the rows are selected (2.4
+        # tables for pop). Two more copies beside the table (the file-order training rows and
+        # a grouped copy of them) reached 4.6 tables for pop.
         assert peak <= 3.5 * tables[0] + sum(model.matrix.nbytes for model in models)
 
     def test_ds_skips_users_whose_pairs_are_all_downsampled_away(self, pipeline, tmp_path, capsys):
@@ -552,6 +552,21 @@ def test_manifest_records_a_non_finite_option_as_strict_json(pipeline, tmp_path,
     assert {name: parameters[name] for name in recorded} == recorded
 
 
+def test_digest_reads_through_one_reused_buffer(tmp_path):
+    # 2.5 MB, so a new 1 MB chunk per read, with the last one still held, peaks at 2 MB
+    data = np.random.default_rng(0).bytes(5 << 19)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = cli._digest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 1.5 * (1 << 20)
+
+
 class TestMcnemarCommand:
     def make_results(self, pipeline, tmp_path):
         a = tmp_path / "a.results"
@@ -652,6 +667,21 @@ class TestStartUp:
     def test_import_spacerank_loads_no_numpy(self):
         assert run_fresh("import sys, json, spacerank\nprint(json.dumps('numpy' in sys.modules))") is False
 
+    def test_import_cli_binds_every_layer_export_and_loads_no_layer(self):
+        # every export of the numpy layers is a callable global on cli from import on,
+        # so a wrapper can replace it before main runs; none of those layers is loaded yet
+        heavy = ["numpy", *(f"spacerank.{m}" for m in ("baselines", "ranker", "spaces", "hsoftmax", "native"))]
+        script = (
+            "import json, sys\n"
+            "import spacerank.cli as cli\n"
+            "from spacerank import _EXPORTS\n"
+            "names = [n for m in ('baselines', 'ranker', 'spaces') for n in _EXPORTS[m]]\n"
+            "unbound = [n for n in names if not callable(vars(cli).get(n))]\n"
+            f"print(json.dumps([len(names), unbound, [m for m in {heavy!r} if m in sys.modules]]))\n"
+        )
+        layer_exports = sum(len(EXPORTS[m]) for m in ("baselines", "ranker", "spaces"))
+        assert run_fresh(script) == [layer_exports, [], []]
+
     def test_split_and_mcnemar_run_with_numpy_blocked(self, pipeline, tmp_path):
         ratings, common = str(pipeline["ratings"]), ["--ratings", str(pipeline["ratings"]),
                                                      "--split", str(pipeline["split"])]
@@ -717,8 +747,6 @@ class TestStartUp:
         (spaces, "load_space", "ds"), (baselines, "build_popularity", "pop"),
     ])
     def test_wrapper_set_before_main_is_called(self, pipeline, tmp_path, monkeypatch, module, name, system):
-        for unbound in (n for layer in cli._LAYERS for n in EXPORTS[layer]):  # as in a fresh process
-            monkeypatch.delitem(vars(cli), unbound, raising=False)
         calls = []
 
         def wrapper(*args, **kwargs):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spacerank.corpus import (
 )
 from spacerank.errors import NoSuchUserError, ParseError, ValidationError
 from spacerank.spaces import EmbeddingSpace, build_vsm_space
+from test_bench_hooks import _import
 
 
 def write(tmp_path, name, text):
@@ -204,6 +206,21 @@ class TestLoadRatingColumns:
         assert _outcome(per_field_load_ratings, path) == (error, str(refused.value))
         assert per_line_calls == [path]
 
+
+    def test_bulk_parse_drops_the_file_bytes_and_the_text_before_the_columns(self, tmp_path, monkeypatch):
+        # 49,500 ratings of about 24 bytes a line, so the file is 0.73 of the 32-byte-a-rating table.
+        # Three copies of the text meet once, while it is stripped (2.2 tables), and the values and
+        # their columns once (2 tables); the file's bytes and its text kept beside them reached 3.2.
+        path = _import("ml1m_corpus", monkeypatch).generate_ml1m_corpus(tmp_path, 300, 1)
+        load_rating_columns(path)  # numpy's first-call allocations are not the parse's
+        tracemalloc.start()
+        try:
+            ratings = load_rating_columns(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _rows(ratings) == [tuple(event) for event in load_ratings(path)]
+        assert peak <= 2.5 * sum(column.nbytes for column in ratings)
 
 @given(st.lists(st.tuples(st.sampled_from([0, 1, 7, -3, 2**31 - 1, 2**31, 2**40, -2**63, 2**63 - 1]),
                           st.sampled_from([0, 2, 5, -1, 2**31 - 1, 2**31, -2**63, 2**63 - 1])), max_size=12))
