@@ -115,14 +115,10 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _training_ratings(ratings, split_path, holdout):
-    """The split, and the ratings it does not hold out under `holdout`."""
-    split = load_split(split_path, ratings)
-    return split, ratings.select(~held_mask(ratings, split.held_out(holdout)))
-
-
 def cmd_train_space(args) -> int:
-    _, training = _training_ratings(load_rating_columns(args.ratings), args.split, args.holdout)
+    ratings = load_rating_columns(args.ratings)
+    training = ratings.select(~held_mask(ratings, load_split(args.split, ratings).held_out(args.holdout)))
+    del ratings  # the training rows, in file order (cf's vocabulary and SGD order), are all that is kept
     inputs = [args.ratings, args.split]
 
     if args.mode == "vsm":
@@ -250,9 +246,8 @@ def cmd_evaluate(args) -> int:
     rows = rows[np.argsort(ratings.user[rows], kind="stable")]
     training = ratings.select(rows)
     del ratings, rows  # before any model, space or thread pool exists
-    users, starts = np.unique(training.user, return_index=True)
-    ends = [*starts[1:].tolist(), len(training.user)]
-    ratings_of = {u: training.select(slice(a, b)) for u, a, b in zip(users.tolist(), starts.tolist(), ends)}
+    users, starts, counts = (a.tolist() for a in np.unique(training.user, return_index=True, return_counts=True))
+    ratings_of = {u: training.select(slice(a, a + n)) for u, a, n in zip(users, starts, counts)}
 
     inputs = _digests(args.ratings, args.split)
     if args.system == "ds":

@@ -90,9 +90,7 @@ def build_preferences(
     if phi_t != "all":
         kept = kept[-int(phi_t):]
     rated = space.rows(ids[kept])
-    unrated = np.ones(len(space), dtype=bool)
-    unrated[rated] = False
-    rows = np.concatenate([rated, np.flatnonzero(unrated)])
+    rows = np.concatenate([rated, np.delete(np.arange(len(space)), rated)])
     levels = np.zeros(len(rows), dtype=np.int8)
     levels[:len(rated)] = binarize(ratings[kept], mean)
     return np.rec.fromarrays([rows, levels], names="row,level")

@@ -156,10 +156,9 @@ def train_space(
         block[...] = rng.uniform(-bound, bound, size=block.shape)
     nodes = new_node_matrix(tree, d)
 
-    obs_tokens = [obs.token for obs in observations]
     library = native.kernels()[0]
     if library is not None:
-        token_ids = np.array([vocab.index[t] for t in obs_tokens], dtype=np.int32)
+        token_ids = np.array([vocab.index[obs.token] for obs in observations], dtype=np.int32)
         paths = native.flat_paths(tree)
 
     n = len(observations)
@@ -181,7 +180,7 @@ def train_space(
                 for k in range(*shard):
                     i = perm[k]
                     alpha = max(alpha0 * (1.0 - (pass_base + k) / total_steps), alpha_min)
-                    hs_train_step(matrix[obs_rows[i]], obs_tokens[i], vocab, tree, nodes, alpha)
+                    hs_train_step(matrix[obs_rows[i]], observations[i].token, vocab, tree, nodes, alpha)
 
     map_on_workers(train_shard, shards, config.workers)
 

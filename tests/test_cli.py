@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import json
@@ -14,6 +15,7 @@ import spacerank
 from spacerank import baselines, cli, spaces
 from spacerank.cli import main
 from spacerank.minicorpus import generate_minicorpus
+from spacerank.splits import EvalSplit
 from test_bench_hooks import _import
 from test_spaces import OTHER_LAYOUTS, write_forged_container, write_other_layout
 
@@ -102,6 +104,26 @@ class TestTrainSpaceCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("mode, layer", [("vsm", "build_vsm_space"), ("cf", "train_space")])
+    def test_holds_no_split_while_it_builds(self, pipeline, tmp_path, monkeypatch, mode, layer):
+        def live_splits():
+            gc.collect()
+            return sum(isinstance(obj, EvalSplit) for obj in gc.get_objects())
+
+        build, during = getattr(cli, layer), []
+
+        def counted(*args, **kwargs):
+            during.append(live_splits())
+            return build(*args, **kwargs)
+
+        monkeypatch.setitem(vars(cli), layer, counted)
+        before = live_splits()
+        assert main([
+            "train-space", "--mode", mode, "--ratings", str(pipeline["ratings"]),
+            "--split", str(pipeline["split"]), "--dims", "4", "--iters", "1", "--out", str(tmp_path / "x"),
+        ]) == 0
+        assert during == [before]  # the split goes once the training rows are selected
+
     def test_diverged_training_writes_no_space(self, pipeline, tmp_path):
         out = tmp_path / "nan.space"
         with np.errstate(all="ignore"):
@@ -142,8 +164,9 @@ class TestRecommendCommand:
         recommended = [int(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()]
 
         args = cli.build_parser().parse_args(["evaluate", "--system", "ds", *common, "--out", "unused"])
-        _, training = cli._training_ratings(cli.load_rating_columns(args.ratings), args.split, args.holdout)
-        top = cli._user_ranker_topk(cli.load_space(args.space), training.select(training.user == 2), args)
+        ratings = cli.load_rating_columns(args.ratings)
+        held = cli.held_mask(ratings, cli.load_split(args.split, ratings).held_out(args.holdout))
+        top = cli._user_ranker_topk(cli.load_space(args.space), ratings.select((ratings.user == 2) & ~held), args)
         assert len(recommended) == 10
         assert top == recommended
 

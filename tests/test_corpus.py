@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spacerank import corpus
@@ -15,6 +15,7 @@ from spacerank.corpus import (
     ReviewDocument,
     binarize,
     build_profiles,
+    held_mask,
     load_rating_columns,
     load_ratings,
     load_reviews,
@@ -231,6 +232,22 @@ def test_pair_codes_equal_exactly_where_pairs_are(pairs):
     for (a, code_a) in zip(pairs, codes):
         for (b, code_b) in zip(pairs, codes):
             assert (a == b) == (code_a == code_b)
+
+
+_USER_IDS = st.sampled_from([0, 1, 7, -3, 2**32 - 1, 2**32, 2**40, -2**63, 2**63 - 1])
+_ITEM_IDS = st.sampled_from([0, 2, 5, -1, 2**31 - 1, 2**31, -2**63, 2**63 - 1])
+
+
+@given(table=st.lists(st.tuples(_USER_IDS, _ITEM_IDS), max_size=10), picked=st.sets(st.integers(0, 9)),
+       absent=st.sets(st.tuples(_USER_IDS, _ITEM_IDS), max_size=4))
+@example(table=[], picked=set(), absent=set())
+@example(table=[(1, 2), (7, 5), (1, 2)], picked={0}, absent=set())  # a pair held twice
+@example(table=[(2**32, 2**31), (-3, -1), (1, 2)], picked={0, 1}, absent={(7, 5)})
+def test_held_mask_matches_a_set_of_the_pairs(table, picked, absent):
+    pairs = frozenset(table[i] for i in picked if i < len(table)) | absent
+    user, item = np.array(table, dtype=np.int64).reshape(-1, 2).T
+    mask = held_mask(Ratings(user, item, np.ones_like(user), np.zeros_like(user)), pairs)
+    assert mask.tolist() == [(u, i) in pairs for u, i in table]
 
 
 def reference_profiles(events):
