@@ -2,12 +2,12 @@
 
 The system ``cc`` builds them once into ``$XDG_CACHE_HOME/spacerank`` (default
 ``~/.cache/spacerank``), named by the sha256 of the source and the compile
-command, written whole with ``os.replace`` and ending in the sha256 of its
-own bytes, so a damaged file is rebuilt rather than loaded. If that
-directory cannot be written it is built privately for this process. Only
-`train_space` and `train_hyperplane` call the passes: split, vsm, pop,
-knn and mcnemar never compile or load them. ctypes releases the GIL for
-each call, so the passes run in parallel on threads.
+command, written whole and ending in the sha256 of its own bytes: a damaged
+file is rebuilt. A cache that cannot be resolved or written, or a checksummed
+file there that will not load (left as it is), means a private build for this
+process; a missing ``_kernels.c`` falls back like a missing ``cc``. Only
+`train_space` and `train_hyperplane` call the passes, and ctypes releases
+the GIL for each call, so they run in parallel on threads.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ def flat_paths(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, np.concatenate(tree.paths).astype(np.int32), np.concatenate(tree.codes)
 
 
-def _load(target: Path, cc: str, source: bytes, build: bool):
-    if build:
+def _load(target: Path, cc: str, source: bytes):
+    data = target.read_bytes() if target.is_file() else b""  # dlopen of a truncated library can crash the process
+    if hashlib.sha256(data[:-32]).digest() != data[-32:]:
         import subprocess  # only a build needs it
 
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -52,9 +53,6 @@ def _load(target: Path, cc: str, source: bytes, build: bool):
             body = Path(tmp, "kernels.so").read_bytes()
             Path(tmp, "kernels.so").write_bytes(body + hashlib.sha256(body).digest())
             os.replace(Path(tmp, "kernels.so"), target)
-    data = target.read_bytes()  # dlopen of a truncated library can crash the process
-    if hashlib.sha256(data[:-32]).digest() != data[-32:]:
-        raise OSError(f"{target} is damaged")
     library = ctypes.CDLL(str(target))
     for name, argtypes in _ARGTYPES.items():
         function = getattr(library, name)
@@ -72,15 +70,16 @@ def kernels():
     and the per-pair loop of `ranker.train_hyperplane`. Call it once before
     starting threads: the cache is not a lock.
     """
-    source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
     cc, problem = shutil.which("cc"), "no cc on PATH"
     if cc is not None:
-        key = hashlib.sha256(b"\0".join([source, cc.encode(), *map(str.encode, FLAGS)])).hexdigest()
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "spacerank")
         with tempfile.TemporaryDirectory() as private:  # a loaded library outlives its file
-            for directory, build in ((cache, False), (cache, True), (Path(private), True)):
+            for directory in (None, private):  # the shared cache, then this process's own
                 try:
-                    library = _load(directory / f"kernels-{key[:16]}.so", cc, source, build)
+                    source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
+                    key = hashlib.sha256(b"\0".join([source, cc.encode(), *map(str.encode, FLAGS)])).hexdigest()
+                    directory = directory or Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache",
+                                                  "spacerank")
+                    library = _load(Path(directory, f"kernels-{key[:16]}.so"), cc, source)
                 except Exception as exc:  # a failed attempt falls through to the next
                     problem = f"{type(exc).__name__}: {exc}"
                     continue

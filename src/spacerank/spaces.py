@@ -223,7 +223,8 @@ def save_space(space: EmbeddingSpace, path) -> None:
     """
     _refuse_non_finite(space, path)
     entries = {"item_ids": space.item_ids, "matrix": space.matrix, "provenance": np.array(space.provenance or "")}
-    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as container:  # np.savez would add ".npz"
+    # np.savez(fh, ...) writes these bytes too, but copies each array through tobytes, up to 16 MiB at a time
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as container:
         for name, array in entries.items():
             with container.open(f"{name}.npy", "w", force_zip64=True) as member:
                 npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(array))

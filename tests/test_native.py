@@ -11,9 +11,11 @@ equals, bit for bit, a Python transcription that sums in its order. The HS
 fallback must equal its reference bit for bit.
 """
 
+import hashlib
 import json
 import math
 import os
+import pwd
 import shutil
 import subprocess
 import sys
@@ -196,7 +198,7 @@ def test_avx2_clone_gives_the_base_clones_bits(d, tmp_path):
     # attribute stripped builds the base-ISA body alone.
     source = resources.files("spacerank").joinpath("_kernels.c").read_bytes()
     assert source.count(CLONES) == 1
-    plain = native._load(tmp_path / "plain.so", shutil.which("cc"), source.replace(CLONES, b""), True)
+    plain = native._load(tmp_path / "plain.so", shutil.which("cc"), source.replace(CLONES, b""))
     libraries = (native.kernels()[0], plain)
     rng = np.random.default_rng(d)
 
@@ -292,6 +294,70 @@ def test_unwritable_cache_builds_privately(fresh_loader, monkeypatch, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert native.kernels()[0] is not None
+
+
+@requires_cc
+def test_checksummed_file_that_will_not_load_is_left_for_a_private_build(fresh_loader, monkeypatch, tmp_path):
+    # Only this loader, under the same key, on another machine, writes such a
+    # file: rewriting it would make the machines rebuild in turn.
+    name = built_library(tmp_path / "first", monkeypatch).name
+    fresh_loader.mkdir(parents=True)
+    body = b"\x7fELF" + bytes(range(256)) * 8
+    written = body + hashlib.sha256(body).digest()
+    (fresh_loader / name).write_bytes(written)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_loader.parent))
+    native.kernels.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert native.kernels()[0] is not None
+    assert (fresh_loader / name).read_bytes() == written
+
+
+@pytest.mark.parametrize("compiler", [pytest.param(True, marks=requires_cc), False])
+def test_no_home_directory_builds_privately(fresh_loader, monkeypatch, tmp_path, compiler):
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(pwd, "getpwuid", mock.Mock(side_effect=KeyError("getpwuid(): uid not found")))
+    monkeypatch.chdir(tmp_path)
+    if compiler:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert native.kernels()[0] is not None
+    else:
+        no_compiler(monkeypatch, tmp_path)
+        with pytest.warns(RuntimeWarning, match="no cc on PATH") as caught:
+            assert native.kernels() == (None, "numpy")
+        assert len(caught) == 1
+
+
+@pytest.mark.parametrize("compiler", [pytest.param(True, marks=requires_cc), False])
+def test_package_without_its_source_falls_back(pipeline, monkeypatch, tmp_path, compiler):
+    shutil.copytree(Path(spacerank.__file__).parent, tmp_path / "copy" / "spacerank",
+                    ignore=shutil.ignore_patterns("_kernels.c", "__pycache__"))
+    if not compiler:
+        no_compiler(monkeypatch, tmp_path)
+    argv = ["train-space", "--mode", "cf", "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
+            "--dims", "8", "--iters", "2", "--out", str(tmp_path / "cf.space")]
+    script = (
+        "import json, warnings\n"
+        "from spacerank import native\n"
+        "from spacerank.cli import main\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    loaded = native.kernels()\n"
+        "    code = main(" + repr(argv) + ")\n"
+        "caught = [[w.category.__name__, str(w.message)] for w in caught]\n"
+        "print(json.dumps([native.__file__, loaded, caught, code]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "copy"), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    module, loaded, caught, code = json.loads(done.stdout.splitlines()[-1])
+    assert Path(module).parent == tmp_path / "copy" / "spacerank"
+    assert loaded == [None, "numpy"] and code == 0
+    ((category, message),) = caught
+    assert category == "RuntimeWarning"
+    assert ("FileNotFoundError" if compiler else "no cc on PATH") in message
 
 
 def test_kernel_source_ships_with_the_package():
