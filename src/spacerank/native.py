@@ -2,16 +2,18 @@
 
 The system ``cc`` builds them once into ``$XDG_CACHE_HOME/spacerank`` (default
 ``~/.cache/spacerank``), named by the sha256 of the source and the compile
-command, written whole and ending in the sha256 of its own bytes: a damaged
-file is rebuilt. A cache that cannot be resolved or written, or a checksummed
-file there that will not load (left as it is), means a private build for this
-process; a missing ``_kernels.c`` falls back like a missing ``cc``. Only
-`train_space` and `train_hyperplane` call the passes, and ctypes releases
-the GIL for each call, so they run in parallel on threads.
+command, written whole and ending in the sha256 of its own bytes: a damaged file
+is rebuilt. A cache that cannot be resolved or written, or a checksummed file
+there that will not load (left as it is), means a private build in a temporary
+directory made only then: a warm cache makes none, and a missing temporary
+directory fails only that attempt. A missing ``_kernels.c`` falls back like a
+missing ``cc``. Only `train_space` and `train_hyperplane` call the passes;
+ctypes releases the GIL for each call, so they run on threads in parallel.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -71,20 +73,18 @@ def kernels():
     starting threads: the cache is not a lock.
     """
     cc, problem = shutil.which("cc"), "no cc on PATH"
-    if cc is not None:
-        with tempfile.TemporaryDirectory() as private:  # a loaded library outlives its file
-            for directory in (None, private):  # the shared cache, then this process's own
-                try:
-                    source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
-                    key = hashlib.sha256(b"\0".join([source, cc.encode(), *map(str.encode, FLAGS)])).hexdigest()
-                    directory = directory or Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache",
-                                                  "spacerank")
-                    library = _load(Path(directory, f"kernels-{key[:16]}.so"), cc, source)
-                except Exception as exc:  # a failed attempt falls through to the next
-                    problem = f"{type(exc).__name__}: {exc}"
-                    continue
-                digest = hashlib.sha256(source).hexdigest()
-                return library, {"compiler": cc, "flags": list(FLAGS), "source_sha256": digest}
+    for private in (False, True) if cc is not None else ():  # the shared cache, then this process's own
+        try:
+            source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
+            key = hashlib.sha256(b"\0".join([source, cc.encode(), *map(str.encode, FLAGS)])).hexdigest()
+            with (tempfile.TemporaryDirectory() if private  # a loaded library outlives its file
+                  else contextlib.nullcontext(Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache",
+                                                   "spacerank"))) as directory:
+                library = _load(Path(directory, f"kernels-{key[:16]}.so"), cc, source)
+        except Exception as exc:  # a failed attempt falls through to the next
+            problem = f"{type(exc).__name__}: {exc}"
+            continue
+        return library, {"compiler": cc, "flags": list(FLAGS), "source_sha256": hashlib.sha256(source).hexdigest()}
     warnings.warn(f"the compiled kernels are unavailable ({problem}); the numpy passes run",
                   RuntimeWarning, stacklevel=2)
     return None, "numpy"

@@ -19,6 +19,7 @@ import pwd
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -360,6 +361,63 @@ def test_package_without_its_source_falls_back(pipeline, monkeypatch, tmp_path, 
     assert ("FileNotFoundError" if compiler else "no cc on PATH") in message
 
 
+@requires_cc
+def test_missing_temporary_directory_builds_into_the_cache(fresh_loader, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert native.kernels()[0] is not None
+    (library,) = fresh_loader.iterdir()
+    assert library.name.startswith("kernels-") and not (tmp_path / "missing").exists()
+
+
+@requires_cc
+def test_warm_cache_makes_no_directory(fresh_loader, monkeypatch):
+    library = built_library(fresh_loader.parent, monkeypatch)
+    built = library.read_bytes()
+    native.kernels.cache_clear()
+    mkdtemp = mock.Mock(side_effect=OSError("no temporary directory"))
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert native.kernels()[0] is not None
+    mkdtemp.assert_not_called()
+    assert list(fresh_loader.iterdir()) == [library] and library.read_bytes() == built
+
+
+@requires_cc
+def test_missing_temporary_directory_and_unwritable_cache_fall_back(fresh_loader, monkeypatch, tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    with pytest.warns(RuntimeWarning) as caught:
+        assert native.kernels() == (None, "numpy")
+    (warning,) = caught
+    assert f"FileNotFoundError: [Errno 2] No such file or directory: '{tmp_path / 'missing'}" in str(warning.message)
+
+
+@requires_cc
+def test_missing_temporary_directory_trains_with_the_kernel(pipeline, tmp_path):
+    argv = ["train-space", "--mode", "cf", "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]),
+            "--dims", "8", "--iters", "2", "--out", str(tmp_path / "cf.space")]
+    script = (
+        "import json, tempfile, warnings\n"
+        f"tempfile.tempdir = {str(tmp_path / 'missing')!r}\n"
+        "from spacerank import native\n"
+        "from spacerank.cli import main\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    code = main(" + repr(argv) + ")\n"
+        "print(json.dumps([native.kernels()[0] is not None, [str(w.message) for w in caught], code]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(spacerank.__file__).parent.parent),
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert json.loads(done.stdout.splitlines()[-1]) == [True, [], 0]
+
+
 def test_kernel_source_ships_with_the_package():
     source = resources.files("spacerank").joinpath("_kernels.c")
     assert source.is_file()
@@ -367,15 +425,27 @@ def test_kernel_source_ships_with_the_package():
     assert "void hs_pass(" in text and "void hyperplane_pass(" in text
 
 
-def test_other_commands_never_build_or_load_the_kernel(pipeline, tmp_path):
-    out, common = tmp_path, ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
-    never = [
+def kernel_free_commands(pipeline, out):
+    """`split`, `vsm`, `pop`, `knn` and `mcnemar`, which the README says never build or load the kernel."""
+    common = ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+    return [
         ["split", "--ratings", str(pipeline["ratings"]), "--out", str(out / "split")],
         ["train-space", "--mode", "vsm", *common, "--out", str(out / "vsm.space")],
         ["evaluate", "--system", "pop", *common, "--out", str(out / "pop.results")],
         ["evaluate", "--system", "knn", *common, "--out", str(out / "knn.results")],
         ["mcnemar", str(out / "knn.results"), str(out / "pop.results")],
     ]
+
+
+def test_kernel_free_commands_never_call_the_loader(pipeline, tmp_path):
+    with mock.patch.object(native, "kernels", side_effect=AssertionError("the kernel loader ran")) as kernels:
+        assert [main(argv) for argv in kernel_free_commands(pipeline, tmp_path)] == [0] * 5
+    kernels.assert_not_called()
+
+
+def test_other_commands_never_build_or_load_the_kernel(pipeline, tmp_path):
+    out, common = tmp_path, ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+    never = kernel_free_commands(pipeline, out)
     ranking = [
         ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), *common,
          "--out", str(out / "ds.results")],
