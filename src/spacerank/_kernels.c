@@ -1,8 +1,8 @@
-/* The two SGD loops of spacerank, built and called by native.py. */
+/* The two SGD loops of spacerank and the ranker's scores, built and called by native.py. */
 #include <math.h>
 #include <stdint.h>
 
-/* On x86-64 glibc, which supplies ifunc, each pass is built for AVX2 and for the base ISA, and
+/* On x86-64 glibc, which supplies ifunc, each kernel is built for AVX2 and for the base ISA, and
  * the loader picks one by CPU. Same bits: each sum keeps its order, -ffp-contract=off bars FMA. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -55,36 +55,62 @@ CLONED void hs_pass(float *matrix, float *nodes, int64_t d, const int64_t *perm,
     }
 }
 
-/* One user's hyperplane: ranker.train_hyperplane's per-pair loop over a stream of T row pairs
- * (a, b) of the float64 matrix (items x d), updating w (d, apart from the matrix) in place. Dots
- * sum in eight lanes, as in hs_pass. Sweep k applies pair k - 1's update and takes pair k's dot,
- * each block of w updated before it enters that dot; a last loop applies pair T - 1's update. */
-CLONED void hyperplane_pass(double *restrict w, int64_t d, const double *matrix,
-                            const int32_t *rows, int64_t T, double alpha0)
-{
-    if (T < 1)
-        return;
-    const double *a = matrix + (int64_t)rows[0] * d, *b = a;
-    double step = -0.0;  /* sweep 0's update: w + -0.0 * (b - a) is w, a -0.0 entry too */
-    for (int64_t k = 0; k < T; k++) {
-        const double *na = matrix + (int64_t)rows[2 * k] * d, *nb = matrix + (int64_t)rows[2 * k + 1] * d;
-        double lane[8] = {0}, dot = 0.0;
-        int64_t c = 0;
-        for (; c + 8 <= d; c += 8)
-            for (int j = 0; j < 8; j++) {
-                w[c + j] += step * (b[c + j] - a[c + j]);
-                lane[j] += w[c + j] * (nb[c + j] - na[c + j]);
-            }
-        for (int j = 0; j < 8; j++)
-            dot += lane[j];
-        for (; c < d; c++) {
-            w[c] += step * (b[c] - a[c]);
-            dot += w[c] * (nb[c] - na[c]);
-        }
-        double rate = alpha0 * (1.0 - (double)k / (double)T);
-        step = rate / (1.0 + exp(dot > 500.0 ? 500.0 : dot));  /* NaN stays NaN */
-        a = na, b = nb;
-    }
-    for (int64_t c = 0; c < d; c++)
-        w[c] += step * (b[c] - a[c]);
+/* One user's hyperplane and scores, for rows of `real` (float: cf, cb; double: vsm), each value
+ * widened to double before any arithmetic, so a float row gives the bits of its exact double cast.
+ * hyperplane_pass is ranker.train_hyperplane's per-pair loop over a stream of T row pairs (a, b)
+ * of the matrix (items x d), updating w (d, apart from the matrix) in place. Dots sum in eight
+ * lanes, as in hs_pass. Sweep k applies pair k - 1's update and takes pair k's dot, each block of
+ * w updated before it enters that dot; a last loop applies pair T - 1's update. scores sets
+ * scores[i] to w . (row i) for the n rows. */
+#define ROW_KERNELS(name, real)                                                                    \
+CLONED void hyperplane_pass_##name(double *restrict w, int64_t d, const real *matrix,              \
+                                   const int32_t *rows, int64_t T, double alpha0)                  \
+{                                                                                                  \
+    if (T < 1)                                                                                     \
+        return;                                                                                    \
+    const real *a = matrix + (int64_t)rows[0] * d, *b = a;                                         \
+    double step = -0.0;  /* sweep 0's update: w + -0.0 * (b - a) is w, a -0.0 entry too */         \
+    for (int64_t k = 0; k < T; k++) {                                                              \
+        const real *na = matrix + (int64_t)rows[2 * k] * d;                                        \
+        const real *nb = matrix + (int64_t)rows[2 * k + 1] * d;                                    \
+        double lane[8] = {0}, dot = 0.0;                                                           \
+        int64_t c = 0;                                                                             \
+        for (; c + 8 <= d; c += 8)                                                                 \
+            for (int j = 0; j < 8; j++) {                                                          \
+                w[c + j] += step * ((double)b[c + j] - (double)a[c + j]);                          \
+                lane[j] += w[c + j] * ((double)nb[c + j] - (double)na[c + j]);                     \
+            }                                                                                      \
+        for (int j = 0; j < 8; j++)                                                                \
+            dot += lane[j];                                                                        \
+        for (; c < d; c++) {                                                                       \
+            w[c] += step * ((double)b[c] - (double)a[c]);                                          \
+            dot += w[c] * ((double)nb[c] - (double)na[c]);                                         \
+        }                                                                                          \
+        double rate = alpha0 * (1.0 - (double)k / (double)T);                                      \
+        step = rate / (1.0 + exp(dot > 500.0 ? 500.0 : dot));  /* NaN stays NaN */                 \
+        a = na, b = nb;                                                                            \
+    }                                                                                              \
+    for (int64_t c = 0; c < d; c++)                                                                \
+        w[c] += step * ((double)b[c] - (double)a[c]);                                              \
+}                                                                                                  \
+                                                                                                   \
+CLONED void scores_##name(double *restrict scores, const double *w, int64_t d, const real *matrix, \
+                          int64_t n)                                                               \
+{                                                                                                  \
+    for (int64_t i = 0; i < n; i++) {                                                              \
+        const real *v = matrix + i * d;                                                            \
+        double lane[8] = {0}, dot = 0.0;                                                           \
+        int64_t c = 0;                                                                             \
+        for (; c + 8 <= d; c += 8)                                                                 \
+            for (int j = 0; j < 8; j++)                                                            \
+                lane[j] += w[c + j] * (double)v[c + j];                                            \
+        for (int j = 0; j < 8; j++)                                                                \
+            dot += lane[j];                                                                        \
+        for (; c < d; c++)                                                                         \
+            dot += w[c] * (double)v[c];                                                            \
+        scores[i] = dot;                                                                           \
+    }                                                                                              \
 }
+
+ROW_KERNELS(float32, float)
+ROW_KERNELS(float64, double)

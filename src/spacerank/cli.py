@@ -183,13 +183,10 @@ def _ranking_space(args, holdout, inputs):
 
     Refuses a space whose manifest records another holdout, or other ratings
     or split sha256 digests than `inputs` (this run's path -> digest); a
-    missing manifest only warns. Reads the matrix straight into float64, the
-    one copy the ranker pass reads, and resolves the compiled kernels before
-    any thread starts, recording which ranker path runs in ``args.kernel``.
+    missing manifest only warns. Resolves the compiled kernels before any
+    thread starts, recording which ranker path runs in ``args.kernel``.
     """
     import json
-
-    import numpy as np
 
     from . import native
 
@@ -212,7 +209,7 @@ def _ranking_space(args, holdout, inputs):
                 )
     else:
         _warn(f"no manifest next to {args.space}; cannot verify what it was trained on")
-    space = load_space(args.space, np.float64)
+    space = load_space(args.space)
     args.kernel = native.kernels()[1]
     return space
 

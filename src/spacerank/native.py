@@ -1,4 +1,4 @@
-"""The compiled SGD passes (``_kernels.c``), built on first use.
+"""The compiled SGD passes and ranker scores (``_kernels.c``), built on first use.
 
 The system ``cc`` builds them once into ``$XDG_CACHE_HOME/spacerank`` (default
 ``~/.cache/spacerank``), named by the sha256 of the source and the compile
@@ -7,8 +7,8 @@ is rebuilt. A cache that cannot be resolved or written, or a checksummed file
 there that will not load (left as it is), means a private build in a temporary
 directory made only then: a warm cache makes none, and a missing temporary
 directory fails only that attempt. A missing ``_kernels.c`` falls back like a
-missing ``cc``. Only `train_space` and `train_hyperplane` call the passes;
-ctypes releases the GIL for each call, so they run on threads in parallel.
+missing ``cc``. Only `train_space` and `ranker` call the library; ctypes
+releases the GIL for each call, so they run on threads in parallel.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ _F32, _F64, _I32, _I64, _U8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
 _INT, _REAL = ctypes.c_int64, ctypes.c_double
 _ARGTYPES = {
     "hs_pass": [_F32, _F32, _INT, _I64, _INT, _INT, _I64, _I32, _I64, _I32, _U8, _INT, _INT, _REAL, _REAL, _F32],
-    "hyperplane_pass": [_F64, _INT, _F64, _I32, _INT, _REAL],
+    "hyperplane_pass_float32": [_F64, _INT, _F32, _I32, _INT, _REAL],
+    "hyperplane_pass_float64": [_F64, _INT, _F64, _I32, _INT, _REAL],
+    "scores_float32": [_F64, _F64, _INT, _F32, _INT],
+    "scores_float64": [_F64, _F64, _INT, _F64, _INT],
 }
 
 
@@ -66,11 +69,11 @@ def _load(target: Path, cc: str, source: bytes):
 def kernels():
     """``(library, description)`` for the manifest, or ``(None, "numpy")`` with one warning.
 
-    The library's ``hs_pass`` and ``hyperplane_pass`` are the passes. The
-    description names the compiler, the flags and the source digest.
-    Without a library the numpy references run: `hsoftmax.hs_train_step`
-    and the per-pair loop of `ranker.train_hyperplane`. Call it once before
-    starting threads: the cache is not a lock.
+    The library holds ``hs_pass`` and, for a space's float32 or float64 rows,
+    ``hyperplane_pass_<dtype>`` and ``scores_<dtype>``; the description names the
+    compiler, the flags and the source digest. Without a library the numpy references
+    run: `hsoftmax.hs_train_step`, and `ranker`'s per-pair loop and ``np.einsum``
+    scores. Call it once before starting threads: the cache is not a lock.
     """
     cc, problem = shutil.which("cc"), "no cc on PATH"
     for private in (False, True) if cc is not None else ():  # the shared cache, then this process's own

@@ -158,11 +158,10 @@ def train_hyperplane(
     is not ``(T, 2)`` integer rows inside the space raises ValueError before
     any training.
 
-    The compiled ``hyperplane_pass`` of `native.kernels` runs the loop in
-    one call. Without it the same loop runs here, one pair at a time over
-    the stream's rows. Both read the space as float64, which is free for a
-    space already held so. Raises SpaceRankError if w ends non-finite
-    (alpha0 too large).
+    The compiled ``hyperplane_pass`` for the space's row type runs the loop
+    in one call; without it the same loop runs here, one pair at a time over
+    the stream's rows. Both widen each row they read to float64, never the
+    matrix. Raises SpaceRankError if w ends non-finite (alpha0 too large).
     """
     stream = np.asarray(pairs)
     if not len(stream):
@@ -175,14 +174,13 @@ def train_hyperplane(
         raise ValueError(f"a pair stream holds a row outside the space's {len(space)} rows")
     d, total, alpha0 = space.dimensions, len(stream), config.alpha0
     w = np.random.default_rng(config.seed).uniform(-0.5 / d, 0.5 / d, size=d)
-    matrix = np.ascontiguousarray(space.matrix, np.float64)
     library = native.kernels()[0]
     if library is not None:
         rows = np.ascontiguousarray(stream, np.int32)
-        library.hyperplane_pass(w, d, matrix, rows, total, alpha0)
+        getattr(library, f"hyperplane_pass_{space.matrix.dtype}")(w, d, space.matrix, rows, total, alpha0)
     else:
         for k, (a, b) in enumerate(stream):
-            diff = matrix[b] - matrix[a]
+            diff = space.matrix[b].astype(np.float64) - space.matrix[a]
             w += alpha0 * (1.0 - k / total) / (1.0 + math.exp(min(w @ diff, 500.0))) * diff
     if not np.isfinite(w).all():
         raise SpaceRankError(f"hyperplane training diverged to a non-finite w at alpha0={alpha0}")
@@ -190,12 +188,16 @@ def train_hyperplane(
 
 
 def _scores(model: HyperplaneModel, space: EmbeddingSpace) -> np.ndarray:
-    """w . v for every row of the space, after checking the dimensionality."""
-    if len(model.w) != space.dimensions:
-        raise ValueError(
-            f"hyperplane dimensionality {len(model.w)} != space {space.dimensions}"
-        )
-    return space.matrix @ model.w
+    """w . v for every row of the space, after checking the dimensionality, with no copy of the space:
+    the compiled ``scores`` (`hyperplane_pass`'s eight-lane dot, on no BLAS), or else ``np.einsum``."""
+    w = np.ascontiguousarray(model.w, np.float64)
+    if len(w) != space.dimensions:
+        raise ValueError(f"hyperplane dimensionality {len(w)} != space {space.dimensions}")
+    library, scores = native.kernels()[0], np.empty(len(space))
+    if library is None:
+        return np.einsum("ij,j->i", space.matrix, w, out=scores)
+    getattr(library, f"scores_{space.matrix.dtype}")(scores, w, len(w), space.matrix, len(space))
+    return scores
 
 
 def score_items(model: HyperplaneModel, space: EmbeddingSpace) -> dict[int, float]:

@@ -231,13 +231,11 @@ def save_space(space: EmbeddingSpace, path) -> None:
                 member.write(array)  # C-ordered, as every entry is: the space's own arrays and a 0-d string
 
 
-def load_space(path, dtype=None) -> EmbeddingSpace:
-    """Read a `save_space` container back bit-exact, its matrix as `dtype` (default: as saved).
+def load_space(path) -> EmbeddingSpace:
+    """Read a `save_space` container back bit-exact, its matrix in row blocks, in its saved dtype.
 
-    The matrix is read in row blocks straight into one C-ordered array, so
-    float32 read as float64 is the exact cast, with no float32 copy. Raises
-    FormatError on any other file (text spaces from earlier versions too:
-    retrain them), a damaged container, a missing entry, wrong dtypes or
+    Raises FormatError on any other file (text spaces from earlier versions
+    too: retrain them), a damaged container, a missing entry, wrong dtypes or
     shapes, a matrix not C-ordered in npy 1.0 or not filling its entry, an
     unknown provenance, repeated item ids or non-finite values.
     """
@@ -261,7 +259,7 @@ def load_space(path, dtype=None) -> EmbeddingSpace:
                 size = npz.zip.getinfo("matrix.npy").file_size - member.tell()
                 if math.prod(shape) * stored.itemsize != size:
                     raise FormatError(f"{path}: a {shape} {stored} matrix cannot fill its {size}-byte entry")
-                matrix = np.empty(shape, stored if dtype is None else dtype)
+                matrix = np.empty(shape, stored)
                 for block in _row_blocks(matrix):
                     block[...] = np.frombuffer(member.read(block.size * stored.itemsize), stored).reshape(block.shape)
                     if not np.isfinite(block).all():

@@ -177,7 +177,7 @@ class TestRecommendCommand:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
 
-        # retrain the user as recommend does, on a float64 copy of the space
+        # retrain the user as recommend does, on the space's exact float64 cast: both row types give these bits
         args = cli.build_parser().parse_args(argv)
         space = spacerank.load_space(args.space)
         space.matrix = space.matrix.astype(np.float64)
@@ -838,6 +838,31 @@ class TestBlasThreads:
                            env=self.env(), capture_output=True, check=True, timeout=120)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: the BLAS runs one thread")
+    def test_ds_does_not_depend_on_the_blas_thread_count(self, pipeline, tmp_path):
+        # The corpus's items and 3,000 unrated ones at d=600, the size of an
+        # ML1M space: at `OMP_NUM_THREADS=2` OpenBLAS splits a product of that
+        # size across its threads, and a BLAS `space.matrix @ w` gives other
+        # bits on a few rows than at 1. `recommend --k` at every item prints
+        # every score.
+        item_ids = np.concatenate([spaces.load_space(pipeline["space"]).item_ids, np.arange(3000) + 10**6])
+        rng = np.random.default_rng(8)
+        matrix = (rng.uniform(-1, 1, size=(len(item_ids), 600)) / np.sqrt(600)).astype(np.float32)
+        wide = tmp_path / "wide.space"
+        spaces.save_space(spaces.EmbeddingSpace(600, item_ids, matrix, "cf"), wide)
+        Path(f"{wide}.manifest.json").write_bytes(Path(f"{pipeline['space']}.manifest.json").read_bytes())
+        common = ["--space", str(wide), "--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"])]
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.results"
+            for argv in (["evaluate", "--system", "ds", "--out", str(out)],
+                         ["recommend", "--user", "2", "--k", "99999"]):
+                done = subprocess.run([sys.executable, "-m", "spacerank.cli", *argv, *common], capture_output=True,
+                                      env=self.env(OMP_NUM_THREADS=threads), check=True, timeout=120)
+            outs.append((out.read_bytes(), done.stdout))
+        assert outs[0] == outs[1]
+        assert len(outs[0][1].splitlines()) > 3000
 
 
 class TestGoldenBytes:

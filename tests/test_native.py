@@ -203,13 +203,16 @@ def test_avx2_clone_gives_the_base_clones_bits(d, tmp_path):
     libraries = (native.kernels()[0], plain)
     rng = np.random.default_rng(d)
 
-    space, _ = unit_space(50, d, seed=d)
     w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
     rows = rng.integers(50, size=(400, 2)).astype(np.int32)
-    ws = [w.copy() for _ in libraries]
-    for library, fitted in zip(libraries, ws):
-        library.hyperplane_pass(fitted, d, space.matrix, rows, len(rows), 0.7)
-    assert ws[0].tobytes() == ws[1].tobytes()
+    for dtype in ("float32", "float64"):
+        matrix = unit_space(50, d, seed=d, dtype=dtype)[0].matrix
+        ws, scores = [w.copy() for _ in libraries], [np.empty(50) for _ in libraries]
+        for library, fitted, scored in zip(libraries, ws, scores):
+            getattr(library, f"hyperplane_pass_{dtype}")(fitted, d, matrix, rows, len(rows), 0.7)
+            getattr(library, f"scores_{dtype}")(scored, ws[0], d, matrix, 50)
+        assert ws[0].tobytes() == ws[1].tobytes()
+        assert scores[0].tobytes() == scores[1].tobytes()
 
     observations = [Observation(int(rng.integers(20)), f"t{t}") for t in rng.integers(30, size=300)]
     vocab = build_vocabulary(observations)
@@ -422,7 +425,7 @@ def test_kernel_source_ships_with_the_package():
     source = resources.files("spacerank").joinpath("_kernels.c")
     assert source.is_file()
     text = source.read_text(encoding="utf-8")
-    assert "void hs_pass(" in text and "void hyperplane_pass(" in text
+    assert all(f"void {name}(" in text for name in ("hs_pass", "hyperplane_pass_##name", "scores_##name"))
 
 
 def kernel_free_commands(pipeline, out):
@@ -497,12 +500,12 @@ def test_manifest_pins_the_kernel_path(fresh_loader, pipeline, monkeypatch, tmp_
 
 
 def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipeline, monkeypatch, tmp_path):
-    # Without cc the numpy loop ranks. On the float64-held space its results
-    # must equal ranking the float32 space as loaded, as before the space was
-    # held in float64, and the kernel path's results where cc exists.
+    # Without cc the numpy loop ranks the float32 space as loaded, widening
+    # each row it reads. Its results must equal ranking the space's exact
+    # float64 cast, and the kernel path's results where cc exists.
     argv = ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), "--ratings",
             str(pipeline["ratings"]), "--split", str(pipeline["split"]), "--workers", "2", "--out"]
-    names = ["a", "b", "float32"]
+    names = ["a", "b", "float64"]
     if shutil.which("cc") is not None:
         assert main([*argv, str(tmp_path / "kernel.results")]) == 0
         assert native.kernels()[0] is not None
@@ -514,12 +517,13 @@ def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipelin
         assert main([*argv, str(tmp_path / "a.results")]) == 0
         assert main([*argv, str(tmp_path / "b.results")]) == 0
 
-    def as_loaded(args, holdout, inputs):
-        args.kernel = native.kernels()[1]
-        return load_space(args.space)
+    def as_float64(args, holdout, inputs):
+        args.kernel, space = native.kernels()[1], load_space(args.space)
+        assert space.matrix.dtype == np.float32
+        return EmbeddingSpace(space.dimensions, space.item_ids, space.matrix.astype(np.float64), space.provenance)
 
-    with mock.patch.object(cli, "_ranking_space", as_loaded):
-        assert main([*argv, str(tmp_path / "float32.results")]) == 0
+    with mock.patch.object(cli, "_ranking_space", as_float64):
+        assert main([*argv, str(tmp_path / "float64.results")]) == 0
     assert [w.category for w in caught] == [RuntimeWarning]
     results = [(tmp_path / f"{name}.results").read_bytes() for name in names]
     assert results == [results[0]] * len(names)
@@ -591,32 +595,39 @@ def test_hyperplane_kernel_at_the_papers_dimension():
 @requires_cc
 @pytest.mark.parametrize("length", [0, -1])
 def test_hyperplane_kernel_leaves_w_alone_without_pairs(length):
-    w = np.arange(3, dtype=np.float64)
-    native.kernels()[0].hyperplane_pass(w, 3, np.ones((2, 3)), np.zeros(0, np.int32), length, 0.5)
-    assert w.tolist() == [0.0, 1.0, 2.0]
+    for dtype in ("float32", "float64"):
+        w = np.arange(3, dtype=np.float64)
+        getattr(native.kernels()[0], f"hyperplane_pass_{dtype}")(
+            w, 3, np.ones((2, 3), dtype), np.zeros(0, np.int32), length, 0.5)
+        assert w.tolist() == [0.0, 1.0, 2.0]
+
+
+def eight_lane_dot(w, v):
+    """The kernels' dot of two lists of floats: eight lanes over the whole
+    eight-element blocks, then the lanes in order, then the tail."""
+    whole, lanes, dot = len(w) - len(w) % 8, [0.0] * 8, 0.0
+    for c in range(whole):
+        lanes[c % 8] += w[c] * v[c]
+    for lane in lanes:
+        dot += lane
+    for c in range(whole, len(w)):
+        dot += w[c] * v[c]
+    return dot
 
 
 def transcribed_hyperplane_pass(w, matrix, stream, alpha0):
     """`hyperplane_pass` in Python floats, each sum taken in the kernel's order.
 
-    A pair's dot sums eight lanes over the whole eight-element blocks, then
-    the lanes in order, then the tail; the pair's update reaches every
-    element before it enters the next pair's dot. Equal bits rest on Python
-    floats being C doubles, on the kernel's -ffp-contract=off (no fused
+    A pair's dot is `eight_lane_dot`, and the pair's update reaches every
+    element before it enters the next pair's dot. Rows of either dtype are
+    read as Python floats, the exact double of each value. Equal bits rest on
+    Python floats being C doubles, on the kernel's -ffp-contract=off (no fused
     multiply-add) and on `math.exp` calling the same libm `exp` as the kernel.
     """
-    w, d, total = w.tolist(), len(w), len(stream)
-    whole = d - d % 8
+    w, total = w.tolist(), len(stream)
     for k, (a, b) in enumerate(stream.tolist()):
         diff = [y - x for x, y in zip(matrix[a].tolist(), matrix[b].tolist())]
-        lanes = [0.0] * 8
-        for c in range(whole):
-            lanes[c % 8] += w[c] * diff[c]
-        dot = 0.0
-        for c in range(8):
-            dot += lanes[c]
-        for c in range(whole, d):
-            dot += w[c] * diff[c]
+        dot = eight_lane_dot(w, diff)
         rate = alpha0 * (1.0 - k / total)
         step = rate / (1.0 + math.exp(500.0 if dot > 500.0 else dot))
         w = [x + step * y for x, y in zip(w, diff)]
@@ -626,7 +637,7 @@ def transcribed_hyperplane_pass(w, matrix, stream, alpha0):
 def assert_kernel_equals_transcription(w, matrix, stream, alpha0):
     expected = transcribed_hyperplane_pass(w, matrix, stream, alpha0)
     rows = np.ascontiguousarray(stream, np.int32)
-    native.kernels()[0].hyperplane_pass(w, len(w), matrix, rows, len(stream), alpha0)
+    getattr(native.kernels()[0], f"hyperplane_pass_{matrix.dtype}")(w, len(w), matrix, rows, len(stream), alpha0)
     assert w.tobytes() == expected.tobytes()
 
 
@@ -635,9 +646,27 @@ def assert_kernel_equals_transcription(w, matrix, stream, alpha0):
 @pytest.mark.parametrize("length", [1, 2, 30])
 def test_hyperplane_kernel_sums_in_its_stated_order(d, length):
     # A tolerance cannot see the summation order; equal bits can.
-    space, rng = unit_space(5, d, seed=10 * d + length)
-    w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
-    assert_kernel_equals_transcription(w, space.matrix, rng.integers(5, size=(length, 2)), 0.7)
+    for dtype in (np.float64, np.float32):
+        space, rng = unit_space(5, d, seed=10 * d + length, dtype=dtype)
+        w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
+        assert_kernel_equals_transcription(w, space.matrix, rng.integers(5, size=(length, 2)), 0.7)
+
+
+@requires_cc
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 32, 1000])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_score_kernel_sums_in_its_stated_order(d, dtype):
+    # The rows start one value past the start of numpy's buffer (aligned to at
+    # least 16 bytes), so no row is aligned for a vector load, and at odd d
+    # each row starts an odd number of values after the one before.
+    rng = np.random.default_rng(d)
+    n_items = 13
+    matrix = np.empty(n_items * d + 1, dtype)[1:].reshape(n_items, d)
+    matrix[...] = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
+    w = rng.normal(size=d)
+    scores = np.empty(n_items)
+    getattr(native.kernels()[0], f"scores_{dtype}")(scores, w, d, matrix, n_items)
+    assert scores.tobytes() == np.array([eight_lane_dot(w.tolist(), row) for row in matrix.tolist()]).tobytes()
 
 
 @requires_cc

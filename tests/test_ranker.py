@@ -389,13 +389,13 @@ class TestTrainHyperplanes:
             with mock.patch.object(native, "kernels", kernels):
                 with pytest.raises(ValueError, match="row"):
                     train_hyperplane(bad, grid_space(4), RankerConfig(), 1)
-        library.hyperplane_pass.assert_not_called()
+        assert not library.mock_calls
 
     def test_kernel_path_copies_the_stream_once(self):
         if native.kernels()[0] is None:
             pytest.skip("no compiled kernel")
         rng = np.random.default_rng(6)
-        space = EmbeddingSpace(4, np.arange(50), rng.normal(size=(50, 4)))  # float64, as the CLI holds it
+        space = EmbeddingSpace(4, np.arange(50), rng.normal(size=(50, 4)).astype(np.float32))  # as a cf space
         stream = rng.integers(50, size=(200_000, 2)).astype(np.uint16)  # as pair_stream emits it
         tracemalloc.start()
         try:
@@ -409,7 +409,7 @@ class TestTrainHyperplanes:
         # The loop walks the stream's rows: a list of the stream (stream.tolist())
         # would hold two Python ints per pair, about 1.6 MB for this stream.
         rng = np.random.default_rng(7)
-        space = EmbeddingSpace(4, np.arange(50), rng.normal(size=(50, 4)))  # float64, as the CLI holds it
+        space = EmbeddingSpace(4, np.arange(50), rng.normal(size=(50, 4)).astype(np.float32))  # as a cf space
         stream = rng.integers(50, size=(20_000, 2)).astype(np.uint16)  # as pair_stream emits it
         with mock.patch.object(native, "kernels", no_kernels):
             tracemalloc.start()
@@ -456,18 +456,22 @@ class TestScoring:
         second = recommend_topk(HyperplaneModel(None, 7.5 * w), space, set(), 30)
         assert first == second
 
-    def test_float64_space_is_ranked_without_a_copy(self):
-        # As the CLI holds it: a float32 matrix would be cast to a float64 copy per call.
+    def test_float32_space_is_ranked_without_a_copy(self):
+        # As the CLI holds a cf or cb space, on the kernel and on the numpy path: a float64
+        # product over the float32 matrix would cast it to a float64 temporary per call.
         rng = np.random.default_rng(3)
-        space = EmbeddingSpace(500, np.arange(1, 2001), rng.normal(size=(2000, 500)))
+        space = EmbeddingSpace(500, np.arange(1, 2001), rng.normal(size=(2000, 500)).astype(np.float32))
         model = HyperplaneModel(None, rng.normal(size=500))
-        tracemalloc.start()
-        try:
-            recommend_topk(model, space, {1, 2, 3}, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6 < space.matrix.nbytes
+        for kernels in (native.kernels, no_kernels):  # the compiled scores, np.einsum
+            with mock.patch.object(native, "kernels", kernels):
+                recommend_topk(model, space, {1, 2, 3}, 10)  # the kernels built and loaded before tracing
+                tracemalloc.start()
+                try:
+                    recommend_topk(model, space, {1, 2, 3}, 10)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert peak < 1e6 < space.matrix.nbytes
 
 
 class TestTopK:

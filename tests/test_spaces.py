@@ -411,9 +411,8 @@ class TestSpaceFiles:
         space = several_blocks_space(np.float32)
         space.matrix[-1, -1] = np.nan
         write_container(path, item_ids=space.item_ids, matrix=space.matrix, provenance=np.array("cf"))
-        for dtype in (None, np.float64):
-            with pytest.raises(FormatError, match="non-finite"):
-                load_space(path, dtype)
+        with pytest.raises(FormatError, match="non-finite"):
+            load_space(path)
 
     def test_truncated_inside_the_matrix_after_its_first_block(self, tmp_path):
         path = tmp_path / "s.space"
@@ -614,17 +613,6 @@ class TestRowBlocks:
         for path in ("new.space", "savez.space"):
             assert_bit_equal(load_space(tmp_path / path), space)
 
-    @pytest.mark.parametrize("space", [several_blocks_space(np.float32), edge_space(np.float32, "cf"),
-                                       several_blocks_space(np.float64, d=700, blocks=3)],
-                             ids=["several-blocks", "edge-values", "float64"])
-    def test_load_as_float64_is_the_exact_cast(self, tmp_path, space):
-        save_space(space, tmp_path / "s.space")
-        loaded = load_space(tmp_path / "s.space", np.float64)
-        assert loaded.matrix.dtype == np.float64 and loaded.matrix.flags.c_contiguous
-        oracle = load_space(tmp_path / "s.space").matrix.astype(np.float64)
-        assert loaded.matrix.tobytes() == oracle.tobytes()
-        assert np.array_equal(loaded.item_ids, space.item_ids) and loaded.provenance == space.provenance
-
     @pytest.mark.parametrize("n_items, d", [(3, 8), (1, 1), (700, 1000), (3, 200_000)])
     def test_initial_vectors_are_the_whole_matrix_draw(self, n_items, d):
         made, real_rng = [], np.random.default_rng
@@ -686,9 +674,9 @@ class TestRowBlocks:
         assert space.matrix.nbytes == 4 * 1024 * 1024 - 3 * 4 * 1024
         assert peak <= BLOCK_BYTES + spaces._BLOCK_VALUES + 64 * 1024
 
-    def test_load_as_float64_allocates_one_block_beside_the_matrix(self, tmp_path):
+    def test_load_allocates_one_block_beside_the_matrix(self, tmp_path):
         save_space(several_blocks_space(np.float32), tmp_path / "s.space")
-        load_space(tmp_path / "s.space", np.float64)
-        space, peak = traced_peak(load_space, tmp_path / "s.space", np.float64)
-        assert space.matrix.nbytes == 8 * 1024 * 1024 - 3 * 8 * 1024
+        load_space(tmp_path / "s.space")
+        space, peak = traced_peak(load_space, tmp_path / "s.space")
+        assert space.matrix.nbytes == 4 * 1024 * 1024 - 3 * 4 * 1024
         assert peak <= space.matrix.nbytes + BLOCK_BYTES + spaces._BLOCK_VALUES + 64 * 1024
