@@ -215,17 +215,18 @@ def _ranking_space(args, holdout, inputs):
 
 
 def cmd_recommend(args) -> int:
+    from .ranker import _scores  # one w . v per row gives both the top k and the printed scores
+
     ratings = load_rating_columns(args.ratings)
-    split = load_split(args.split, ratings)
-    user_ratings = ratings.select((ratings.user == args.user) & ~held_mask(ratings, split.test))
+    user_ratings = ratings.select((ratings.user == args.user) & ~held_mask(ratings, load_split(args.split, ratings).test))
     del ratings  # the one user's rows are all that is kept while the space loads
-    space = _ranking_space(args, "test", _digests(args.ratings, args.split))
     if not len(user_ratings.user):
         raise CannotRankError(f"user {args.user} has no training ratings")
-    model = _fit_user(space, user_ratings, args)
-    scores = score_items(model, space)
-    for item_id in recommend_topk(model, space, user_ratings.item, args.k):
-        print(f"{item_id}\t{scores[item_id]!r}")
+    space = _ranking_space(args, "test", _digests(args.ratings, args.split))
+    scores = _scores(_fit_user(space, user_ratings, args), space)
+    top = top_k(space.item_ids, scores, user_ratings.item, args.k)
+    for item_id, score in zip(top, scores[space.rows(top)].tolist()):
+        print(f"{item_id}\t{score!r}")
     return 0
 
 

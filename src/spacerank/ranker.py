@@ -26,8 +26,14 @@ from .spaces import EmbeddingSpace
 
 def derive_seed(seed: int, user_id: int) -> int:
     """Stable per-user seed so users train identically regardless of
-    evaluation order or worker count."""
-    return int(np.random.SeedSequence([seed, user_id]).generate_state(1, np.uint64)[0])
+    evaluation order or worker count. A negative (int64) user id enters as
+    itself plus 2**64, its two's complement, so every id has its own seed
+    and a non-negative one keeps the seed it always had. A negative `seed`
+    raises ValueError."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy = [seed, user_id if user_id >= 0 else int(user_id) + 2**64]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,8 @@ class SpaceTrainConfig:
             raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def train_space(

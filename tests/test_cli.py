@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spacerank
-from spacerank import baselines, cli, spaces
+from spacerank import baselines, cli, native, ranker, spaces
 from spacerank.cli import main
 from spacerank.minicorpus import generate_minicorpus
 from spacerank.splits import EvalSplit
@@ -192,6 +192,28 @@ class TestRecommendCommand:
         scores = spacerank.score_items(model, space)
         top = spacerank.recommend_topk(model, space, {e.item_id for e in user_events}, args.k)
         assert lines == [f"{item}\t{scores[item]!r}" for item in top]
+
+    @pytest.mark.parametrize("options", [[], ["--phi-t", "all", "--phi-d", "5", "--k", "15"]])
+    def test_numpy_scores_print_the_scores_of_score_items_bit_for_bit(self, pipeline, capsys, options, monkeypatch):
+        monkeypatch.setattr(native, "kernels", lambda: (None, "numpy"))  # np.einsum, even where cc is found
+        self.test_prints_the_scores_of_score_items_bit_for_bit(pipeline, capsys, options)
+
+    def test_scores_the_space_once(self, pipeline, capsys, monkeypatch):
+        calls = []
+        scores = ranker._scores
+        monkeypatch.setattr(ranker, "_scores", lambda *args: calls.append(args) or scores(*args))
+        assert main(["recommend", "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
+                     "--split", str(pipeline["split"]), "--user", "1"]) == 0
+        assert len(calls) == 1 and len(capsys.readouterr().out.splitlines()) == 10
+
+    def test_unknown_user_exits_before_the_space_loads(self, pipeline, capsys, monkeypatch):
+        def load_space(*args):
+            raise AssertionError("the space of a user who cannot be ranked was loaded")
+
+        monkeypatch.setattr(cli, "load_space", load_space)
+        assert main(["recommend", "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
+                     "--split", str(pipeline["split"]), "--user", "99999"]) == 3
+        assert "user 99999 has no training ratings" in capsys.readouterr().err
 
     def test_phi_t_all_accepted(self, pipeline, capsys):
         code = main([
@@ -553,6 +575,44 @@ class TestNonFiniteParameters:
                      "--out", str(out)]) == 2
         assert calls == [] and not out.exists()
         assert "alpha0 must be finite and > 0, got nan" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def negative_user(pipeline, tmp_path_factory):
+    """The mini corpus with user 1 renamed -1, its split and a small cf space."""
+    work = tmp_path_factory.mktemp("negative")
+    ratings = work / "ratings.dat"
+    ratings.write_text("".join("-" + line if line.startswith("1::") else line
+                               for line in pipeline["ratings"].read_text().splitlines(keepends=True)))
+    assert main(["split", "--ratings", str(ratings), "--out", str(work)]) == 0
+    common = ["--ratings", str(ratings), "--split", str(work / "split.tsv")]
+    assert main(["train-space", "--mode", "cf", *common, "--dims", "8", "--iters", "2", "--out", str(work / "cf.space")]) == 0
+    return [*common, "--space", str(work / "cf.space")]
+
+
+class TestNegativeIds:
+    """A user id may be negative; a seed may not, and its refusal names it."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_evaluate_ds_ranks_a_negative_user(self, negative_user, tmp_path, workers):
+        out = tmp_path / "ds.results"
+        assert main(["evaluate", "--system", "ds", *negative_user, "--workers", workers, "--out", str(out)]) == 0
+        assert any(line.startswith("-1\t") for line in out.read_text().splitlines())
+
+    def test_recommend_ranks_a_negative_user(self, negative_user, capsys):
+        assert main(["recommend", *negative_user, "--user", "-1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
+
+    def test_a_negative_seed_is_refused_by_name(self, pipeline, tmp_path, capsys):
+        out, space = tmp_path / "out", ["--space", str(pipeline["space"])]
+        common = ["--ratings", str(pipeline["ratings"]), "--split", str(pipeline["split"]), "--seed", "-3"]
+        for argv in (["train-space", "--mode", "cf", "--dims", "8", "--out", str(out)],
+                     ["evaluate", "--system", "ds", *space, "--out", str(out)],
+                     ["recommend", *space, "--user", "2"]):
+            assert main([*argv, *common]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "seed must be non-negative, got -3" in captured.err
+        assert not out.exists()
 
 
 def refuse_constant(name):

@@ -538,3 +538,18 @@ def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(1, 10) == derive_seed(1, 10)
     assert derive_seed(1, 10) != derive_seed(1, 11)
     assert derive_seed(2, 10) != derive_seed(1, 10)
+
+
+def test_derive_seed_takes_a_negative_user_id_as_its_twos_complement():
+    def state(user_id):
+        return int(np.random.SeedSequence([1, user_id]).generate_state(1, np.uint64)[0])
+
+    assert derive_seed(1, 10) == state(10)  # a non-negative id keeps its seed
+    assert derive_seed(1, -1) == state(2**64 - 1) == derive_seed(1, np.int64(-1))
+    assert derive_seed(1, -2**63) == state(2**63)
+    assert len({derive_seed(1, u) for u in range(-3, 3)}) == 6
+
+
+def test_derive_seed_refuses_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        derive_seed(-1, 10)

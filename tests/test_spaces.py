@@ -187,6 +187,10 @@ class TestTrainSpace:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SpaceTrainConfig(**fields)
 
+    def test_config_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            SpaceTrainConfig(8, seed=-1)
+
 
 class TestVsmSpace:
     def test_single_rater_unit_vector(self):
