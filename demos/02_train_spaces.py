@@ -43,10 +43,11 @@ vsm = sr.build_vsm_space(train, profiles)
 
 
 def neighbours(space, item_id, k=5):
+    matrix = space.row_values(slice(None))  # float64 values, whether the space holds float32 rows or int8 levels
     v = space.vector(item_id)
-    norms = np.linalg.norm(space.matrix, axis=1) * np.linalg.norm(v)
+    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)
     norms[norms == 0] = 1.0
-    sims = (space.matrix @ v) / norms
+    sims = (matrix @ v) / norms
     order = np.argsort(-sims)
     return [int(space.item_ids[i]) for i in order[1 : k + 1]]
 

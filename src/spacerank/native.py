@@ -27,15 +27,15 @@ from pathlib import Path
 import numpy as np
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-_F32, _F64, _I32, _I64, _U8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                               for t in (np.float32, np.float64, np.int32, np.int64, np.uint8))
+_F32, _F64, _I8, _I32, _I64, _U8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                                    for t in (np.float32, np.float64, np.int8, np.int32, np.int64, np.uint8))
 _INT, _REAL = ctypes.c_int64, ctypes.c_double
 _ARGTYPES = {
     "hs_pass": [_F32, _F32, _INT, _I64, _INT, _INT, _I64, _I32, _I64, _I32, _U8, _INT, _INT, _REAL, _REAL, _F32],
     "hyperplane_pass_float32": [_F64, _INT, _F32, _I32, _INT, _REAL],
-    "hyperplane_pass_float64": [_F64, _INT, _F64, _I32, _INT, _REAL],
+    "hyperplane_pass_int8": [_F64, _INT, _I8, _F64, _I32, _INT, _REAL, _F64],
     "scores_float32": [_F64, _F64, _INT, _F32, _INT],
-    "scores_float64": [_F64, _F64, _INT, _F64, _INT],
+    "scores_int8": [_F64, _F64, _INT, _I8, _F64, _INT],
 }
 
 
@@ -69,7 +69,7 @@ def _load(target: Path, cc: str, source: bytes):
 def kernels():
     """``(library, description)`` for the manifest, or ``(None, "numpy")`` with one warning.
 
-    The library holds ``hs_pass`` and, for a space's float32 or float64 rows,
+    The library holds ``hs_pass`` and, for a space's float32 rows or int8 levels,
     ``hyperplane_pass_<dtype>`` and ``scores_<dtype>``; the description names the
     compiler, the flags and the source digest. Without a library the numpy references
     run: `hsoftmax.hs_train_step`, and `ranker`'s per-pair loop and ``np.einsum``

@@ -21,7 +21,7 @@ from . import native
 from .baselines import top_k
 from .corpus import RatingEvent, Ratings, as_ratings, binarize
 from .errors import CannotRankError, SpaceRankError
-from .spaces import EmbeddingSpace
+from .spaces import _BLOCK_VALUES, EmbeddingSpace
 
 
 def derive_seed(seed: int, user_id: int) -> int:
@@ -61,6 +61,8 @@ class RankerConfig:
             raise ValueError(f"phi_t must be a positive integer or 'all', got {self.phi_t!r}")
         if not 0 < self.alpha0 < math.inf:
             raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -164,10 +166,11 @@ def train_hyperplane(
     is not ``(T, 2)`` integer rows inside the space raises ValueError before
     any training.
 
-    The compiled ``hyperplane_pass`` for the space's row type runs the loop
+    The compiled ``hyperplane_pass`` for the space's layout runs the loop
     in one call; without it the same loop runs here, one pair at a time over
-    the stream's rows. Both widen each row they read to float64, never the
-    matrix. Raises SpaceRankError if w ends non-finite (alpha0 too large).
+    the stream's rows. Both widen each row they read to its float64 values
+    (`EmbeddingSpace.row_values`), never the matrix. Raises SpaceRankError
+    if w ends non-finite (alpha0 too large).
     """
     stream = np.asarray(pairs)
     if not len(stream):
@@ -181,13 +184,15 @@ def train_hyperplane(
     d, total, alpha0 = space.dimensions, len(stream), config.alpha0
     w = np.random.default_rng(config.seed).uniform(-0.5 / d, 0.5 / d, size=d)
     library = native.kernels()[0]
-    if library is not None:
-        rows = np.ascontiguousarray(stream, np.int32)
-        getattr(library, f"hyperplane_pass_{space.matrix.dtype}")(w, d, space.matrix, rows, total, alpha0)
-    else:
+    if library is None:
         for k, (a, b) in enumerate(stream):
-            diff = space.matrix[b].astype(np.float64) - space.matrix[a]
+            diff = space.row_values(b) - space.row_values(a)
             w += alpha0 * (1.0 - k / total) / (1.0 + math.exp(min(w @ diff, 500.0))) * diff
+    elif space.scale is None:
+        library.hyperplane_pass_float32(w, d, space.matrix, np.ascontiguousarray(stream, np.int32), total, alpha0)
+    else:
+        library.hyperplane_pass_int8(w, d, space.matrix, space.scale, np.ascontiguousarray(stream, np.int32),
+                                     total, alpha0, np.empty(d))
     if not np.isfinite(w).all():
         raise SpaceRankError(f"hyperplane training diverged to a non-finite w at alpha0={alpha0}")
     return HyperplaneModel(user_id, w)
@@ -195,14 +200,21 @@ def train_hyperplane(
 
 def _scores(model: HyperplaneModel, space: EmbeddingSpace) -> np.ndarray:
     """w . v for every row of the space, after checking the dimensionality, with no copy of the space:
-    the compiled ``scores`` (`hyperplane_pass`'s eight-lane dot, on no BLAS), or else ``np.einsum``."""
+    the compiled ``scores`` (`hyperplane_pass`'s eight-lane dot, on no BLAS), or else ``np.einsum``
+    over the float32 matrix, or over the float64 values of one block of levels at a time."""
     w = np.ascontiguousarray(model.w, np.float64)
     if len(w) != space.dimensions:
         raise ValueError(f"hyperplane dimensionality {len(w)} != space {space.dimensions}")
-    library, scores = native.kernels()[0], np.empty(len(space))
-    if library is None:
-        return np.einsum("ij,j->i", space.matrix, w, out=scores)
-    getattr(library, f"scores_{space.matrix.dtype}")(scores, w, len(w), space.matrix, len(space))
+    library, scores, n = native.kernels()[0], np.empty(len(space)), len(space)
+    if library is None and space.scale is None:
+        np.einsum("ij,j->i", space.matrix, w, out=scores)
+    elif library is None:  # each row's sum is the one a product over the whole float64 matrix takes
+        for start in range(0, n, step := max(1, _BLOCK_VALUES // len(w))):
+            np.einsum("ij,j->i", space.row_values(slice(start, start + step)), w, out=scores[start:start + step])
+    elif space.scale is None:
+        library.scores_float32(scores, w, len(w), space.matrix, n)
+    else:
+        library.scores_int8(scores, w, len(w), space.matrix, space.scale, n)
     return scores
 
 

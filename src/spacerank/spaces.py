@@ -40,14 +40,29 @@ def _row_blocks(matrix) -> list[np.ndarray]:
     return [matrix[start:start + step] for start in range(0, len(matrix), step)]
 
 
+def _level_scale(levels) -> np.ndarray:
+    """1 / the norm of each row of int8 `levels`, from its exact integer sum of squares (at most 4 a
+    column, so int32 holds it). Raises ValueError on a level outside 0-2 or an all-zero row."""
+    squares = [np.zeros(0, np.int32)]
+    for block in _row_blocks(levels):
+        if not 0 <= block.min() <= block.max() <= 2:
+            raise ValueError(f"int8 levels must be 0, 1 or 2, got {block.min()} to {block.max()}")
+        squares.append(np.einsum("ij,ij->i", block, block, dtype=np.int32))
+    if zero := np.count_nonzero((squares := np.concatenate(squares)) == 0):
+        raise ValueError(f"{zero} all-zero rows of int8 levels")
+    return 1.0 / np.sqrt(squares)
+
+
 class EmbeddingSpace:
-    """Dense real vector per item, all of one dimensionality: C-ordered float32 or float64 rows."""
+    """Dense real vector per item, all of one dimensionality: C-ordered float32 rows (cf, cb), or
+    int8 levels 0-2 (vsm) whose row i stands for the float64 values ``matrix[i] * scale[i]``, with
+    `scale` 1 / the row's norm (None for float32 rows). `row_values` widens rows of either to float64."""
 
     def __init__(self, dimensions, item_ids, matrix, provenance=None):
         matrix = np.ascontiguousarray(matrix)
         item_ids = np.ascontiguousarray(item_ids, np.int64)
-        if matrix.dtype not in (np.float32, np.float64):
-            raise ValueError(f"a space matrix must be float32 or float64, got {matrix.dtype}")
+        if matrix.dtype not in (np.float32, np.int8):
+            raise ValueError(f"a space matrix must be float32 rows or int8 levels, got {matrix.dtype}")
         if dimensions < 1:
             raise ValueError(f"a space needs at least one dimension, got {dimensions}")
         if matrix.shape != (len(item_ids), dimensions):
@@ -60,6 +75,7 @@ class EmbeddingSpace:
         self.dimensions = int(dimensions)
         self.item_ids = item_ids
         self.matrix = matrix
+        self.scale = None if matrix.dtype == np.float32 else _level_scale(matrix)
         self.provenance = provenance
         self._sorted_rows = np.argsort(item_ids)
         if repeated := np.count_nonzero(np.diff(item_ids[self._sorted_rows]) == 0):
@@ -80,9 +96,14 @@ class EmbeddingSpace:
             raise KeyError(int(item_ids[missing][0]))
         return rows
 
+    def row_values(self, rows) -> np.ndarray:
+        """The float64 values of `rows` (a row, an array or a slice of rows), in a new array."""
+        block = self.matrix[rows]
+        return block.astype(np.float64) if self.scale is None else block * self.scale[rows][..., None]
+
     def vector(self, item_id: int) -> np.ndarray:
-        """The item's vector (a view into the matrix)."""
-        return self.matrix[self.rows(item_id)]
+        """The item's vector, as float64 values."""
+        return self.row_values(self.rows(item_id))
 
     def __eq__(self, other) -> bool:
         return (
@@ -90,6 +111,7 @@ class EmbeddingSpace:
             and self.dimensions == other.dimensions
             and self.provenance == other.provenance
             and np.array_equal(self.item_ids, other.item_ids)
+            and self.matrix.dtype == other.matrix.dtype
             and np.array_equal(self.matrix, other.matrix)
         )
 
@@ -197,16 +219,15 @@ def build_vsm_space(
     """Normalized vector space with one dimension per user, over the rated items.
 
     Each item's coordinate for user u is binarize(rating, u's mean) where u
-    rated the item and 0 elsewhere; vectors are scaled to unit Euclidean
-    norm. Unlike trained spaces, the matrix is double precision so the unit
-    norms are exact to working precision.
+    rated the item and 0 elsewhere, held as int8 levels; the space reads
+    each row scaled to unit Euclidean norm (see `EmbeddingSpace`), the
+    float64 values of dividing the levels by their exact norm.
     """
     users, items, levels = rating_levels(ratings, profiles)
     user_axis = np.sort(np.fromiter(profiles, np.int64, len(profiles)))
     item_ids, rows = np.unique(items, return_inverse=True)
-    matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.float64)
+    matrix = np.zeros((len(item_ids), len(user_axis)), dtype=np.int8)
     matrix[rows, np.searchsorted(user_axis, users)] = levels
-    matrix /= np.sqrt(np.bincount(rows, np.square(levels)))[:, None]  # the dense rows' norms: exact sums of 1s and 4s
     return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
 
 
@@ -219,7 +240,7 @@ def save_space(space: EmbeddingSpace, path) -> None:
     """Write one uncompressed ``.npz`` container at exactly `path`.
 
     Its entries are ``item_ids`` (int64), ``matrix`` (as held: float32 for
-    trained spaces, float64 for vsm) and ``provenance`` (a 0-d string, ""
+    trained spaces, int8 levels for vsm) and ``provenance`` (a 0-d string, ""
     for none), in `np.savez`'s bytes, each entry's buffer in one write.
     Raises FormatError, writing nothing, if any value is non-finite.
     """
@@ -237,9 +258,11 @@ def load_space(path) -> EmbeddingSpace:
     """Read a `save_space` container back bit-exact, its matrix in row blocks, in its saved dtype.
 
     Raises FormatError on any other file (text spaces from earlier versions
-    too: retrain them), a damaged container, a missing entry, wrong dtypes or
+    too: retrain them), a float64 matrix (vsm spaces from earlier versions:
+    rebuild them), a damaged container, a missing entry, wrong dtypes or
     shapes, a matrix not C-ordered in npy 1.0 or not filling its entry, an
-    unknown provenance, repeated item ids or non-finite values.
+    unknown provenance, repeated item ids, non-finite values, levels outside
+    0-2 or an all-zero row of levels.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
@@ -253,11 +276,14 @@ def load_space(path) -> EmbeddingSpace:
                 item_ids, provenance = np.asarray(npz["item_ids"]), np.asarray(npz["provenance"])
                 v1 = npy.read_magic(member) == (1, 0)  # the 1.0 reader cannot parse a later header
                 shape, fortran_order, stored = npy.read_array_header_1_0(member) if v1 else ((), True, None)
+                if stored == np.float64:
+                    raise FormatError(f"{path}: a float64 matrix, as vsm spaces from earlier versions held; "
+                                      "rebuild it with train-space --mode vsm")
                 if not (v1 and not fortran_order and item_ids.dtype == np.int64 and item_ids.ndim == 1
-                        and stored in (np.float32, np.float64) and len(shape) == 2
+                        and stored in (np.float32, np.int8) and len(shape) == 2
                         and provenance.dtype.kind == "U" and provenance.ndim == 0):
                     raise FormatError(f"{path}: entries must be 1-D int64 item_ids, a 2-D C-ordered float32 or "
-                                      "float64 matrix in npy 1.0 and a 0-d string provenance")
+                                      "int8 matrix in npy 1.0 and a 0-d string provenance")
                 size = npz.zip.getinfo("matrix.npy").file_size - member.tell()
                 if math.prod(shape) * stored.itemsize != size:
                     raise FormatError(f"{path}: a {shape} {stored} matrix cannot fill its {size}-byte entry")
@@ -272,7 +298,7 @@ def load_space(path) -> EmbeddingSpace:
             raise FormatError(f"{path}: unreadable space container: {exc}") from None
     try:
         return EmbeddingSpace(matrix.shape[1], item_ids, matrix, str(provenance) or None)
-    except ValueError as exc:  # no columns, ids and rows differ in count, unknown provenance, repeated ids
+    except ValueError as exc:  # no columns, ids and rows differ in count, unknown provenance, repeated ids, bad levels
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -280,12 +306,13 @@ def export_vectors(space: EmbeddingSpace, path) -> None:
     """Write the space as text for external projection tools.
 
     A header ``item_count d``, then ``item_id v_1 ... v_d`` per item, each
-    value the repr of its exact float64 value, so it parses back bit-exact.
+    value the repr of its float64 value (`EmbeddingSpace.row_values`), so it
+    parses back bit-exact.
     No provenance is written. Raises FormatError, writing nothing, if any
     value is non-finite.
     """
     _refuse_non_finite(space, path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(space)} {space.dimensions}\n")
-        for item_id, vec in zip(space.item_ids.tolist(), space.matrix):
-            fh.write(f"{item_id} " + " ".join(map(repr, vec.tolist())) + "\n")
+        for row, item_id in enumerate(space.item_ids.tolist()):
+            fh.write(f"{item_id} " + " ".join(map(repr, space.row_values(row).tolist())) + "\n")

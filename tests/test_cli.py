@@ -20,6 +20,16 @@ from test_bench_hooks import _import
 from test_spaces import OTHER_LAYOUTS, write_forged_container, write_other_layout
 
 
+
+@pytest.fixture(scope="module")
+def vsm_space(pipeline, tmp_path_factory):
+    """A vsm space over the shared split, with its manifest."""
+    out = tmp_path_factory.mktemp("vsm") / "vsm.space"
+    assert main(["train-space", "--mode", "vsm", "--ratings", str(pipeline["ratings"]),
+                 "--split", str(pipeline["split"]), "--out", str(out)]) == 0
+    return out
+
+
 class TestSplitCommand:
     def test_writes_file_and_manifest(self, pipeline):
         split = pipeline["split"]
@@ -95,7 +105,7 @@ class TestTrainSpaceCommand:
         assert "warning: --iters is ignored for vsm spaces: nothing is trained iteratively\n" in err
         space = cli.load_space(out)
         assert (len(space), space.dimensions, space.provenance) == (300, 200, "vsm")
-        assert space.matrix.dtype == np.float64
+        assert space.matrix.dtype == np.int8
 
     def test_missing_dims_is_error(self, pipeline, tmp_path):
         code = main([
@@ -171,32 +181,34 @@ class TestRecommendCommand:
         assert top == recommended
 
     @pytest.mark.parametrize("options", [[], ["--phi-t", "all", "--phi-d", "5", "--k", "15"]])
-    def test_prints_the_scores_of_score_items_bit_for_bit(self, pipeline, capsys, options):
-        argv = ["recommend", "--space", str(pipeline["space"]), "--ratings", str(pipeline["ratings"]),
-                "--split", str(pipeline["split"]), "--user", "2", *options]
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_prints_the_scores_of_score_items_bit_for_bit(self, pipeline, vsm_space, capsys, options):
+        for layout, space_path in (("float32", pipeline["space"]), ("int8", vsm_space)):
+            argv = ["recommend", "--space", str(space_path), "--ratings", str(pipeline["ratings"]),
+                    "--split", str(pipeline["split"]), "--user", "2", *options]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
 
-        # retrain the user as recommend does, on the space's exact float64 cast: both row types give these bits
-        args = cli.build_parser().parse_args(argv)
-        space = spacerank.load_space(args.space)
-        space.matrix = space.matrix.astype(np.float64)
-        events = spacerank.load_ratings(args.ratings)
-        held = spacerank.load_split(args.split, events).test
-        user_events = [e for e in events if e.user_id == 2 and (2, e.item_id) not in held]
-        config = spacerank.RankerConfig(phi_i=args.phi_i, phi_t=args.phi_t, phi_d=args.phi_d,
-                                        alpha0=args.alpha, seed=spacerank.derive_seed(args.seed, 2))
-        preferences = spacerank.build_preferences(user_events, space, config.phi_t)
-        stream = spacerank.pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
-        model = spacerank.train_hyperplane(stream, space, config, 2)
-        scores = spacerank.score_items(model, space)
-        top = spacerank.recommend_topk(model, space, {e.item_id for e in user_events}, args.k)
-        assert lines == [f"{item}\t{scores[item]!r}" for item in top]
+            # retrain the user as recommend does, through the library's own calls
+            args = cli.build_parser().parse_args(argv)
+            space = spacerank.load_space(args.space)
+            assert space.matrix.dtype == layout
+            events = spacerank.load_ratings(args.ratings)
+            held = spacerank.load_split(args.split, events).test
+            user_events = [e for e in events if e.user_id == 2 and (2, e.item_id) not in held]
+            config = spacerank.RankerConfig(phi_i=args.phi_i, phi_t=args.phi_t, phi_d=args.phi_d,
+                                            alpha0=args.alpha, seed=spacerank.derive_seed(args.seed, 2))
+            preferences = spacerank.build_preferences(user_events, space, config.phi_t)
+            stream = spacerank.pair_stream(preferences, config.phi_i, config.phi_d, config.seed)
+            model = spacerank.train_hyperplane(stream, space, config, 2)
+            scores = spacerank.score_items(model, space)
+            top = spacerank.recommend_topk(model, space, {e.item_id for e in user_events}, args.k)
+            assert lines == [f"{item}\t{scores[item]!r}" for item in top]
 
     @pytest.mark.parametrize("options", [[], ["--phi-t", "all", "--phi-d", "5", "--k", "15"]])
-    def test_numpy_scores_print_the_scores_of_score_items_bit_for_bit(self, pipeline, capsys, options, monkeypatch):
+    def test_numpy_scores_print_the_scores_of_score_items_bit_for_bit(self, pipeline, vsm_space, capsys, options,
+                                                                      monkeypatch):
         monkeypatch.setattr(native, "kernels", lambda: (None, "numpy"))  # np.einsum, even where cc is found
-        self.test_prints_the_scores_of_score_items_bit_for_bit(pipeline, capsys, options)
+        self.test_prints_the_scores_of_score_items_bit_for_bit(pipeline, vsm_space, capsys, options)
 
     def test_scores_the_space_once(self, pipeline, capsys, monkeypatch):
         calls = []
@@ -495,8 +507,18 @@ class TestEvaluateCommand:
         write_other_layout(tmp_path / "other.space", layout)
         err = self.assert_refused_by_ds_and_recommend(pipeline, tmp_path / "other.space", capsys)
         assert err.splitlines() == [f"error: {tmp_path / 'other.space'}: entries must be 1-D int64 item_ids, "
-                                    "a 2-D C-ordered float32 or float64 matrix in npy 1.0 and a 0-d string "
+                                    "a 2-D C-ordered float32 or int8 matrix in npy 1.0 and a 0-d string "
                                     "provenance"] * 2
+
+    def test_float64_vsm_space_of_an_earlier_version_is_data_error(self, pipeline, vsm_space, tmp_path, capsys):
+        # the container vsm spaces had before int8 levels: the levels over their norms, in float64
+        space = cli.load_space(vsm_space)
+        old = tmp_path / "old.space"
+        with open(old, "wb") as fh:
+            np.savez(fh, item_ids=space.item_ids, matrix=space.row_values(slice(None)), provenance=np.array("vsm"))
+        err = self.assert_refused_by_ds_and_recommend(pipeline, old, capsys)
+        assert err.splitlines() == [f"error: {old}: a float64 matrix, as vsm spaces from earlier versions held; "
+                                    "rebuild it with train-space --mode vsm"] * 2
 
     def test_text_space_of_an_earlier_version_is_data_error(self, pipeline, tmp_path, capsys):
         # the text format spaces had before the container: header, then one row per item
@@ -932,9 +954,17 @@ class TestGoldenBytes:
         "data/ratings.dat": "bc29a6bbe5df6f8d397be62e666d697ce8a15f432de1a6b7a88fc39b7f9f9782",
         "data/reviews.tsv": "2807cbde7eef7194b0ccb0d438a194434858b7eea607e1e5fe9db6dee4bbe437",
         "split.tsv": "11d3b8b639d57a446c9600818fbe14336a7f2b97ad8329f7f8023cdf22554498",
-        "vsm.space": "497a6c36680e7df5b1abdf0ad2cfe7d75049aa9ea616d71cf5c814d4db971e61",
+        "vsm.space": "83b0921c18eb50d940059ae0b29fedf30cb15b23055ec8974ff7137c824a296e",
         "pop.results": "afca3551cee0d14daa335b658003cd2e8f072cab0cd96d0c395eec60dbc2ece4",
     }
+    # sha256 of vsm.space's rows widened to float64: the bytes of the float64 matrix vsm files held
+    # before int8 levels, whose file was pinned at 497a6c36680e7df5b1abdf0ad2cfe7d75049aa9ea616d71cf5c814d4db971e61
+    VSM_VALUES = "97b84035b861c464e07d55f3deae3b774bf815cf2514b98549d5e3af87792b5e"
+
+    @staticmethod
+    def values_digest(path):
+        space = spaces.load_space(path)
+        return hashlib.sha256(space.row_values(slice(None)).tobytes()).hexdigest()
 
     def test_mini_corpus_pipeline_bytes(self, tmp_path):
         ratings, _ = generate_minicorpus(tmp_path / "data")
@@ -944,13 +974,16 @@ class TestGoldenBytes:
         assert main(["evaluate", "--system", "pop", *common, "--out", str(tmp_path / "pop.results")]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.DIGESTS}
         assert digests == self.DIGESTS
+        assert self.values_digest(tmp_path / "vsm.space") == self.VSM_VALUES
 
     # the same for a corpus written by formula, recorded with the per-line loader
     FORMULA_DIGESTS = {
         "split.tsv": "44d7c5cf931b24ffa467dfc97a9978b56c624f7096d9bc44125201709fbb4ced",
-        "vsm.space": "9fcc2d23d33e85f2e53bcf17aa8a823555f2b52af6a5b1723dbd476a77aac75e",
+        "vsm.space": "acaeea114ff9ea4592e07bd6cf5f67bcd6eefab319b84881e5e9928afa2906e5",
         "pop.results": "261767736695a4d7bd83ca5134cbdcc2eb2a60be36cbcb6b8c50eb094f2624e4",
     }
+    # as VSM_VALUES; the float64 file was pinned at 9fcc2d23d33e85f2e53bcf17aa8a823555f2b52af6a5b1723dbd476a77aac75e
+    FORMULA_VSM_VALUES = "446f1186a398300daa8bf8d1ad96b92f851002a0c28c862c94d6a8969550bd9c"
 
     @staticmethod
     def formula_corpus(path, plus_line):
@@ -983,3 +1016,4 @@ class TestGoldenBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.FORMULA_DIGESTS}
         assert digests == self.FORMULA_DIGESTS
+        assert self.values_digest(tmp_path / "vsm.space") == self.FORMULA_VSM_VALUES

@@ -25,7 +25,7 @@ from spacerank.corpus import (
     reviews_to_observations,
 )
 from spacerank.errors import NoSuchUserError, ParseError, ValidationError
-from spacerank.spaces import EmbeddingSpace, build_vsm_space
+from spacerank.spaces import build_vsm_space
 from test_bench_hooks import _import
 
 
@@ -323,7 +323,8 @@ class TestRatingsToObservations:
 
 
 def reference_vsm_space(events, profiles):
-    """`build_vsm_space` written out with id-to-row dicts and a loop over the events."""
+    """`build_vsm_space` written out with id-to-row dicts and a loop over the events: its item ids,
+    its matrix of levels and the float64 unit rows they stand for (the levels over their norms)."""
     events = list(events)
     user_axis = {uid: axis for axis, uid in enumerate(sorted(profiles))}
     item_ids = sorted({e.item_id for e in events})
@@ -332,10 +333,11 @@ def reference_vsm_space(events, profiles):
     for e in events:
         level = binarize(e.rating, profiles[e.user_id].mean_rating)
         matrix[row_of[e.item_id], user_axis[e.user_id]] = level
+    levels = matrix.astype(np.int8)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     nonzero = norms[:, 0] > 0
     matrix[nonzero] /= norms[nonzero]
-    return EmbeddingSpace(len(user_axis), item_ids, matrix, "vsm")
+    return item_ids, levels, matrix
 
 
 def reference_knn_matrix(events, profiles):
@@ -404,8 +406,10 @@ class TestRatingLevels:
         idle = [RatingEvent(1000, 3, 4, 0)] if idle_user else []
         profiles = build_profiles(events + idle)
         space = build_vsm_space(events, profiles)
-        reference = reference_vsm_space(events, profiles)
-        assert space == reference and space.matrix.dtype == reference.matrix.dtype
+        item_ids, levels, values = reference_vsm_space(events, profiles)
+        assert (space.item_ids.tolist(), space.dimensions, space.provenance) == (item_ids, len(profiles), "vsm")
+        assert space.matrix.dtype == levels.dtype and space.matrix.tobytes() == levels.tobytes()
+        assert space.row_values(slice(None)).tobytes() == values.tobytes()
 
         model = KnnModel(events, profiles, k=2)
         user_ids, item_ids, matrix = reference_knn_matrix(events, profiles)

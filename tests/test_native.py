@@ -35,10 +35,10 @@ from spacerank import cli, native, spaces
 from spacerank.cli import main
 from spacerank.corpus import Observation, build_profiles, load_ratings, ratings_to_observations
 from spacerank.hsoftmax import build_huffman, build_vocabulary, hs_train_step, new_node_matrix
-from spacerank.ranker import RankerConfig, train_hyperplane
-from spacerank.spaces import ALPHA_FLOOR, EmbeddingSpace, SpaceTrainConfig, load_space, train_space
+from spacerank.ranker import HyperplaneModel, RankerConfig, train_hyperplane
+from spacerank.spaces import ALPHA_FLOOR, EmbeddingSpace, SpaceTrainConfig, train_space
 from test_ranker import reference_hyperplane
-from test_spaces import shared_token_corpus, train_space_and_nodes
+from test_spaces import shared_token_corpus, train_space_and_nodes, unit_rows
 
 TOLERANCE = 1e-5
 
@@ -205,14 +205,13 @@ def test_avx2_clone_gives_the_base_clones_bits(d, tmp_path):
 
     w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
     rows = rng.integers(50, size=(400, 2)).astype(np.int32)
-    for dtype in ("float32", "float64"):
-        matrix = unit_space(50, d, seed=d, dtype=dtype)[0].matrix
-        ws, scores = [w.copy() for _ in libraries], [np.empty(50) for _ in libraries]
-        for library, fitted, scored in zip(libraries, ws, scores):
-            getattr(library, f"hyperplane_pass_{dtype}")(fitted, d, matrix, rows, len(rows), 0.7)
-            getattr(library, f"scores_{dtype}")(scored, ws[0], d, matrix, 50)
+    for dtype in (np.float32, np.int8):
+        space = unit_space(50, d, seed=d, dtype=dtype)[0]
+        ws = [w.copy() for _ in libraries]
+        for library, fitted in zip(libraries, ws):
+            run_hyperplane_pass(library, fitted, space, rows, 0.7)
         assert ws[0].tobytes() == ws[1].tobytes()
-        assert scores[0].tobytes() == scores[1].tobytes()
+        assert run_scores(libraries[0], ws[0], space).tobytes() == run_scores(libraries[1], ws[0], space).tobytes()
 
     observations = [Observation(int(rng.integers(20)), f"t{t}") for t in rng.integers(30, size=300)]
     vocab = build_vocabulary(observations)
@@ -425,7 +424,7 @@ def test_kernel_source_ships_with_the_package():
     source = resources.files("spacerank").joinpath("_kernels.c")
     assert source.is_file()
     text = source.read_text(encoding="utf-8")
-    assert all(f"void {name}(" in text for name in ("hs_pass", "hyperplane_pass_##name", "scores_##name"))
+    assert all(f"void {name}(" in text for name in native._ARGTYPES)
 
 
 def kernel_free_commands(pipeline, out):
@@ -501,11 +500,11 @@ def test_manifest_pins_the_kernel_path(fresh_loader, pipeline, monkeypatch, tmp_
 
 def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipeline, monkeypatch, tmp_path):
     # Without cc the numpy loop ranks the float32 space as loaded, widening
-    # each row it reads. Its results must equal ranking the space's exact
-    # float64 cast, and the kernel path's results where cc exists.
+    # each row it reads. Its results must equal ranking with test_ranker's
+    # per-pair reference loop, and the kernel path's results where cc exists.
     argv = ["evaluate", "--system", "ds", "--space", str(pipeline["space"]), "--ratings",
             str(pipeline["ratings"]), "--split", str(pipeline["split"]), "--workers", "2", "--out"]
-    names = ["a", "b", "float64"]
+    names = ["a", "b", "reference"]
     if shutil.which("cc") is not None:
         assert main([*argv, str(tmp_path / "kernel.results")]) == 0
         assert native.kernels()[0] is not None
@@ -517,29 +516,57 @@ def test_ds_without_compiler_warns_once_and_keeps_its_bits(fresh_loader, pipelin
         assert main([*argv, str(tmp_path / "a.results")]) == 0
         assert main([*argv, str(tmp_path / "b.results")]) == 0
 
-    def as_float64(args, holdout, inputs):
-        args.kernel, space = native.kernels()[1], load_space(args.space)
+    def reference_loop(stream, space, config, user_id):
         assert space.matrix.dtype == np.float32
-        return EmbeddingSpace(space.dimensions, space.item_ids, space.matrix.astype(np.float64), space.provenance)
+        return HyperplaneModel(user_id, reference_hyperplane(stream, space, config))
 
-    with mock.patch.object(cli, "_ranking_space", as_float64):
-        assert main([*argv, str(tmp_path / "float64.results")]) == 0
+    with mock.patch.object(cli, "train_hyperplane", reference_loop):
+        assert main([*argv, str(tmp_path / "reference.results")]) == 0
     assert [w.category for w in caught] == [RuntimeWarning]
     results = [(tmp_path / f"{name}.results").read_bytes() for name in names]
     assert results == [results[0]] * len(names)
 
 
-def unit_space(n_items, d, seed, dtype=np.float64):
-    """n_items random vectors of at most unit length in d dimensions, ids unsorted."""
+def unit_space(n_items, d, seed, dtype=np.float32):
+    """n_items random vectors of at most unit length in d dimensions, ids unsorted: float32 rows,
+    or (int8) random levels, none an all-zero row, that stand for unit rows."""
     rng = np.random.default_rng(seed)
     item_ids = rng.permutation(np.arange(1, 4 * n_items))[:n_items]
-    matrix = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
+    if dtype == np.int8:
+        matrix = rng.integers(0, 3, size=(n_items, d))
+        matrix[np.arange(n_items), rng.integers(d, size=n_items)] = rng.integers(1, 3, size=n_items)
+    else:
+        matrix = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
     return EmbeddingSpace(d, item_ids, matrix.astype(dtype)), rng
+
+
+def run_hyperplane_pass(library, w, space, stream, alpha0):
+    """The library's ``hyperplane_pass`` for the space's layout over the row pairs, on w in place."""
+    rows, d = np.ascontiguousarray(stream, np.int32), len(w)
+    if space.scale is None:
+        library.hyperplane_pass_float32(w, d, space.matrix, rows, len(rows), alpha0)
+    else:
+        library.hyperplane_pass_int8(w, d, space.matrix, space.scale, rows, len(rows), alpha0, np.empty(d))
+
+
+def run_scores(library, w, space) -> np.ndarray:
+    """The library's ``scores`` for the space's layout."""
+    scores, d = np.empty(len(space)), len(w)
+    if space.scale is None:
+        library.scores_float32(scores, w, d, space.matrix, len(space))
+    else:
+        library.scores_int8(scores, w, d, space.matrix, space.scale, len(space))
+    return scores
+
+
+def exact_rows(space) -> np.ndarray:
+    """The float64 rows the space stands for, made apart from it: float32 rows cast, levels over their norms."""
+    return space.matrix.astype(np.float64) if space.scale is None else unit_rows(space.matrix)
 
 
 @st.composite
 def hyperplane_cases(draw):
-    """A random space (float32 or float64, d 1-64), one user's row stream and config.
+    """A random space (float32 rows or int8 levels, d 1-64), one user's row stream and config.
 
     Item vectors are at most unit length, as in vsm and trained spaces. Far
     longer ones (alpha0 * |v_b - v_a|^2 >> 1) make every step overshoot, and
@@ -547,7 +574,7 @@ def hyperplane_cases(draw):
     fixed relative tolerance.
     """
     n_items, d = draw(st.integers(2, 30)), draw(st.integers(1, 64))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dtype = draw(st.sampled_from([np.float32, np.int8]))
     space, rng = unit_space(n_items, d, draw(st.integers(0, 2**32 - 1)), dtype)
     length = draw(st.one_of(st.just(1), st.integers(1, 400)))
     stream = rng.integers(n_items, size=(length, 2))
@@ -581,25 +608,26 @@ def test_hyperplane_kernel_matches_the_numpy_loop(case):
 def test_hyperplane_kernel_at_the_lane_edges(d, length):
     # d below, at and just past one eight-lane block; one pair has no next
     # pair to share its sweep with, two pairs share exactly one.
-    space, _ = unit_space(4, d, seed=100 * d + length)
-    stream = np.array([[0, 1], [3, 2]])[:length]
-    assert_hyperplane_paths_match(space, stream, RankerConfig(alpha0=0.5, seed=d))
+    for dtype in (np.float32, np.int8):
+        space, _ = unit_space(4, d, seed=100 * d + length, dtype=dtype)
+        stream = np.array([[0, 1], [3, 2]])[:length]
+        assert_hyperplane_paths_match(space, stream, RankerConfig(alpha0=0.5, seed=d))
 
 
 @requires_cc
 def test_hyperplane_kernel_at_the_papers_dimension():
-    space, rng = unit_space(300, 1000, seed=1000)
-    assert_hyperplane_paths_match(space, rng.integers(300, size=(3000, 2)), RankerConfig(seed=7))
+    for dtype in (np.float32, np.int8):
+        space, rng = unit_space(300, 1000, seed=1000, dtype=dtype)
+        assert_hyperplane_paths_match(space, rng.integers(300, size=(3000, 2)), RankerConfig(seed=7))
 
 
 @requires_cc
 @pytest.mark.parametrize("length", [0, -1])
 def test_hyperplane_kernel_leaves_w_alone_without_pairs(length):
-    for dtype in ("float32", "float64"):
-        w = np.arange(3, dtype=np.float64)
-        getattr(native.kernels()[0], f"hyperplane_pass_{dtype}")(
-            w, 3, np.ones((2, 3), dtype), np.zeros(0, np.int32), length, 0.5)
-        assert w.tolist() == [0.0, 1.0, 2.0]
+    library, rows, w = native.kernels()[0], np.zeros(0, np.int32), np.arange(3, dtype=np.float64)
+    library.hyperplane_pass_float32(w, 3, np.ones((2, 3), np.float32), rows, length, 0.5)
+    library.hyperplane_pass_int8(w, 3, np.ones((2, 3), np.int8), np.ones(2), rows, length, 0.5, np.empty(3))
+    assert w.tolist() == [0.0, 1.0, 2.0]
 
 
 def eight_lane_dot(w, v):
@@ -619,8 +647,8 @@ def transcribed_hyperplane_pass(w, matrix, stream, alpha0):
     """`hyperplane_pass` in Python floats, each sum taken in the kernel's order.
 
     A pair's dot is `eight_lane_dot`, and the pair's update reaches every
-    element before it enters the next pair's dot. Rows of either dtype are
-    read as Python floats, the exact double of each value. Equal bits rest on
+    element before it enters the next pair's dot. The float64 rows (see
+    `exact_rows`) are read as Python floats. Equal bits rest on
     Python floats being C doubles, on the kernel's -ffp-contract=off (no fused
     multiply-add) and on `math.exp` calling the same libm `exp` as the kernel.
     """
@@ -634,11 +662,15 @@ def transcribed_hyperplane_pass(w, matrix, stream, alpha0):
     return np.array(w)
 
 
-def assert_kernel_equals_transcription(w, matrix, stream, alpha0):
-    expected = transcribed_hyperplane_pass(w, matrix, stream, alpha0)
-    rows = np.ascontiguousarray(stream, np.int32)
-    getattr(native.kernels()[0], f"hyperplane_pass_{matrix.dtype}")(w, len(w), matrix, rows, len(stream), alpha0)
+def assert_kernel_equals_transcription(w, space, stream, alpha0):
+    expected = transcribed_hyperplane_pass(w, exact_rows(space), stream, alpha0)
+    run_hyperplane_pass(native.kernels()[0], w, space, stream, alpha0)
     assert w.tobytes() == expected.tobytes()
+
+
+def assert_scores_equal_transcription(w, space):
+    expected = [eight_lane_dot(w.tolist(), row) for row in exact_rows(space).tolist()]
+    assert run_scores(native.kernels()[0], w, space).tobytes() == np.array(expected).tobytes()
 
 
 @requires_cc
@@ -646,15 +678,15 @@ def assert_kernel_equals_transcription(w, matrix, stream, alpha0):
 @pytest.mark.parametrize("length", [1, 2, 30])
 def test_hyperplane_kernel_sums_in_its_stated_order(d, length):
     # A tolerance cannot see the summation order; equal bits can.
-    for dtype in (np.float64, np.float32):
+    for dtype in (np.int8, np.float32):
         space, rng = unit_space(5, d, seed=10 * d + length, dtype=dtype)
         w = rng.uniform(-0.5 / d, 0.5 / d, size=d)
-        assert_kernel_equals_transcription(w, space.matrix, rng.integers(5, size=(length, 2)), 0.7)
+        assert_kernel_equals_transcription(w, space, rng.integers(5, size=(length, 2)), 0.7)
 
 
 @requires_cc
 @pytest.mark.parametrize("d", [1, 7, 8, 9, 32, 1000])
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("dtype", [np.float32, np.int8])
 def test_score_kernel_sums_in_its_stated_order(d, dtype):
     # The rows start one value past the start of numpy's buffer (aligned to at
     # least 16 bytes), so no row is aligned for a vector load, and at odd d
@@ -662,11 +694,35 @@ def test_score_kernel_sums_in_its_stated_order(d, dtype):
     rng = np.random.default_rng(d)
     n_items = 13
     matrix = np.empty(n_items * d + 1, dtype)[1:].reshape(n_items, d)
-    matrix[...] = rng.uniform(-1, 1, size=(n_items, d)) / np.sqrt(d)
-    w = rng.normal(size=d)
-    scores = np.empty(n_items)
-    getattr(native.kernels()[0], f"scores_{dtype}")(scores, w, d, matrix, n_items)
-    assert scores.tobytes() == np.array([eight_lane_dot(w.tolist(), row) for row in matrix.tolist()]).tobytes()
+    matrix[...] = unit_space(n_items, d, seed=d, dtype=dtype)[0].matrix
+    space = EmbeddingSpace(d, np.arange(n_items), matrix)
+    assert space.matrix.ctypes.data == matrix.ctypes.data  # held as it is, unaligned
+    assert_scores_equal_transcription(rng.normal(size=d), space)
+
+
+@st.composite
+def level_cases(draw):
+    """Random level matrices at the lane edges and past them, of any density, with a row stream and a w."""
+    d = draw(st.sampled_from([1, 7, 8, 9, 64]))
+    n_items = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.choice(np.array([0, 1, 2], np.int8), size=(n_items, d), p=draw(st.sampled_from(
+        [[1 / 3] * 3, [0.9, 0.05, 0.05], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]])))
+    levels[np.arange(n_items), rng.integers(d, size=n_items)] = rng.integers(1, 3, size=n_items)
+    space = EmbeddingSpace(d, rng.permutation(n_items) * 3, levels, "vsm")
+    stream = rng.integers(n_items, size=(draw(st.integers(1, 60)), 2))
+    return space, stream, rng.uniform(-0.5 / d, 0.5 / d, size=d), draw(st.sampled_from([0.025, 0.7, 3.0]))
+
+
+@requires_cc
+@given(level_cases())
+@settings(max_examples=120, deadline=None)
+def test_int8_kernels_give_the_bits_of_their_unit_rows(case):
+    # hyperplane_pass_int8 and scores_int8 against the transcription over the float64 rows the
+    # levels stand for: the bits the float64 bodies gave on vsm's float64 matrix
+    space, stream, w, alpha0 = case
+    assert_kernel_equals_transcription(w, space, stream, alpha0)
+    assert_scores_equal_transcription(w, space)
 
 
 @requires_cc
@@ -674,7 +730,7 @@ def test_score_kernel_sums_in_its_stated_order(d, dtype):
 def test_hyperplane_kernel_keeps_a_negative_zero(length):
     # Where every pair's v_b - v_a is -0.0, w's -0.0 entry stays -0.0: each
     # step adds -0.0 to it, and the kernel adds nothing else.
-    matrix = np.array([[0.0, 0.5, -0.25], [-0.0, -0.5, 0.75]])
+    space = EmbeddingSpace(3, [1, 2], np.array([[0.0, 0.5, -0.25], [-0.0, -0.5, 0.75]], np.float32))
     w = np.array([-0.0, 0.1, -0.2])
-    assert_kernel_equals_transcription(w, matrix, np.array([[0, 1]] * length), 0.5)
+    assert_kernel_equals_transcription(w, space, np.array([[0, 1]] * length), 0.5)
     assert math.copysign(1.0, w[0]) == -1.0

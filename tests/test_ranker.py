@@ -32,6 +32,15 @@ def grid_space(n_items=10, d=2):
     return EmbeddingSpace(d, list(range(1, n_items + 1)), matrix)
 
 
+def level_space(n_items=100, d=20, seed=0):
+    """A space of int8 levels as vsm holds them: random levels 0-2, about one in five nonzero, none
+    an all-zero row."""
+    rng = np.random.default_rng(seed)
+    levels = rng.choice(np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 2], np.int8), size=(n_items, d))
+    levels[np.arange(n_items), rng.integers(d, size=n_items)] = rng.integers(1, 3, size=n_items)
+    return EmbeddingSpace(d, list(range(1, n_items + 1)), levels, "vsm")
+
+
 def separable_space(n_items=100, d=20, n_liked=10, seed=0):
     """Liked items live in one half-space, everything else in the other."""
     rng = np.random.default_rng(seed)
@@ -64,11 +73,11 @@ def reference_hyperplane(pairs, space, config):
     w = np.random.default_rng(config.seed).uniform(-0.5 / d, 0.5 / d, size=d)
     total = len(pairs)
     for k in range(total):
-        va = space.matrix[int(pairs[k][0])]
-        vb = space.matrix[int(pairs[k][1])]
+        va = space.row_values(int(pairs[k][0]))
+        vb = space.row_values(int(pairs[k][1]))
         g = sigmoid(float(w @ va - w @ vb))
         step = g * config.alpha0 * (1.0 - k / total)
-        w += step * (vb.astype(np.float64) - va)
+        w += step * (vb - va)
     return w
 
 
@@ -105,7 +114,7 @@ def preference_cases(draw):
     missing from it, timestamps tie, and any event may be unusable."""
     n_items = draw(st.integers(1, 30))
     item_ids = draw(st.lists(st.integers(1, 60), min_size=n_items, max_size=n_items, unique=True))
-    space = EmbeddingSpace(1, item_ids, np.zeros((n_items, 1)))
+    space = EmbeddingSpace(1, item_ids, np.zeros((n_items, 1), np.float32))
     event = st.builds(RatingEvent, st.just(1), st.integers(1, 70), st.integers(1, 5), st.integers(0, 6))
     events = draw(st.lists(event, max_size=40))
     return events, space, draw(st.one_of(st.just("all"), st.integers(1, 12)))
@@ -337,13 +346,22 @@ class TestTrainHyperplane:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RankerConfig(**{field: value})
 
+    def test_config_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            RankerConfig(seed=-1)
+        RankerConfig(seed=0)
+
     def test_empty_stream(self):
         for empty in ([], np.empty((0, 2), dtype=np.uint8)):
             with pytest.raises(CannotRankError):
                 train_hyperplane(empty, grid_space(), RankerConfig())
 
     def test_matches_reference_loop(self):
-        space = separable_space()
+        for space in (separable_space(), level_space()):  # float32 rows, int8 levels
+            self.assert_matches_reference_loop(space)
+
+    @staticmethod
+    def assert_matches_reference_loop(space):
         events = [RatingEvent(7, i, 5, i) for i in range(1, 11)] + [RatingEvent(7, 50, 1, 11)]
         config = RankerConfig(phi_i=3, phi_d=4.0, seed=11)
         pairs = pair_stream(build_preferences(events, space, "all"), config.phi_i, config.phi_d, config.seed)
@@ -421,7 +439,7 @@ class TestTrainHyperplanes:
         assert peak <= 16 * 1024  # w, one pair's rows and difference, the seeded generator
 
     def test_overflowing_w_refused_on_both_paths(self):
-        space = EmbeddingSpace(2, [1, 2], np.array([[10.0, 0.0], [0.0, 10.0]]))
+        space = EmbeddingSpace(2, [1, 2], np.array([[10.0, 0.0], [0.0, 10.0]], np.float32))
         stream = np.array([[0, 1], [1, 0]] * 4)
         for kernels in (native.kernels, no_kernels):
             with mock.patch.object(native, "kernels", kernels), np.errstate(all="ignore"):
@@ -472,6 +490,34 @@ class TestScoring:
                 finally:
                     tracemalloc.stop()
             assert peak < 1e6 < space.matrix.nbytes
+
+    def test_level_space_is_ranked_without_its_float64_rows(self):
+        # vsm's int8 levels (8 MB here, 64 MB as float64 rows): the compiled scores widen one row at
+        # a time, np.einsum one row block of 1 MiB
+        rng = np.random.default_rng(4)
+        space = level_space(2000, 4000, seed=4)
+        model = HyperplaneModel(None, rng.normal(size=4000))
+        for kernels in (native.kernels, no_kernels):
+            with mock.patch.object(native, "kernels", kernels):
+                recommend_topk(model, space, {1, 2, 3}, 10)
+                tracemalloc.start()
+                try:
+                    recommend_topk(model, space, {1, 2, 3}, 10)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert peak < 1.2e6 < space.matrix.nbytes
+
+    @pytest.mark.parametrize("n_items, d", [(3, 1), (700, 300), (40, 6040)])
+    def test_numpy_scores_of_levels_are_one_product_over_their_unit_rows(self, n_items, d):
+        # one np.einsum over the float64 matrix vsm spaces were held in before int8 levels: the oracle
+        space = level_space(n_items, d, seed=d)
+        w = np.random.default_rng(d).normal(size=d)
+        levels = space.matrix.astype(np.float64)
+        unit_rows = levels / np.linalg.norm(levels, axis=1, keepdims=True)
+        with mock.patch.object(native, "kernels", no_kernels):
+            scores = score_items(HyperplaneModel(None, w), space)
+        assert np.array(list(scores.values())).tobytes() == np.einsum("ij,j->i", unit_rows, w).tobytes()
 
 
 class TestTopK:

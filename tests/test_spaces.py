@@ -57,7 +57,7 @@ def cosine(a, b):
 class TestEmbeddingSpace:
     def test_rows_match_item_positions(self):
         item_ids = [40, 3, 17, 8, 25]
-        space = EmbeddingSpace(1, item_ids, np.zeros((5, 1)))
+        space = EmbeddingSpace(1, item_ids, np.zeros((5, 1), np.float32))
         queries = np.array([[17, 40], [8, 8], [25, 3]])
         rows = space.rows(queries)
         assert rows.shape == queries.shape
@@ -65,23 +65,50 @@ class TestEmbeddingSpace:
         assert [int(space.rows(i)) for i in item_ids] == list(range(5))
 
     def test_rows_missing_item(self):
-        space = EmbeddingSpace(1, [40, 3], np.zeros((2, 1)))
+        space = EmbeddingSpace(1, [40, 3], np.zeros((2, 1), np.float32))
         for missing in (1, 20, 41):
             with pytest.raises(KeyError):
                 space.rows([3, missing])
             with pytest.raises(KeyError):
                 space.rows(missing)
         with pytest.raises(KeyError):
-            EmbeddingSpace(1, [], np.zeros((0, 1))).rows([1])
+            EmbeddingSpace(1, [], np.zeros((0, 1), np.float32)).rows([1])
 
     def test_repeated_item_ids_refused(self):
         with pytest.raises(ValueError, match="repeated"):
-            EmbeddingSpace(2, [1, 2, 1], np.zeros((3, 2)))
+            EmbeddingSpace(2, [1, 2, 1], np.zeros((3, 2), np.float32))
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_, np.float64, np.uint8])
     def test_non_float_matrix_refused(self, dtype):
-        with pytest.raises(ValueError, match=f"a space matrix must be float32 or float64, got {np.dtype(dtype)}$"):
-            EmbeddingSpace(2, [1, 2], np.zeros((2, 2), dtype))
+        message = f"a space matrix must be float32 rows or int8 levels, got {np.dtype(dtype)}$"
+        with pytest.raises(ValueError, match=message):
+            EmbeddingSpace(2, [1, 2], np.ones((2, 2), dtype))
+
+    @pytest.mark.parametrize("levels, message", [
+        ([[1, 3], [2, 0]], "int8 levels must be 0, 1 or 2, got 0 to 3"),
+        ([[1, -1], [2, 0]], "int8 levels must be 0, 1 or 2, got -1 to 2"),
+        ([[1, 2], [0, 0], [0, 0]], "2 all-zero rows of int8 levels"),
+    ])
+    def test_levels_outside_0_to_2_or_an_all_zero_row_refused(self, levels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmbeddingSpace(2, np.arange(len(levels)), np.array(levels, np.int8))
+
+    def test_row_values_widen_either_layout(self):
+        floats = EmbeddingSpace(2, [7, 3], np.array([[0.1, -2.5], [1e-40, 3.0]], np.float32), "cf")
+        assert floats.scale is None
+        assert floats.row_values(1).tolist() == [float(np.float32(1e-40)), 3.0]
+        assert floats.row_values([1, 0]).tobytes() == floats.matrix[[1, 0]].astype(np.float64).tobytes()
+        assert floats.vector(7).tolist() == [float(np.float32(0.1)), -2.5]
+        levels = EmbeddingSpace(3, [7, 3], np.array([[2, 0, 1], [0, 0, 1]], np.int8), "vsm")
+        assert levels.scale.tolist() == [1 / np.sqrt(5), 1.0]
+        assert levels.row_values(0).tolist() == [2 / np.sqrt(5), 0.0, 1 / np.sqrt(5)]
+        assert levels.row_values(slice(None)).tolist() == [[2 / np.sqrt(5), 0.0, 1 / np.sqrt(5)], [0.0, 0.0, 1.0]]
+        assert levels.vector(3).tolist() == [0.0, 0.0, 1.0]
+
+    def test_equal_values_in_other_layouts_are_other_spaces(self):
+        ones = np.ones((1, 1))
+        assert EmbeddingSpace(1, [1], ones.astype(np.int8)) != EmbeddingSpace(1, [1], ones.astype(np.float32))
+        assert EmbeddingSpace(1, [1], ones.astype(np.int8)) == EmbeddingSpace(1, [1], ones.astype(np.int8))
 
 
 class TestTrainSpace:
@@ -217,7 +244,8 @@ class TestVsmSpace:
                 seen.add((u, i))
                 events.append(RatingEvent(u, i, int(rng.integers(1, 6)), 0))
         space = build_vsm_space(events, build_profiles(events))
-        norms = np.linalg.norm(space.matrix, axis=1)
+        assert space.matrix.dtype == np.int8
+        norms = np.linalg.norm(space.row_values(slice(None)), axis=1)
         assert np.all((np.abs(norms - 1.0) <= 1e-12) | (norms == 0))
         assert space.provenance == "vsm"
         assert space.dimensions == 29
@@ -245,8 +273,8 @@ def write_forged_container(path, shape, data):
 def write_other_layout(path, layout):
     """A container of `good_entries` whose matrix entry has a layout `save_space` never writes."""
     entries = good_entries()
-    if layout == "int64":
-        write_container(path, **{**entries, "matrix": entries["matrix"].astype(np.int64)})
+    if layout in ("int64", "uint8"):
+        write_container(path, **{**entries, "matrix": entries["matrix"].astype(layout)})
     elif layout == "fortran":
         write_container(path, **{**entries, "matrix": np.asfortranarray(entries["matrix"])})
     else:  # "npy-2.0": the matrix behind a version 2.0 header
@@ -256,13 +284,14 @@ def write_other_layout(path, layout):
                     np.lib.format.write_array(member, array, version=(2, 0) if name == "matrix" else (1, 0))
 
 
-OTHER_LAYOUTS = ["int64", "fortran", "npy-2.0"]
+OTHER_LAYOUTS = ["int64", "uint8", "fortran", "npy-2.0"]
 
 
 def several_blocks_space(dtype, d=1024, blocks=8, provenance="cf"):
-    """A space of `blocks` row blocks of d columns, the last one partial."""
+    """A space of `blocks` row blocks of d columns, the last one partial: float32 rows or random levels."""
     n = blocks * spaces._BLOCK_VALUES // d - 3
-    matrix = np.random.default_rng(d).normal(size=(n, d)).astype(dtype)
+    rng = np.random.default_rng(d)
+    matrix = (rng.integers(0, 3, size=(n, d)) if dtype == np.int8 else rng.normal(size=(n, d))).astype(dtype)
     return EmbeddingSpace(d, np.arange(n) * 7, matrix, provenance)
 
 
@@ -274,36 +303,67 @@ def good_entries():
     }
 
 
-def parse_exported(path, dtype=np.float32) -> EmbeddingSpace:
-    """Read `export_vectors` text back: the oracle for a lossless export.
-
-    The decimal-text parser space files had before they became containers:
-    each value is read as the nearest float64, then rounded once to `dtype`.
-    """
+def parse_exported_values(path) -> tuple[list[int], np.ndarray]:
+    """The item ids and the float64 matrix of `export_vectors` text, each value read as the nearest float64."""
     with open(path, encoding="utf-8") as fh:
         count, d = (int(field) for field in fh.readline().split())
         rows = [line.split() for line in fh]
     assert len(rows) == count and all(len(row) == d + 1 for row in rows)
     matrix = np.array([[float(v) for v in row[1:]] for row in rows], dtype=np.float64)
-    return EmbeddingSpace(d, [int(row[0]) for row in rows], matrix.reshape(count, d).astype(dtype))
+    return [int(row[0]) for row in rows], matrix.reshape(count, d)
+
+
+def parse_exported(path) -> EmbeddingSpace:
+    """Read `export_vectors` text of float32 rows back: the oracle for a lossless export.
+
+    The decimal-text parser space files had before they became containers:
+    each value is read as the nearest float64, then rounded once to float32.
+    """
+    item_ids, matrix = parse_exported_values(path)
+    return EmbeddingSpace(matrix.shape[1], item_ids, matrix.astype(np.float32))
+
+
+def unit_rows(levels) -> np.ndarray:
+    """Levels divided by their norms in float64, as vsm spaces were held before int8 levels: the oracle."""
+    levels = np.asarray(levels, np.float64)
+    return levels / np.linalg.norm(levels, axis=1, keepdims=True)
+
+
+def assert_export_matches(path, space):
+    """`export_vectors` text holds the space's ids and the exact float64 values of its rows."""
+    item_ids, values = parse_exported_values(path)
+    assert item_ids == space.item_ids.tolist()
+    if space.scale is None:
+        assert_bit_equal(parse_exported(path), space)
+        assert values.tobytes() == space.matrix.astype(np.float64).tobytes()
+    elif len(space):  # np.linalg.norm needs a row
+        assert values.tobytes() == unit_rows(space.matrix).tobytes()
 
 
 @st.composite
-def spaces_of_any_dtype(draw):
-    """Spaces of either float width, with every finite value hypothesis tries (-0.0, subnormals, max)."""
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
+def spaces_of_any_layout(draw):
+    """float32 spaces with every finite value hypothesis tries (-0.0, subnormals, max), or level spaces."""
+    dtype = draw(st.sampled_from([np.float32, np.int8]))
     ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8, unique=True))
     d = draw(st.integers(1, 6))
-    width = 32 if dtype == np.float32 else 64
-    values = st.floats(width=width, allow_nan=False, allow_infinity=False)
+    if dtype == np.float32:
+        values = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    else:  # a level in every row's first nonzero column, to keep rows nonzero
+        values = st.integers(0, 2)
     matrix = draw(arrays(dtype, (len(ids), d), elements=values))
+    if dtype == np.int8:
+        matrix[~matrix.any(axis=1), draw(st.integers(0, d - 1))] = draw(st.integers(1, 2))
     provenance = draw(st.sampled_from([None, *spaces.PROVENANCES]))
     return EmbeddingSpace(d, ids, matrix, provenance)
 
 
 def edge_space(dtype, provenance, n_items=3, d=2):
-    info = np.finfo(dtype)
-    values = [-0.0, info.smallest_subnormal, -info.max, info.max, info.tiny, 1.0]
+    """float32 extremes, or (int8) each level, rows holding one level among zeros, in cycle."""
+    if dtype == np.int8:
+        values = [2, 0, 1, 1, 0, 2] if d > 1 else [1, 2]
+    else:
+        info = np.finfo(dtype)
+        values = [-0.0, info.smallest_subnormal, -info.max, info.max, info.tiny, 1.0]
     matrix = np.resize(np.array(values, dtype=dtype), (n_items, d))
     return EmbeddingSpace(d, np.arange(n_items) * 5, matrix, provenance)
 
@@ -338,13 +398,13 @@ class TestSpaceFiles:
         loaded = load_space(path)
         assert np.array_equal(loaded.matrix, space.matrix)
 
-    @given(space=spaces_of_any_dtype())
+    @given(space=spaces_of_any_layout())
     @example(space=edge_space(np.float32, None, n_items=0))
-    @example(space=edge_space(np.float64, "vsm", n_items=0, d=1))
+    @example(space=edge_space(np.int8, "vsm", n_items=0, d=1))
     @example(space=edge_space(np.float32, "cf", n_items=6, d=1))
     @example(space=edge_space(np.float32, "cb"))
-    @example(space=edge_space(np.float64, "vsm"))
-    @example(space=edge_space(np.float64, None))
+    @example(space=edge_space(np.int8, "vsm"))
+    @example(space=edge_space(np.int8, None))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_bit_exact_any_dtype(self, tmp_path_factory, space):
         path = tmp_path_factory.mktemp("rt") / "s.space"
@@ -352,6 +412,7 @@ class TestSpaceFiles:
         loaded = load_space(path)
         assert_bit_equal(loaded, space)
         assert loaded.provenance == space.provenance
+        assert loaded.row_values(slice(None)).tobytes() == space.row_values(slice(None)).tobytes()
 
     def test_writes_exactly_the_given_path(self, tmp_path):
         path = tmp_path / "s.space"
@@ -361,22 +422,29 @@ class TestSpaceFiles:
             assert sorted(npz.files) == ["item_ids", "matrix", "provenance"]
             assert npz["provenance"].shape == () and str(npz["provenance"]) == "cf"
 
-    @pytest.mark.parametrize("dtype, provenance", [(np.float32, "cf"), (np.float64, "vsm")])
+    @pytest.mark.parametrize("dtype, provenance", [(np.float32, "cf"), (np.int8, "vsm")])
     def test_file_of_the_per_value_writer_loads_bit_identically(self, tmp_path, dtype, provenance):
         # The text writer before the joined-row form: one repr(float(x)) call
-        # per value. Exported vectors keep its bytes, minus the provenance.
+        # per value of the float32 rows, or of the float64 rows levels stood for.
+        # Exported vectors keep its bytes, minus the provenance.
         rng = np.random.default_rng(8)
-        matrix = (rng.normal(size=(30, 7)) * 10.0 ** rng.integers(-30, 30, size=(30, 7))).astype(dtype)
-        matrix[0, :3] = [-0.0, np.finfo(dtype).max, np.finfo(dtype).smallest_subnormal]
+        if dtype == np.int8:
+            matrix = rng.integers(0, 3, size=(30, 7)).astype(np.int8)
+            matrix[:, 0] = 1
+            values = unit_rows(matrix)
+        else:
+            matrix = (rng.normal(size=(30, 7)) * 10.0 ** rng.integers(-30, 30, size=(30, 7))).astype(dtype)
+            matrix[0, :3] = [-0.0, np.finfo(dtype).max, np.finfo(dtype).smallest_subnormal]
+            values = matrix
         space = EmbeddingSpace(7, np.arange(30) * 3, matrix, provenance)
         old = tmp_path / "old.txt"
         with open(old, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"{len(space)} {space.dimensions}\n")
-            for item_id, vec in zip(space.item_ids, space.matrix):
+            for item_id, vec in zip(space.item_ids, values):
                 fh.write(f"{item_id} " + " ".join(repr(float(x)) for x in vec) + "\n")
         export_vectors(space, tmp_path / "new.txt")
         assert (tmp_path / "new.txt").read_bytes() == old.read_bytes()
-        assert_bit_equal(parse_exported(old, dtype), space)
+        assert_export_matches(old, space)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "s.space"
@@ -490,6 +558,7 @@ class TestSpaceFiles:
         ("matrix", np.zeros((2, 3), dtype=">f4")),
         ("provenance", np.array(b"cf")),
         ("provenance", np.array(["cf"])),
+        ("matrix", np.ones((2, 3), dtype=np.uint8)),
     ])
     def test_wrong_dtype_refused(self, tmp_path, entry, value):
         path = tmp_path / "s.space"
@@ -521,9 +590,29 @@ class TestSpaceFiles:
     def test_matrix_layout_no_writer_makes_refused(self, tmp_path, layout):
         path = tmp_path / "s.space"
         write_other_layout(path, layout)
-        message = (f"{path}: entries must be 1-D int64 item_ids, a 2-D C-ordered float32 or float64 matrix "
+        message = (f"{path}: entries must be 1-D int64 item_ids, a 2-D C-ordered float32 or int8 matrix "
                    "in npy 1.0 and a 0-d string provenance")
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_space(path)
+
+    def test_float64_vsm_space_of_earlier_versions_refused_with_rebuild_hint(self, tmp_path):
+        # the layout vsm spaces were saved in before int8 levels: levels divided by their norms
+        path = tmp_path / "s.space"
+        write_container(path, item_ids=np.array([3, 9]), matrix=unit_rows([[2, 0, 1], [0, 1, 1]]),
+                        provenance=np.array("vsm"))
+        message = (f"{path}: a float64 matrix, as vsm spaces from earlier versions held; "
+                   "rebuild it with train-space --mode vsm")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_space(path)
+
+    @pytest.mark.parametrize("levels, message", [
+        ([[1, 3], [2, 0]], "int8 levels must be 0, 1 or 2, got 0 to 3"),
+        ([[1, 2], [0, 0]], "1 all-zero rows of int8 levels"),
+    ])
+    def test_levels_outside_0_to_2_or_an_all_zero_row_are_a_format_error(self, tmp_path, levels, message):
+        path = tmp_path / "s.space"
+        write_container(path, item_ids=np.array([3, 9]), matrix=np.array(levels, np.int8), provenance=np.array("vsm"))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_space(path)
 
     def test_object_array_refused(self, tmp_path):
@@ -554,14 +643,21 @@ class TestSpaceFiles:
         assert path.read_text().splitlines() == ["1 2", "240 0.5 -1.0"]
         assert parse_exported(path) == space
 
-    @given(space=spaces_of_any_dtype())
+    def test_export_of_levels_prints_their_unit_rows(self, tmp_path):
+        space = EmbeddingSpace(2, [240, 3], np.array([[2, 0], [1, 1]], np.int8), "vsm")
+        path = tmp_path / "vecs.txt"
+        export_vectors(space, path)
+        half = repr(float(1 / np.sqrt(2)))
+        assert path.read_text().splitlines() == ["2 2", "240 1.0 0.0", f"3 {half} {half}"]
+
+    @given(space=spaces_of_any_layout())
     @example(space=edge_space(np.float32, "cf", n_items=0))
-    @example(space=edge_space(np.float64, "vsm"))
+    @example(space=edge_space(np.int8, "vsm"))
     @settings(max_examples=100, deadline=None)
     def test_export_round_trip_bit_exact(self, tmp_path_factory, space):
         path = tmp_path_factory.mktemp("export") / "vecs.txt"
         export_vectors(space, path)
-        assert_bit_equal(parse_exported(path, space.matrix.dtype), space)
+        assert_export_matches(path, space)
 
     def test_export_empty_space(self, tmp_path):
         space = EmbeddingSpace(4, [], np.zeros((0, 4), dtype=np.float32))
@@ -570,13 +666,15 @@ class TestSpaceFiles:
         assert path.read_text() == "0 4\n"
 
     def test_vsm_round_trip_keeps_double_precision(self, tmp_path):
+        # its int8 levels, and so the exact float64 unit rows they stand for
         events = [RatingEvent(1, 10, 4, 0), RatingEvent(2, 10, 5, 0), RatingEvent(1, 11, 2, 1)]
         space = build_vsm_space(events, build_profiles(events))
         path = tmp_path / "v.space"
         save_space(space, path)
         loaded = load_space(path)
         assert loaded == space
-        assert loaded.matrix.dtype == np.float64
+        assert loaded.matrix.dtype == np.int8
+        assert loaded.row_values(slice(None)).tobytes() == unit_rows(loaded.matrix).tobytes()
 
 
 def traced_peak(fn, *args):
@@ -599,12 +697,12 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("space", [
         pytest.param(edge_space(dtype, provenance, n_items=4, d=3), id=f"{dtype.__name__}-{provenance}")
-        for dtype in (np.float32, np.float64) for provenance in (None, "cf", "vsm")
+        for dtype in (np.float32, np.int8) for provenance in (None, "cf", "vsm")
     ] + [
         pytest.param(edge_space(np.float32, "cf", n_items=0, d=5), id="zero-rows"),
-        pytest.param(edge_space(np.float64, "vsm", n_items=9, d=1), id="one-column"),
+        pytest.param(edge_space(np.int8, "vsm", n_items=9, d=1), id="one-column"),
         pytest.param(several_blocks_space(np.float32), id="several-blocks"),
-        pytest.param(several_blocks_space(np.float64, d=700, blocks=3, provenance=None), id="several-blocks-f64"),
+        pytest.param(several_blocks_space(np.int8, d=700, blocks=3, provenance=None), id="several-blocks-int8"),
         pytest.param(EmbeddingSpace(300, np.arange(500), np.asfortranarray(
             np.random.default_rng(3).normal(size=(500, 300)).astype(np.float32)), "cb"), id="f-contiguous"),
     ])
@@ -646,7 +744,8 @@ class TestRowBlocks:
         raw = np.zeros((n_items, len(profiles)))
         raw[items, np.searchsorted(sorted(profiles), users)] = levels
         oracle = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        assert space.matrix.tobytes() == oracle.tobytes()
+        assert space.matrix.tobytes() == raw.astype(np.int8).tobytes()
+        assert space.row_values(slice(None)).tobytes() == oracle.tobytes()
 
     # Each bound: the matrix made, one block of float64 values where the step
     # works a block at a time, the boolean finiteness mask of a block where
@@ -667,7 +766,7 @@ class TestRowBlocks:
         profiles = build_profiles(events)
         build_vsm_space(events[:4], build_profiles(events[:4]))
         space, peak = traced_peak(build_vsm_space, events, profiles)
-        assert space.matrix.nbytes == 3000 * 200 * 8
+        assert space.matrix.nbytes == 3000 * 200
         rest = 64 * len(events)  # the event columns, their matrix rows and columns, the norms' sums
         assert peak <= space.matrix.nbytes + rest + 64 * 1024
 
