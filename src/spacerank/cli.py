@@ -239,7 +239,7 @@ def cmd_evaluate(args) -> int:
     if not targets:
         raise SpaceRankError(f"no rated-4-or-5 targets in the {args.holdout} set")
     # The one table every system reads: the training rows grouped by user, each user's in file order.
-    # pop's counts, knn's matrix and the profiles do not depend on row order; ds reads each user's slice.
+    # pop's counts, knn's scores and the profiles do not depend on row order; ds reads each user's slice.
     rows = np.flatnonzero(~held_mask(ratings, split.held_out(args.holdout)))
     rows = rows[np.argsort(ratings.user[rows], kind="stable")]
     training = ratings.select(rows)

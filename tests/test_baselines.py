@@ -1,19 +1,22 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from spacerank import baselines
 from spacerank.baselines import (
     KnnModel,
+    _neighbours,
     build_popularity,
     knn_scores,
     knn_topk,
     popularity_topk,
 )
-from spacerank.corpus import RatingEvent, as_ratings, build_profiles, rating_levels
+from spacerank.corpus import RatingEvent, as_ratings, binarize, build_profiles
 from spacerank.errors import NoSuchUserError
 from test_spaces import traced_peak
 
@@ -107,40 +110,38 @@ class TestKnn:
         scores = by_item(model.item_ids, knn_scores(model, 1))
         assert scores[21] > 0 and scores[31] == 0
 
-    @pytest.mark.parametrize("n_users, n_items", [(3, 3000), (200, 40)])
-    def test_rows_are_divided_by_the_whole_matrix_norms(self, n_users, n_items):
-        # rows of up to 3000 ratings, which np.linalg.norm sums pairwise in float32
-        rng = np.random.default_rng(n_users)
-        events = [RatingEvent(user, int(item), int(rating), 0) for user in range(1, n_users + 1)
-                  for item, rating in zip(rng.permutation(n_items)[:rng.integers(1, n_items + 1)],
-                                          rng.integers(1, 6, size=n_items))]
-        profiles = build_profiles(events)
-        model = KnnModel(events, profiles, k=1)
-        users, items, levels = rating_levels(events, profiles)
-        raw = np.zeros((n_users, len(np.unique(items))), dtype=np.float32)
-        raw[users - 1, np.unique(items, return_inverse=True)[1]] = levels
-        oracle = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        assert model.matrix.tobytes() == oracle.tobytes()
+    def test_equal_cosines_tie_exactly(self):
+        # 4/sqrt(8*4) and 8/sqrt(8*16) are both sqrt(1/2), yet n/sqrt(a*b) rounds them to
+        # different float64s; user 2, the lower id, must be the one neighbour, so item 100
+        # (rated by user 3 only) scores 0
+        events = events_of({
+            1: [(102, 5), (103, 5)],
+            2: [(102, 5)],
+            3: [(100, 5), (101, 5), (102, 5), (103, 5)],
+        })
+        model = KnnModel(events, build_profiles(events), k=1)
+        scores = by_item(model.item_ids, knn_scores(model, 1))
+        assert scores == {100: 0.0, 101: 0.0, 102: math.sqrt(0.5), 103: 0.0}
 
-    def test_build_allocates_nothing_beside_the_matrix(self):
-        # the bound of the vsm normalization's: a whole-matrix temporary exceeds it
+    @pytest.mark.parametrize("at_once", [1, 7])
+    def test_gathering_co_raters_in_parts_changes_no_bit(self, monkeypatch, at_once):
+        rng = np.random.default_rng(at_once)
+        events = [RatingEvent(user, int(item), int(rng.integers(1, 6)), 0)
+                  for user in range(1, 41) for item in rng.permutation(30)[:rng.integers(1, 31)]]
+        model = KnnModel(events, build_profiles(events), k=5)
+        whole = [knn_scores(model, user_id).tobytes() for user_id in range(1, 41)]
+        monkeypatch.setattr(baselines, "_RATERS_AT_ONCE", at_once)
+        assert [knn_scores(model, user_id).tobytes() for user_id in range(1, 41)] == whole
+
+    def test_build_allocates_by_the_ratings_not_users_times_items(self):
+        # 200 users x 3000 items, each item rated once: a dense float32 matrix (2.4 MB) exceeds the bound
         events = [RatingEvent(1 + i % 200, i, 1 + i % 5, 0) for i in range(3000)]
-        profiles = build_profiles(events)
+        table, profiles = as_ratings(events), build_profiles(events)
         KnnModel(events[:4], build_profiles(events[:4]), k=1)
-        model, peak = traced_peak(KnnModel, events, profiles, 5)
-        assert model.matrix.nbytes == 200 * 3000 * 4
-        rest = 64 * len(events)  # the event columns, their matrix rows and columns, the norms' sums
-        assert peak <= model.matrix.nbytes + rest + 64 * 1024
-
-
-def lexsort_knn_scores(model, user_id):
-    """knn_scores with its neighbours picked by one full lexsort, the user filtered out."""
-    row = np.searchsorted(model.user_ids, user_id)
-    sims = model.matrix @ model.matrix[row]
-    order = np.lexsort((model.user_ids, -sims))
-    neighbours = order[order != row][: model.k]
-    rated = (model.matrix[neighbours] > 0).astype(np.float64)
-    return sims[neighbours] @ rated
+        model, peak = traced_peak(KnnModel, table, profiles, 5)
+        held = sum(value.nbytes for value in vars(model).values() if isinstance(value, np.ndarray))
+        assert held <= 32 * len(events)  # ids and offsets (8 bytes), grouped rows and columns (4), levels (1)
+        assert peak <= 64 * len(events) + 64 * 1024  # rating_levels' and np.unique's sorts and inverses
 
 
 @st.composite
@@ -157,17 +158,52 @@ def knn_corpora(draw):
     return draw(st.permutations(events)), draw(st.integers(1, len(user_ids) + 2))
 
 
+def oracle_knn(events, k):
+    """{user: (neighbour ids, their similarities, {item: score})}, written out with dicts, no numpy.
+
+    Neighbours are the k users sharing an item with the highest exact cosine (as a
+    Fraction, squared: cosines are never negative), ties by ascending user id. A
+    similarity is sqrt(num**2 / (a * b)) in float64 over the exact integers, and an
+    item's score adds its raters' similarities in neighbour order.
+    """
+    profiles = build_profiles(events)
+    levels = {}
+    for e in events:
+        levels.setdefault(e.user_id, {})[e.item_id] = binarize(e.rating, profiles[e.user_id].mean_rating)
+    squares = {u: sum(level * level for level in row.values()) for u, row in levels.items()}
+    out = {}
+    for u, row in levels.items():
+        nums = {v: sum(level * other.get(i, 0) for i, level in row.items()) for v, other in levels.items() if v != u}
+        shared = [v for v, num in nums.items() if num]
+        ranked = sorted(shared, key=lambda v: (-Fraction(nums[v] ** 2, squares[u] * squares[v]), v))[:k]
+        sims = [math.sqrt(nums[v] ** 2 / (squares[u] * squares[v])) for v in ranked]
+        scores = dict.fromkeys(sorted({e.item_id for e in events}), 0.0)
+        for v, sim in zip(ranked, sims):
+            for item in levels[v]:
+                scores[item] += sim
+        out[u] = ranked, sims, scores
+    return out
+
+
 @given(knn_corpora())
 @example(([RatingEvent(7, 100, 4, 0)], 1))  # one user: no neighbours, every score 0
 @example(([RatingEvent(u, 100, 4, 0) for u in (5, 3, 9, 1)], 2))  # all tied, ids out of order
-def test_knn_scores_equal_the_lexsort_selection_bit_for_bit(corpus):
+@example((events_of({9: [(102, 5), (103, 5)], 4: [(100, 5), (101, 5), (102, 5), (103, 5)], 2: [(102, 5)]}), 1))  # cosines tied
+def test_knn_matches_the_pure_python_oracle(corpus):
     events, k = corpus
     model = KnnModel(events, build_profiles(events), k)
+    oracle = oracle_knn(events, k)
+    assert model.user_ids.tolist() == sorted(oracle)
     for user_id in model.user_ids.tolist():
-        scores = knn_scores(model, user_id)
-        expected = lexsort_knn_scores(model, user_id)
-        assert scores.dtype == expected.dtype == np.float64
-        assert scores.tobytes() == expected.tobytes()
+        neighbours, sims, scores = oracle[user_id]
+        rows, weights = _neighbours(model, user_id)
+        assert (model.user_ids[rows].tolist(), weights.tolist()) == (neighbours, sims)
+        got = knn_scores(model, user_id)
+        assert got.dtype == np.float64
+        assert by_item(model.item_ids, got) == scores  # float equality: the same sums in the same order
+        exclude = [e.item_id for e in events if e.user_id == user_id]
+        unrated = sorted((item for item in scores if item not in exclude), key=lambda item: (-scores[item], item))
+        assert knn_topk(model, user_id, exclude, 3) == unrated[:3]
 
 
 @st.composite
@@ -192,7 +228,6 @@ def test_grouping_rows_by_user_changes_no_baseline_and_no_user_slice(table):
     assert build_profiles(by_user) == build_profiles(file_order)  # exact integer sums
     pops = [build_popularity(rows) for rows in (file_order, by_user)]
     knns = [KnnModel(rows, build_profiles(rows), k) for rows in (file_order, by_user)]
-    assert knns[0].matrix.tobytes() == knns[1].matrix.tobytes()
     users, starts = np.unique(by_user.user, return_index=True)
     ends = [*starts[1:].tolist(), len(by_user.user)]
     for user_id, start, end in zip(users.tolist(), starts.tolist(), ends):
@@ -200,4 +235,5 @@ def test_grouping_rows_by_user_changes_no_baseline_and_no_user_slice(table):
         # ds ranks a user from this slice alone, so its list is the same too
         assert all(np.array_equal(a, b) for a, b in zip(by_user.select(slice(start, end)), own, strict=True))
         assert popularity_topk(pops[0], own.item, 4) == popularity_topk(pops[1], own.item, 4)
+        assert knn_scores(knns[0], user_id).tobytes() == knn_scores(knns[1], user_id).tobytes()
         assert knn_topk(knns[0], user_id, own.item, 4) == knn_topk(knns[1], user_id, own.item, 4)

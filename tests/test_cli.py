@@ -366,8 +366,9 @@ class TestEvaluateCommand:
             tracemalloc.stop()
         # The table and its grouped training rows meet once, while the rows are selected (2.4
         # tables for pop). Two more copies beside the table (the file-order training rows and
-        # a grouped copy of them) reached 4.6 tables for pop.
-        assert peak <= 3.5 * tables[0] + sum(model.matrix.nbytes for model in models)
+        # a grouped copy of them) reached 4.6 tables for pop. knn adds its own index arrays.
+        held = sum(value.nbytes for model in models for value in vars(model).values() if isinstance(value, np.ndarray))
+        assert peak <= 3.5 * tables[0] + held
 
     def test_ds_skips_users_whose_pairs_are_all_downsampled_away(self, pipeline, tmp_path, capsys):
         # --phi-t 2 keeps two rated items per user. When both share a level, only
@@ -919,6 +920,28 @@ class TestBlasThreads:
                             "--split", str(pipeline["split"]), "--workers", workers, "--out", str(out)],
                            env=self.env(), capture_output=True, check=True, timeout=120)
             outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: the BLAS runs one thread")
+    def test_knn_scores_do_not_depend_on_the_blas_thread_count(self, tmp_path, monkeypatch):
+        # Every user's scores on the 300-user ML1M-shaped corpus, whose 90,000 user-user
+        # similarities a float32 BLAS product gave other bits at `OMP_NUM_THREADS=2` than at 1.
+        ratings = _import("ml1m_corpus", monkeypatch).generate_ml1m_corpus(tmp_path, 300, 1)
+        script = (
+            "import hashlib, sys\n"
+            "from spacerank.baselines import KnnModel, knn_scores\n"
+            "from spacerank.corpus import build_profiles, load_rating_columns\n"
+            "table = load_rating_columns(sys.argv[1])\n"
+            "model = KnnModel(table, build_profiles(table), 60)\n"
+            "digest = hashlib.sha256()\n"
+            "for user_id in model.user_ids.tolist():\n"
+            "    digest.update(knn_scores(model, user_id).tobytes())\n"
+            "print(len(model.user_ids), digest.hexdigest())\n"
+        )
+        outs = [subprocess.run([sys.executable, "-c", script, str(ratings)], capture_output=True, text=True,
+                               env=self.env(OMP_NUM_THREADS=threads), check=True, timeout=120).stdout
+                for threads in ("1", "2")]
+        assert outs[0].startswith("300 ")
         assert outs[0] == outs[1]
 
     @pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: the BLAS runs one thread")

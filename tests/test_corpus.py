@@ -340,20 +340,26 @@ def reference_vsm_space(events, profiles):
     return item_ids, levels, matrix
 
 
-def reference_knn_matrix(events, profiles):
-    """`KnnModel`'s user ids, item ids and unit-norm level matrix, written out with dicts and loops."""
+def reference_knn_model(events, profiles):
+    """`KnnModel`'s user ids, item ids, {user: {item: level}} and {item: {user: level}}
+    views and squared norms, written out with dicts and loops."""
     user_ids = sorted({e.user_id for e in events})
     item_ids = sorted({e.item_id for e in events})
-    user_row = {u: r for r, u in enumerate(user_ids)}
-    item_col = {i: c for c, i in enumerate(item_ids)}
-    matrix = np.zeros((len(user_ids), len(item_ids)), dtype=np.float32)
+    by_user = {u: {} for u in user_ids}
+    by_item = {i: {} for i in item_ids}
     for e in events:
-        matrix[user_row[e.user_id], item_col[e.item_id]] = binarize(
-            e.rating, profiles[e.user_id].mean_rating
-        )
-    for row in matrix:
-        row /= np.linalg.norm(row)
-    return user_ids, item_ids, matrix
+        level = binarize(e.rating, profiles[e.user_id].mean_rating)
+        by_user[e.user_id][e.item_id] = by_item[e.item_id][e.user_id] = level
+    squares = [sum(level * level for level in by_user[u].values()) for u in user_ids]
+    return user_ids, item_ids, by_user, by_item, squares
+
+
+def grouped_dicts(starts, keys, values, ids, value_ids):
+    """{ids[g]: {value_ids[v]: level}} of one CSR grouping of a `KnnModel`."""
+    return {
+        ids[g]: dict(zip(value_ids[keys[a:b]].tolist(), values[a:b].tolist(), strict=True))
+        for g, (a, b) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    }
 
 
 @st.composite
@@ -412,10 +418,12 @@ class TestRatingLevels:
         assert space.row_values(slice(None)).tobytes() == values.tobytes()
 
         model = KnnModel(events, profiles, k=2)
-        user_ids, item_ids, matrix = reference_knn_matrix(events, profiles)
+        user_ids, item_ids, by_user, by_item, squares = reference_knn_model(events, profiles)
         assert model.user_ids.tolist() == user_ids and model.item_ids.tolist() == item_ids
-        assert model.matrix.dtype == matrix.dtype
-        np.testing.assert_array_equal(model.matrix, matrix)
+        assert grouped_dicts(model.user_starts, model.user_items, model.user_levels, user_ids, model.item_ids) == by_user
+        assert grouped_dicts(model.item_starts, model.item_users, model.item_levels, item_ids, model.user_ids) == by_item
+        assert model.user_levels.dtype == model.item_levels.dtype == np.int8
+        assert model.squares.dtype == np.int64 and model.squares.tolist() == squares
 
 
 class TestReviewsToObservations:
